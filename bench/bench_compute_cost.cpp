@@ -2,8 +2,8 @@
 // O(m*w*k) complexity and ~1.2 ms average processing time for a 1000 m
 // journey context with a 100 m x 45-channel checking window on an
 // i7-2640M. This google-benchmark binary sweeps m (context length), w
-// (window length) and k (channel count), plus thread-pool scaling and the
-// per-sample ingestion costs of the engine front-end.
+// (window length) and k (channel count), plus the per-sample ingestion
+// costs of the engine front-end.
 
 #include <benchmark/benchmark.h>
 
@@ -12,7 +12,6 @@
 #include "core/syn_seeker.hpp"
 #include "util/hash_noise.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -102,17 +101,6 @@ void BM_SynSearch_PaperReference(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SynSearch_PaperReference);
-
-void BM_SynSearch_ThreadPool(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  const auto pair = make_pair(1000, 115);
-  util::ThreadPool pool(threads);
-  const core::SynSeeker seeker(config_for(100, 45), &pool);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(seeker.find_one(pair.a, pair.b));
-  }
-}
-BENCHMARK(BM_SynSearch_ThreadPool)->Arg(1)->Arg(2)->Arg(4);
 
 // Coarse-to-fine search: same result (tested), ~stride x cheaper sweep.
 void BM_SynSearch_CoarseToFine(benchmark::State& state) {

@@ -82,8 +82,8 @@ void RupsEngine::on_rssi(const sensors::RssiMeasurement& measurement) {
 }
 
 std::vector<SynPoint> RupsEngine::find_syn_points(
-    const ContextTrajectory& neighbour, util::ThreadPool* pool) const {
-  const SynSeeker seeker(config_.syn, pool);
+    const ContextTrajectory& neighbour) const {
+  const SynSeeker seeker(config_.syn);
   // The local pack only changes by the metres driven since the last query;
   // sync extends it incrementally instead of re-extracting per query.
   context_pack_.sync(context_);
@@ -91,10 +91,10 @@ std::vector<SynPoint> RupsEngine::find_syn_points(
 }
 
 std::optional<RelativeDistanceEstimate> RupsEngine::estimate_distance(
-    const ContextTrajectory& neighbour, util::ThreadPool* pool) const {
+    const ContextTrajectory& neighbour) const {
   engine_metrics().queries.inc();
   obs::ObsTimer timer(&engine_metrics().estimate_us, "engine.estimate");
-  const auto syns = find_syn_points(neighbour, pool);
+  const auto syns = find_syn_points(neighbour);
   auto estimate =
       aggregate_estimates(context_, neighbour, syns, config_.aggregation);
   if (estimate.has_value()) {

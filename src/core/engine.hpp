@@ -12,7 +12,6 @@
 #include "core/syn_seeker.hpp"
 #include "core/types.hpp"
 #include "sensors/types.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rups::core {
 
@@ -79,13 +78,11 @@ class RupsEngine {
   /// trajectory. Positive distance = this vehicle is in front. Nullopt when
   /// no SYN point clears the coherency threshold (unrelated vehicles).
   [[nodiscard]] std::optional<RelativeDistanceEstimate> estimate_distance(
-      const ContextTrajectory& neighbour,
-      util::ThreadPool* pool = nullptr) const;
+      const ContextTrajectory& neighbour) const;
 
   /// The SYN points themselves (diagnostics / experiments).
   [[nodiscard]] std::vector<SynPoint> find_syn_points(
-      const ContextTrajectory& neighbour,
-      util::ThreadPool* pool = nullptr) const;
+      const ContextTrajectory& neighbour) const;
 
   [[nodiscard]] const RupsConfig& config() const noexcept { return config_; }
 

@@ -26,8 +26,7 @@ namespace rups::core {
 
 struct SynCacheConfig {
   /// Half-width (in slide positions) of the re-verification band around the
-  /// predicted alignment. Covers inter-query odometer drift; the existing
-  /// NeighbourTracker uses the same 12 m figure.
+  /// predicted alignment. Covers inter-query odometer drift.
   std::size_t verify_radius_m = 12;
   /// Trailing region of each pack re-packed every sync (binder retro-fill
   /// reach; see PackedContext).

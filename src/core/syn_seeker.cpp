@@ -1,9 +1,7 @@
 #include "core/syn_seeker.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <mutex>
 #include <numeric>
 
 #include "core/channel_select.hpp"
@@ -48,26 +46,10 @@ SynMetrics& syn_metrics() {
   return m;
 }
 
-/// Deterministic merge of per-chunk scan results: ties resolve to the
-/// lowest position, matching what one ascending serial scan would return.
-SynSeeker::Candidate reduce_chunks(
-    const std::vector<SynSeeker::Candidate>& chunk_best) {
-  SynSeeker::Candidate best;
-  for (const SynSeeker::Candidate& c : chunk_best) {
-    if (!c.valid) continue;
-    if (!best.valid || c.correlation > best.correlation ||
-        (c.correlation == best.correlation && c.position < best.position)) {
-      best = c;
-    }
-  }
-  return best;
-}
-
 }  // namespace
 
-SynSeeker::SynSeeker(SynConfig config, util::ThreadPool* pool)
+SynSeeker::SynSeeker(SynConfig config)
     : config_(config),
-      pool_(pool),
       identity_rows_(std::max<std::size_t>(config.top_channels, 1)) {
   std::iota(identity_rows_.begin(), identity_rows_.end(), std::size_t{0});
 }
@@ -89,15 +71,6 @@ std::pair<std::size_t, double> SynSeeker::effective_window(
       config_.adaptive_threshold_floor +
       (1.0 - config_.adaptive_threshold_floor) * std::clamp(t, 0.0, 1.0);
   return {avail, config_.coherency_threshold * scale};
-}
-
-SynSeeker::SeekPlan SynSeeker::plan(const ContextTrajectory& a,
-                                    const ContextTrajectory& b,
-                                    std::size_t recency_offset_m) const {
-  SeekPlan p;
-  ChannelSelectScratch scratch;
-  plan_into(a, b, recency_offset_m, p, scratch);
-  return p;
 }
 
 void SynSeeker::plan_into(const ContextTrajectory& a,
@@ -197,7 +170,7 @@ SynSeeker::Candidate SynSeeker::best_over_grid(
   // strided-lane nest for big scans: its lane loads are non-contiguous,
   // the auto-vectorizer gives up, and the 6×kLagBlock live accumulators
   // then cost more than per-position scoring. Instead:
-  //  - small strides (≤ covering_scan_max_stride_m, measured — DESIGN
+  //  - small strides (≤ kCoveringScanMaxStrideM, measured — DESIGN
   //    §11): score the *contiguous covering metre range* at full block
   //    width and reduce only the lanes landing on the grid. Scores are
   //    bit-identical however they are batched, so the extra lanes are
@@ -211,7 +184,7 @@ SynSeeker::Candidate SynSeeker::best_over_grid(
   if (metre_step > 1 && pair.precision == KernelPrecision::kFloat32) {
     const std::size_t m_lo = grid_lo * metre_step;
     const std::size_t m_last = (grid_hi - 1) * metre_step;
-    if (metre_step <= config_.covering_scan_max_stride_m &&
+    if (metre_step <= kCoveringScanMaxStrideM &&
         m_last - m_lo + 1 >= kLagBlock) {
       std::size_t blocks = 0;
       const auto reduce_cover = [&](std::size_t m0) {
@@ -244,7 +217,7 @@ SynSeeker::Candidate SynSeeker::best_over_grid(
       syn_metrics().kernel_blocks.inc(blocks);
       return best;
     }
-    if (metre_step > config_.covering_scan_max_stride_m) {
+    if (metre_step > kCoveringScanMaxStrideM) {
       for (std::size_t g = grid_lo; g < grid_hi; ++g) {
         const double s = packed_correlation(pair.fixed, pair.fixed_start,
                                             pair.sliding, g * metre_step,
@@ -291,37 +264,21 @@ SynSeeker::Candidate SynSeeker::best_over_grid(
 
 SynSeeker::Candidate SynSeeker::slide(const ScanPair& pair,
                                       std::size_t window) const {
-  Candidate best;
-  if (pair.sliding.span.metres < window) return best;
+  if (pair.sliding.span.metres < window) return {};
   const std::size_t positions =
       (pair.sliding.span.metres - window) / config_.stride_m + 1;
 
-  // Chunk a grid of `count` scan points for the pool: chunk lengths are
-  // rounded up to whole kLagBlock batches so only each chunk's final block
-  // can be partial, and the per-chunk scans stay bit-identical to one
-  // serial ascending scan (so the deterministic reduction is exact).
-  const auto aligned_chunks = [this](std::size_t count) {
-    std::size_t chunk_len =
-        (count + pool_->size() - 1) / std::max<std::size_t>(pool_->size(), 1);
-    chunk_len = ((chunk_len + kLagBlock - 1) / kLagBlock) * kLagBlock;
-    const std::size_t chunks = (count + chunk_len - 1) / chunk_len;
-    return std::pair{chunks, chunk_len};
-  };
-
   // Coarse-to-fine: scan every coarse_stride-th position, then refine the
-  // neighbourhood of the best coarse hit exhaustively. Like the fine scan
-  // it is parallelized over the pool with the lowest-position tie-break
-  // reduction. Only engaged when the stride is wide enough to beat the
-  // exhaustive batched scan: below the measured covering crossover the
-  // cheapest way to score a strided grid IS the contiguous covering scan
-  // (see best_over_grid), which costs the same as scoring every position —
-  // so a sparse pre-pass would only add its refine pass on top. The
-  // quantized kernel scores any stride at batch cost, so it engages
-  // coarse-to-fine for every stride > 1.
+  // neighbourhood of the best coarse hit exhaustively. Only engaged when
+  // the stride is wide enough to beat the exhaustive batched scan: below
+  // the measured covering crossover the cheapest way to score a strided
+  // grid IS the contiguous covering scan (see best_over_grid), which costs
+  // the same as scoring every position — so a sparse pre-pass would only
+  // add its refine pass on top. The quantized kernel scores any stride at
+  // batch cost, so it engages coarse-to-fine for every stride > 1.
   const std::size_t coarse_floor =
-      pair.precision == KernelPrecision::kFloat32
-          ? config_.covering_scan_max_stride_m
-          : 1;
+      pair.precision == KernelPrecision::kFloat32 ? kCoveringScanMaxStrideM
+                                                  : 1;
   if (config_.coarse_stride_m > 1 &&
       config_.coarse_stride_m * config_.stride_m > coarse_floor &&
       positions > 4 * config_.coarse_stride_m) {
@@ -329,22 +286,10 @@ SynSeeker::Candidate SynSeeker::slide(const ScanPair& pair,
     const std::size_t coarse_count = (positions + coarse - 1) / coarse;
     syn_metrics().windows.inc(coarse_count);
     const std::size_t metre_step = coarse * config_.stride_m;
-    Candidate coarse_best;  // position = fine-grid index, not metres
-    if (pool_ == nullptr || coarse_count < 64) {
-      coarse_best =
-          best_over_grid(pair, window, 0, coarse_count, metre_step, coarse);
-    } else {
-      const auto [chunks, chunk_len] = aligned_chunks(coarse_count);
-      std::vector<Candidate> chunk_best(chunks);
-      pool_->parallel_for(0, chunks, [&](std::size_t ci) {
-        const std::size_t lo = ci * chunk_len;
-        const std::size_t hi = std::min(coarse_count, lo + chunk_len);
-        chunk_best[ci] =
-            best_over_grid(pair, window, lo, hi, metre_step, coarse);
-      });
-      coarse_best = reduce_chunks(chunk_best);
-    }
-    if (!coarse_best.valid) return best;
+    // Candidate::position is a fine-grid index here, not metres.
+    const Candidate coarse_best =
+        best_over_grid(pair, window, 0, coarse_count, metre_step, coarse);
+    if (!coarse_best.valid) return {};
     const std::size_t lo =
         coarse_best.position > coarse ? coarse_best.position - coarse : 0;
     const std::size_t hi =
@@ -354,20 +299,7 @@ SynSeeker::Candidate SynSeeker::slide(const ScanPair& pair,
   }
 
   syn_metrics().windows.inc(positions);
-  if (pool_ == nullptr || positions < 64) {
-    return best_over_positions(pair, window, 0, positions);
-  }
-
-  // Parallel: per-chunk maxima reduced deterministically (ties resolve to
-  // the lowest position, matching the sequential scan).
-  const auto [chunks, chunk_len] = aligned_chunks(positions);
-  std::vector<Candidate> chunk_best(chunks);
-  pool_->parallel_for(0, chunks, [&](std::size_t ci) {
-    const std::size_t lo = ci * chunk_len;
-    const std::size_t hi = std::min(positions, lo + chunk_len);
-    chunk_best[ci] = best_over_positions(pair, window, lo, hi);
-  });
-  return reduce_chunks(chunk_best);
+  return best_over_positions(pair, window, 0, positions);
 }
 
 std::optional<SynPoint> SynSeeker::find_one(

@@ -11,7 +11,6 @@
 #include "core/packed.hpp"
 #include "core/quant.hpp"
 #include "core/types.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rups::core {
 
@@ -20,7 +19,7 @@ namespace rups::core {
 /// lanes) instead of scoring grid points one by one. Measured crossover,
 /// not the old hardcoded kLagBlock/2 rule: `bench_syn_kernel
 /// --stride-crossover` times both strategies per stride at the paper
-/// point and this default records where per-position wins (DESIGN §11).
+/// point and this constant records where per-position wins (DESIGN §11).
 inline constexpr std::size_t kCoveringScanMaxStrideM = 6;
 
 /// Parameters of the SYN-point search (paper Secs. IV-D, V-C, VI-B).
@@ -63,10 +62,6 @@ struct SynConfig {
   /// §15). Accept/reject plumbing (plan, thresholds, tie-breaks) is shared,
   /// so precision only changes scores, never search structure.
   KernelPrecision precision = KernelPrecision::kFloat32;
-  /// Strided-grid strategy crossover (see kCoveringScanMaxStrideM).
-  /// Exposed so the bench can sweep it; float path only — the quantized
-  /// kernel scores strided lanes at contiguous cost and ignores it.
-  std::size_t covering_scan_max_stride_m = kCoveringScanMaxStrideM;
   TrajectoryCorrelationConfig correlation{};
 };
 
@@ -84,7 +79,8 @@ struct SynPoint {
 /// the most recent window of trajectory A slides over all of B, then the
 /// most recent window of B slides over all of A; the best position at or
 /// above the coherency threshold wins. Complexity O(m * w * k) per recent
-/// segment; optionally parallelized over slide positions with a ThreadPool.
+/// segment, single-threaded: parallelism lives one level up, per neighbour
+/// (FleetEngine) and per shard (MatcherService).
 ///
 /// Callers that query repeatedly against slowly-growing trajectories should
 /// pass pre-synced PackedContexts to find()/find_one() — the search then
@@ -115,7 +111,7 @@ class SynSeeker {
     double reject_v2 = 0.0;
   };
 
-  explicit SynSeeker(SynConfig config = {}, util::ThreadPool* pool = nullptr);
+  explicit SynSeeker(SynConfig config = {});
 
   /// Find up to config.syn_points SYN points between two trajectories,
   /// best-correlation first. Empty if the trajectories are unrelated.
@@ -162,14 +158,10 @@ class SynSeeker {
       const QuantizedPack* qpack_b, SeekPlan& plan_scratch,
       ChannelSelectScratch& chan_scratch) const;
 
-  [[nodiscard]] SeekPlan plan(const ContextTrajectory& a,
-                              const ContextTrajectory& b,
-                              std::size_t recency_offset_m) const;
-
-  /// Scratch-reusing form of plan(): resets every field of `out` but keeps
-  /// the channel vectors' capacity, and ranks through the caller's
-  /// workspace — repeated planning against stable-width trajectories is
-  /// allocation-free once warm. Identical selection arithmetic to plan().
+  /// Plan one recency offset into `out`: resets every field but keeps the
+  /// channel vectors' capacity, and ranks through the caller's workspace —
+  /// repeated planning against stable-width trajectories is allocation-free
+  /// once warm.
   void plan_into(const ContextTrajectory& a, const ContextTrajectory& b,
                  std::size_t recency_offset_m, SeekPlan& out,
                  ChannelSelectScratch& scratch) const;
@@ -184,8 +176,8 @@ class SynSeeker {
   /// the precision-dispatched kernel (pair.precision) in ascending
   /// kLagBlock-position blocks, ties resolve to the lowest position
   /// (bit-identical to a serial per-position scan at every precision).
-  /// pos_hi is clamped to the valid position count. Used by the pool
-  /// chunks, the coarse-to-fine refinement, and SynCache's narrow tracking
+  /// pos_hi is clamped to the valid position count. Used by the fine scan,
+  /// the coarse-to-fine refinement, and SynCache's narrow tracking
   /// re-verification (whose ±verify_radius band is a single natural batch).
   [[nodiscard]] Candidate best_over_positions(const ScanPair& pair,
                                               std::size_t window,
@@ -219,7 +211,6 @@ class SynSeeker {
                                          std::size_t index_step) const;
 
   SynConfig config_;
-  util::ThreadPool* pool_;
   /// Identity row map 0..top_channels-1, built once so fallback seeks
   /// (SubsetPack views) don't heap-allocate per call; find_one takes
   /// prefix subspans of it.

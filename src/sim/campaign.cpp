@@ -121,8 +121,7 @@ double CampaignResult::rups_availability() const {
 }
 
 CampaignResult run_campaign(ConvoySimulation& sim,
-                            const CampaignConfig& config,
-                            util::ThreadPool* pool) {
+                            const CampaignConfig& config) {
   CampaignMetrics& metrics = campaign_metrics();
   CampaignResult result;
 
@@ -184,8 +183,8 @@ CampaignResult run_campaign(ConvoySimulation& sim,
     const obs::AllocTotals allocs_before = obs::thread_alloc_totals();
     obs::ObsTimer timer(&metrics.latency_us, "campaign.query");
     result.queries.push_back(config.model_v2v_cost
-                                 ? sim.query(1, 0, receiver.received, pool)
-                                 : sim.query(1, 0, pool));
+                                 ? sim.query(1, 0, receiver.received)
+                                 : sim.query(1, 0));
     timer.stop();
     if (obs::alloc_accounting_available()) {
       metrics.query_allocs.record(static_cast<double>(

@@ -90,7 +90,6 @@ using V2vReceiver = v2v::V2vReceiver;
 
 /// Run the campaign: rear vehicle (index 1) queries the front (index 0).
 [[nodiscard]] CampaignResult run_campaign(ConvoySimulation& sim,
-                                          const CampaignConfig& config,
-                                          util::ThreadPool* pool = nullptr);
+                                          const CampaignConfig& config);
 
 }  // namespace rups::sim

@@ -200,16 +200,14 @@ bool ConvoySimulation::finished() const {
 }
 
 ConvoySimulation::QueryResult ConvoySimulation::query(
-    std::size_t rear_index, std::size_t front_index,
-    util::ThreadPool* pool) const {
+    std::size_t rear_index, std::size_t front_index) const {
   return query(rear_index, front_index,
-               rigs_.at(front_index)->engine().context(), pool);
+               rigs_.at(front_index)->engine().context());
 }
 
 ConvoySimulation::QueryResult ConvoySimulation::query(
     std::size_t rear_index, std::size_t front_index,
-    const core::ContextTrajectory& front_context,
-    util::ThreadPool* pool) const {
+    const core::ContextTrajectory& front_context) const {
   const VehicleRig& rear = *rigs_.at(rear_index);
   const VehicleRig& front = *rigs_.at(front_index);
 
@@ -217,7 +215,7 @@ ConvoySimulation::QueryResult ConvoySimulation::query(
   result.truth = rear.state().position_m - front.state().position_m;
 
   const double started_us = obs::now_us();
-  result.syn_points = rear.engine().find_syn_points(front_context, pool);
+  result.syn_points = rear.engine().find_syn_points(front_context);
   result.rups = core::aggregate_estimates(
       rear.engine().context(), front_context, result.syn_points,
       rear.engine().config().aggregation);

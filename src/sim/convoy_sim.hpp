@@ -14,7 +14,6 @@
 #include "sensors/obd.hpp"
 #include "sim/scenario.hpp"
 #include "sim/trace.hpp"
-#include "util/thread_pool.hpp"
 #include "vehicle/kinematics.hpp"
 #include "vehicle/passing.hpp"
 
@@ -136,8 +135,7 @@ class ConvoySimulation {
 
   /// Query from `rear_index`'s perspective against `front_index`'s context.
   [[nodiscard]] QueryResult query(std::size_t rear_index,
-                                  std::size_t front_index,
-                                  util::ThreadPool* pool = nullptr) const;
+                                  std::size_t front_index) const;
 
   /// Same query, but searching an explicit copy of the front vehicle's
   /// context — the V2V receiver-side trajectory, which after a lossy
@@ -146,8 +144,8 @@ class ConvoySimulation {
   /// GPS baseline still come from the front rig itself.
   [[nodiscard]] QueryResult query(std::size_t rear_index,
                                   std::size_t front_index,
-                                  const core::ContextTrajectory& front_context,
-                                  util::ThreadPool* pool = nullptr) const;
+                                  const core::ContextTrajectory& front_context)
+      const;
 
   /// Attach a health monitor: every query() feeds it hit/miss, the absolute
   /// RUPS error versus ground truth, and the compute latency. Non-owning;

@@ -154,18 +154,5 @@ TEST(Engine, MultiSynAggregationUsesConfiguredScheme) {
   EXPECT_NEAR(est->distance_m, -50.0, 3.0);
 }
 
-TEST(Engine, ParallelQueryMatchesSequential) {
-  RupsEngine rear(test_config());
-  RupsEngine front(test_config());
-  drive(rear, 0.0, 250.0, 10.0, 11);
-  drive(front, 30.0, 250.0, 10.0, 12);
-  util::ThreadPool pool(3);
-  const auto seq = rear.estimate_distance(front.context());
-  const auto par = rear.estimate_distance(front.context(), &pool);
-  ASSERT_TRUE(seq.has_value());
-  ASSERT_TRUE(par.has_value());
-  EXPECT_DOUBLE_EQ(seq->distance_m, par->distance_m);
-}
-
 }  // namespace
 }  // namespace rups::core

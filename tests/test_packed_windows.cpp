@@ -6,7 +6,7 @@
 
 #include "core/engine.hpp"
 #include "core/syn_seeker.hpp"
-#include "util/hash_noise.hpp"
+#include "support/road_field.hpp"
 #include "util/rng.hpp"
 
 // Pins the packed-window reuse contract: a PackedContext kept in sync
@@ -19,15 +19,7 @@
 namespace rups::core {
 namespace {
 
-float road_rssi(std::uint64_t road_seed, std::int64_t metre, std::size_t ch) {
-  const util::HashNoise chan_noise(road_seed ^ 0xABCDULL);
-  const util::LatticeField1D spatial(
-      util::hash_combine(road_seed, static_cast<std::uint64_t>(ch)), 8.0, 2);
-  const double base =
-      -95.0 + 40.0 * chan_noise.uniform(static_cast<std::int64_t>(ch));
-  return static_cast<float>(base +
-                            6.0 * spatial.value(static_cast<double>(metre)));
-}
+using test::road_rssi;
 
 ContextTrajectory drive(std::uint64_t road_seed, std::int64_t road_start,
                         std::size_t len, std::size_t channels,

@@ -10,7 +10,7 @@
 #include "core/packed.hpp"
 #include "core/syn_seeker.hpp"
 #include "core/types.hpp"
-#include "util/hash_noise.hpp"
+#include "support/road_field.hpp"
 #include "util/rng.hpp"
 
 // The quantized kernel's correctness harness (DESIGN §15):
@@ -387,17 +387,7 @@ TEST(QuantKernel, WindowCapEnforced) {
                std::invalid_argument);
 }
 
-/// Synthetic road field shared with test_syn_seeker: deterministic RSSI
-/// per (road metre, channel) with structure on both axes.
-float road_rssi(std::uint64_t road_seed, std::int64_t metre, std::size_t ch) {
-  const util::HashNoise chan_noise(road_seed ^ 0xABCDULL);
-  const util::LatticeField1D spatial(
-      util::hash_combine(road_seed, static_cast<std::uint64_t>(ch)), 8.0, 2);
-  const double base =
-      -95.0 + 40.0 * chan_noise.uniform(static_cast<std::int64_t>(ch));
-  return static_cast<float>(base +
-                            6.0 * spatial.value(static_cast<double>(metre)));
-}
+using test::road_rssi;
 
 ContextTrajectory drive(std::uint64_t road_seed, std::int64_t road_start,
                         std::size_t len, std::size_t channels, double sigma,

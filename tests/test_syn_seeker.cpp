@@ -5,23 +5,12 @@
 #include <cmath>
 
 #include "core/resolver.hpp"
-#include "util/hash_noise.hpp"
-#include "util/thread_pool.hpp"
+#include "support/road_field.hpp"
 
 namespace rups::core {
 namespace {
 
-/// Synthetic "road field": deterministic RSSI per (road metre, channel)
-/// with structure on both axes.
-float road_rssi(std::uint64_t road_seed, std::int64_t metre, std::size_t ch) {
-  const util::HashNoise chan_noise(road_seed ^ 0xABCDULL);
-  const util::LatticeField1D spatial(
-      util::hash_combine(road_seed, static_cast<std::uint64_t>(ch)), 8.0, 2);
-  const double base =
-      -95.0 + 40.0 * chan_noise.uniform(static_cast<std::int64_t>(ch));
-  return static_cast<float>(base +
-                            6.0 * spatial.value(static_cast<double>(metre)));
-}
+using test::road_rssi;
 
 /// Vehicle trajectory covering road metres [road_start, road_start+len),
 /// with measurement noise `sigma`.
@@ -152,21 +141,6 @@ TEST(SynSeeker, MultiSynReturnsSeveralPoints) {
   for (const auto& s : syns) {
     EXPECT_NEAR(resolve_distance(a, b, s), -40.0, 3.0);
   }
-}
-
-TEST(SynSeeker, ParallelMatchesSequential) {
-  const auto a = drive(9, 0, 400, 30, 1.0, 10);
-  const auto b = drive(9, 120, 400, 30, 1.0, 11);
-  const SynSeeker sequential(small_config(), nullptr);
-  util::ThreadPool pool(4);
-  const SynSeeker parallel(small_config(), &pool);
-  const auto s1 = sequential.find_one(a, b);
-  const auto s2 = parallel.find_one(a, b);
-  ASSERT_TRUE(s1.has_value());
-  ASSERT_TRUE(s2.has_value());
-  EXPECT_EQ(s1->index_a, s2->index_a);
-  EXPECT_EQ(s1->index_b, s2->index_b);
-  EXPECT_DOUBLE_EQ(s1->correlation, s2->correlation);
 }
 
 TEST(SynSeeker, StrideSpeedsSearchStillFinds) {
