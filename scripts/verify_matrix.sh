@@ -13,6 +13,9 @@
 #     buffers must fail by exception, never by out-of-bounds reads),
 #     the lag-batched kernel bit-identity tests (overlapped tail blocks
 #     and strided lanes are exactly the kind of indexing asan vets),
+#     the SYN seek suites (the one seek core's pass wiring, the
+#     SubsetPack fallback's index arithmetic, pack reuse and the
+#     engine's query path),
 #     the quantized-kernel differential suite and its pack-builder fuzz
 #     (random/NaN/±inf/out-of-range dBm through one-shot builds and
 #     eviction-heavy sync cycles must clamp or mask, never UB — the
@@ -54,6 +57,7 @@ cmake --build --preset asan-ubsan -j"$jobs" --target \
   test_obs test_obs_disabled test_obs_recorder test_obs_health \
   test_obs_family test_obs_series test_obs_spans \
   test_obs_pipeline test_json test_codec_fuzz test_packed_batch \
+  test_syn_seeker test_packed_windows test_engine \
   test_quant_kernel test_quant_fuzz \
   test_wsm_faults test_exchange_degraded \
   test_profiler test_alloc test_expo test_ops_shutdown \
@@ -69,6 +73,7 @@ echo "== asan-ubsan: run sanitized binaries =="
 for bin in test_obs test_obs_disabled test_obs_recorder test_obs_health \
            test_obs_family test_obs_series test_obs_spans \
            test_obs_pipeline test_json test_codec_fuzz test_packed_batch \
+           test_syn_seeker test_packed_windows test_engine \
            test_quant_kernel test_quant_fuzz \
            test_wsm_faults test_exchange_degraded \
            test_profiler test_alloc test_expo test_ops_shutdown \

@@ -58,15 +58,4 @@ std::vector<std::size_t> select_top_channels(
   return out;
 }
 
-std::vector<std::size_t> select_top_channels_recent(
-    const ContextTrajectory& trajectory, std::size_t window_m, std::size_t k,
-    double min_coverage) {
-  if (trajectory.size() < window_m) {
-    return select_top_channels(trajectory, 0, trajectory.size(), k,
-                               min_coverage);
-  }
-  return select_top_channels(trajectory, trajectory.size() - window_m,
-                             window_m, k, min_coverage);
-}
-
 }  // namespace rups::core

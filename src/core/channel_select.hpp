@@ -38,9 +38,4 @@ void select_top_channels_into(const ContextTrajectory& trajectory,
                               std::vector<std::size_t>& out,
                               double min_coverage = 0.3);
 
-/// Convenience: top channels over the most recent `window_m` metres.
-[[nodiscard]] std::vector<std::size_t> select_top_channels_recent(
-    const ContextTrajectory& trajectory, std::size_t window_m, std::size_t k,
-    double min_coverage = 0.3);
-
 }  // namespace rups::core

@@ -36,7 +36,8 @@ RupsEngine::RupsEngine(RupsConfig config)
       reorientation_(config.reorientation),
       heading_(config.heading_mag_gain),
       binder_(config.channels, config.binder),
-      context_(config.channels, config.context_capacity_m) {}
+      context_(config.channels, config.context_capacity_m),
+      seeker_(config.syn) {}
 
 void RupsEngine::on_imu(const sensors::ImuSample& imu) {
   engine_metrics().imu_samples.inc();
@@ -83,11 +84,13 @@ void RupsEngine::on_rssi(const sensors::RssiMeasurement& measurement) {
 
 std::vector<SynPoint> RupsEngine::find_syn_points(
     const ContextTrajectory& neighbour) const {
-  const SynSeeker seeker(config_.syn);
   // The local pack only changes by the metres driven since the last query;
   // sync extends it incrementally instead of re-extracting per query.
   context_pack_.sync(context_);
-  return seeker.find(context_, neighbour, &context_pack_, nullptr);
+  std::vector<SynPoint> syns;
+  seeker_.find_into(context_, neighbour, &context_pack_, nullptr, nullptr,
+                    nullptr, seek_scratch_, syns);
+  return syns;
 }
 
 std::optional<RelativeDistanceEstimate> RupsEngine::estimate_distance(

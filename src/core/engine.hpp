@@ -98,6 +98,10 @@ class RupsEngine {
   /// of being rebuilt per query (mutable: packing is a cache, queries stay
   /// const).
   mutable PackedContext context_pack_;
+  SynSeeker seeker_;
+  /// Planning workspace of seeker_, reused across queries (mutable like
+  /// context_pack_).
+  mutable SynSeeker::SeekScratch seek_scratch_;
   std::uint64_t next_metre_ = 0;
   double last_imu_time_ = 0.0;
   bool have_imu_time_ = false;

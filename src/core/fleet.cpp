@@ -85,6 +85,15 @@ void FleetEngine::estimate_batch_into(
   if (neighbours.size() != ids.size()) {
     throw std::invalid_argument("FleetEngine: neighbours/ids size mismatch");
   }
+  // Duplicate ids would race two workers on one shard — reject them before
+  // the batch touches any state.
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    for (std::size_t j = i + 1; j < ids.size(); ++j) {
+      if (ids[i] == ids[j]) {
+        throw std::invalid_argument("FleetEngine: duplicate neighbour id");
+      }
+    }
+  }
   FleetMetrics& m = fleet_metrics();
   m.batches.inc();
   m.queries.inc(neighbours.size());
@@ -109,14 +118,6 @@ void FleetEngine::estimate_batch_into(
     if (inserted) {
       it->second =
           std::make_unique<SynCache>(config_.rups.syn, config_.cache);
-    }
-  }
-  // Duplicate ids would race two workers on one shard — reject them.
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    for (std::size_t j = i + 1; j < ids.size(); ++j) {
-      if (ids[i] == ids[j]) {
-        throw std::invalid_argument("FleetEngine: duplicate neighbour id");
-      }
     }
   }
 

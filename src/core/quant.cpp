@@ -948,23 +948,6 @@ double quantized_correlation(const QuantViewT<T>& fixed,
   return out;
 }
 
-template <typename T>
-void quantized_correlation_multi(const QuantViewT<T>& fixed,
-                                 std::size_t fixed_start,
-                                 std::span<const QuantScanTaskT<T>> tasks,
-                                 std::size_t window,
-                                 const TrajectoryCorrelationConfig& config) {
-  // The shared fixed operand (k rows × window × 2 small ints) stays
-  // cache-resident from task to task — the fleet's neighbours axis of the
-  // GEMM. Each task is scored by the exact batch kernel, so multi results
-  // are bit-identical to per-task calls.
-  for (const QuantScanTaskT<T>& t : tasks) {
-    quantized_correlation_batch(fixed, fixed_start, t.sliding, t.pos_lo,
-                                t.pos_count, window, config, t.out_scores,
-                                t.pos_stride_m);
-  }
-}
-
 template void quantized_correlation_batch<std::int16_t>(
     const QuantView16&, std::size_t, const QuantView16&, std::size_t,
     std::size_t, std::size_t, const TrajectoryCorrelationConfig&, double*,
@@ -978,12 +961,6 @@ template double quantized_correlation<std::int16_t>(
     std::size_t, const TrajectoryCorrelationConfig&);
 template double quantized_correlation<std::int8_t>(
     const QuantView8&, std::size_t, const QuantView8&, std::size_t,
-    std::size_t, const TrajectoryCorrelationConfig&);
-template void quantized_correlation_multi<std::int16_t>(
-    const QuantView16&, std::size_t, std::span<const QuantScanTask16>,
-    std::size_t, const TrajectoryCorrelationConfig&);
-template void quantized_correlation_multi<std::int8_t>(
-    const QuantView8&, std::size_t, std::span<const QuantScanTask8>,
     std::size_t, const TrajectoryCorrelationConfig&);
 
 void scan_correlation_batch(const ScanPair& pair, std::size_t pos_lo,

@@ -188,36 +188,13 @@ void quantized_correlation_batch(const QuantViewT<T>& fixed,
                                  double* out_scores,
                                  std::size_t pos_stride_m = 1);
 
-/// One sliding-scan request against a shared fixed operand.
-template <typename T>
-struct QuantScanTaskT {
-  QuantViewT<T> sliding{};
-  std::size_t pos_lo = 0;
-  std::size_t pos_count = 0;
-  std::size_t pos_stride_m = 1;
-  double* out_scores = nullptr;
-};
-using QuantScanTask16 = QuantScanTaskT<std::int16_t>;
-using QuantScanTask8 = QuantScanTaskT<std::int8_t>;
-
-/// GEMM-shaped fleet scan: score MANY neighbours' sliding windows against
-/// ONE ego fixed window in a single call. The ego operand (a few hundred
-/// bytes quantized) stays L1-resident across all tasks — this is
-/// FleetEngine's task-level batching pushed down into the kernel. Results
-/// are bit-identical to running quantized_correlation_batch per task.
-template <typename T>
-void quantized_correlation_multi(const QuantViewT<T>& fixed,
-                                 std::size_t fixed_start,
-                                 std::span<const QuantScanTaskT<T>> tasks,
-                                 std::size_t window,
-                                 const TrajectoryCorrelationConfig& config);
-
 /// One fixed/sliding operand pair at the precision a seek runs at. The
 /// float views are always populated (they carry the authoritative shapes
 /// and serve the strict default); the quantized views of the matching
-/// width are populated iff precision != kFloat32. SynSeeker's scan core,
-/// SynCache's re-verification band and the pool chunks all consume this,
-/// so one seek switches precision in exactly one place.
+/// width are populated iff precision != kFloat32. SynSeeker::scan_pair
+/// builds every one — for the full search's two passes and for SynCache's
+/// re-verification band — so one seek switches precision in exactly one
+/// place.
 struct ScanPair {
   KernelPrecision precision = KernelPrecision::kFloat32;
   PackedView fixed{};

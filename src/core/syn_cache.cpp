@@ -1,6 +1,7 @@
 #include "core/syn_cache.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
@@ -43,22 +44,13 @@ CacheMetrics& cache_metrics() {
 SynCache::SynCache(SynConfig syn, SynCacheConfig config)
     : config_(config), seeker_(syn) {}
 
-void SynCache::invalidate() noexcept {
-  if (locked_) {
-    ++stats_.invalidations;
-    cache_metrics().invalidations.inc();
-  }
-  locked_ = false;
-}
-
 SynCache::TrackOutcome SynCache::verify_tracked(
     const ContextTrajectory& local, const ContextTrajectory& neighbour,
     std::size_t recency_offset_m, const PackedSpan& local_span,
     const PackedSpan& neighbour_span, const QuantizedPack* local_q,
     const QuantizedPack* neighbour_q) {
-  seeker_.plan_into(local, neighbour, recency_offset_m, plan_scratch_,
-                    chan_scratch_);
-  const SynSeeker::SeekPlan& p = plan_scratch_;
+  seeker_.plan_into(local, neighbour, recency_offset_m, scratch_);
+  const SynSeeker::SeekPlan& p = scratch_.plan;
   if (p.reject != nullptr) {
     // The full search would reject identically before any sliding — the
     // offset is resolved (no SYN point) without falling back.
@@ -97,62 +89,25 @@ SynCache::TrackOutcome SynCache::verify_tracked(
       n_first + static_cast<std::int64_t>(p.b_start) + lock_offset_m_ -
       l_first;
 
-  // Same ScanPair shape as the full search's two passes, so the band scan
-  // runs the exact kernel (and precision) a full seek would.
-  const KernelPrecision prec = seeker_.config().precision;
-  ScanPair pass1{prec,
-                 {local_span, p.channels_a},
-                 p.a_start,
-                 {neighbour_span, p.channels_a},
-                 {},
-                 {},
-                 {},
-                 {}};
-  ScanPair pass2{prec,
-                 {neighbour_span, p.channels_b},
-                 p.b_start,
-                 {local_span, p.channels_b},
-                 {},
-                 {},
-                 {},
-                 {}};
-  if (prec == KernelPrecision::kInt16) {
-    pass1.qfixed16 = {local_q->span16(), p.channels_a};
-    pass1.qsliding16 = {neighbour_q->span16(), p.channels_a};
-    pass2.qfixed16 = {neighbour_q->span16(), p.channels_b};
-    pass2.qsliding16 = {local_q->span16(), p.channels_b};
-  } else if (prec == KernelPrecision::kInt8) {
-    pass1.qfixed8 = {local_q->span8(), p.channels_a};
-    pass1.qsliding8 = {neighbour_q->span8(), p.channels_a};
-    pass2.qfixed8 = {neighbour_q->span8(), p.channels_b};
-    pass2.qsliding8 = {local_q->span8(), p.channels_b};
-  }
-
+  // The full search's own pass wiring, kernel and precision, over a band.
   SynSeeker::Candidate on_b;
   SynSeeker::Candidate on_a;
   if (const auto [lo, hi] = band(pred_b, neighbour_span.metres); lo < hi) {
-    on_b = seeker_.best_over_positions(pass1, p.window, lo, hi);
+    on_b = seeker_.best_over_positions(
+        seeker_.scan_pair({local_span, p.channels_a}, p.a_start,
+                          {neighbour_span, p.channels_a}, local_q,
+                          neighbour_q),
+        p.window, lo, hi);
   }
   if (const auto [lo, hi] = band(pred_a, local_span.metres); lo < hi) {
-    on_a = seeker_.best_over_positions(pass2, p.window, lo, hi);
+    on_a = seeker_.best_over_positions(
+        seeker_.scan_pair({neighbour_span, p.channels_b}, p.b_start,
+                          {local_span, p.channels_b}, neighbour_q, local_q),
+        p.window, lo, hi);
   }
-
-  // Same accept/reject semantics as the full search: best position at or
-  // above the (possibly adaptive) coherency threshold wins, pass 2 only on
-  // strictly greater correlation.
-  SynPoint best;
-  bool found = false;
-  if (on_b.valid && on_b.correlation >= p.threshold) {
-    best = {p.a_start, on_b.position, p.window, on_b.correlation};
-    found = true;
-  }
-  if (on_a.valid && on_a.correlation >= p.threshold &&
-      (!found || on_a.correlation > best.correlation)) {
-    best = {on_a.position, p.b_start, p.window, on_a.correlation};
-    found = true;
-  }
-  if (!found) return {false, std::nullopt};  // miss -> full fallback
-  return {true, best};
+  // The full search's own accept rule; a miss falls back to a full seek.
+  const std::optional<SynPoint> best = SynSeeker::accept(p, on_b, on_a);
+  return {best.has_value(), best};
 }
 
 void SynCache::update_lock(const ContextTrajectory& local,
@@ -169,15 +124,6 @@ void SynCache::update_lock(const ContextTrajectory& local,
     ++stats_.invalidations;
     cache_metrics().invalidations.inc();
   }
-}
-
-std::vector<SynPoint> SynCache::find(const ContextTrajectory& local,
-                                     const ContextTrajectory& neighbour,
-                                     const PackedContext* local_pack,
-                                     const QuantizedPack* local_qpack) {
-  std::vector<SynPoint> out;
-  find_into(local, neighbour, local_pack, local_qpack, out);
-  return out;
 }
 
 void SynCache::find_into(const ContextTrajectory& local,
@@ -220,25 +166,14 @@ void SynCache::find_into(const ContextTrajectory& local,
   }
 
   if (!config_.enabled || !locked_) {
-    // Cold (or tracking disabled): full multi-offset search through the
-    // member scratch — same offsets, same arithmetic and the same sort as
-    // SynSeeker::find, but a steady never-matching pair (out of radio
-    // range) re-searches every round without heap allocation.
+    // Cold (or tracking disabled): the full multi-offset search, through
+    // the member scratch.
     obs::ObsTimer timer(&m.full_us, "syncache.full");
     stats_.full_searches += points;
     m.full.inc(points);
     m.resolution.with("full").inc(points);
-    for (std::size_t k = 0; k < points; ++k) {
-      const std::size_t offset = k * seeker_.config().syn_segment_spacing_m;
-      const auto syn =
-          seeker_.find_one(local, neighbour, offset, lp, &neighbour_pack_, lq,
-                           nq, plan_scratch_, chan_scratch_);
-      if (syn.has_value()) out.push_back(*syn);
-    }
-    std::sort(out.begin(), out.end(),
-              [](const SynPoint& x, const SynPoint& y) {
-                return x.correlation > y.correlation;
-              });
+    seeker_.find_into(local, neighbour, lp, &neighbour_pack_, lq, nq, scratch_,
+                      out);
     if (config_.enabled) update_lock(local, neighbour, out);
     return;
   }
@@ -275,13 +210,10 @@ void SynCache::find_into(const ContextTrajectory& local,
     m.full.inc();
     obs::ObsTimer timer(&m.full_us, "syncache.full");
     const auto syn = seeker_.find_one(local, neighbour, offset, lp,
-                                      &neighbour_pack_, lq, nq, plan_scratch_,
-                                      chan_scratch_);
+                                      &neighbour_pack_, lq, nq, &scratch_);
     if (syn.has_value()) out.push_back(*syn);
   }
-  std::sort(out.begin(), out.end(), [](const SynPoint& x, const SynPoint& y) {
-    return x.correlation > y.correlation;
-  });
+  SynSeeker::sort_best_first(out);
   update_lock(local, neighbour, out);
 }
 

@@ -50,45 +50,20 @@ class SynCache {
 
   explicit SynCache(SynConfig syn = {}, SynCacheConfig config = {});
 
-  /// Drop-in equivalent of SynSeeker(syn).find(local, neighbour): up to
-  /// syn_points SYN points, best-correlation first. `local_pack`, when
-  /// supplied and in sync with `local`, is reused (FleetEngine shares one
-  /// ego pack across all neighbour shards); otherwise the cache maintains
-  /// its own. `local_qpack` is the analogous shared quantized mirror of
-  /// `local_pack`, consulted only when syn.precision != kFloat32; when
-  /// absent or stale the cache maintains its own quantized mirrors too.
-  [[nodiscard]] std::vector<SynPoint> find(
-      const ContextTrajectory& local, const ContextTrajectory& neighbour,
-      const PackedContext* local_pack = nullptr,
-      const QuantizedPack* local_qpack = nullptr);
-
-  /// Scratch-reusing form of find(): writes the SYN points into `out`
-  /// (cleared first, capacity retained). On the warm tracking path —
-  /// every offset resolved by the band — this performs no dynamic
-  /// allocation once the session's scratch vectors are warm; only the
-  /// cold / fallback full searches allocate.
+  /// Drop-in equivalent of SynSeeker(syn).find(local, neighbour), written
+  /// into `out` (cleared first, capacity retained). A `local_pack` in sync
+  /// with `local` is reused (FleetEngine shares one ego pack across all
+  /// shards), as is `local_qpack` when it mirrors it below kFloat32;
+  /// otherwise the cache maintains its own. Every search plans through the
+  /// cache's scratch, so neither the warm tracking path nor a steady cold
+  /// pair (out of radio range) allocates once the session is warm.
   void find_into(const ContextTrajectory& local,
                  const ContextTrajectory& neighbour,
                  const PackedContext* local_pack,
                  const QuantizedPack* local_qpack,
                  std::vector<SynPoint>& out);
 
-  /// Tracking lock held from a previous accepted SYN point?
-  [[nodiscard]] bool locked() const noexcept { return locked_; }
-  /// Locked (local − neighbour) odometer-metre alignment offset.
-  [[nodiscard]] std::int64_t lock_offset_m() const noexcept {
-    return lock_offset_m_;
-  }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const SynCacheConfig& config() const noexcept {
-    return config_;
-  }
-  [[nodiscard]] const SynConfig& syn_config() const noexcept {
-    return seeker_.config();
-  }
-
-  /// Drop the tracking lock (the next query runs the full search).
-  void invalidate() noexcept;
 
  private:
   struct TrackOutcome {
@@ -99,8 +74,8 @@ class SynCache {
   /// `local_q` / `neighbour_q` are quantized mirrors of the spans (null at
   /// kFloat32): the band re-verification then runs the same quantized
   /// kernel as the full search, so precision cannot split the two paths.
-  /// Non-const: plans through the member scratch (plan_scratch_ /
-  /// chan_scratch_) so warm re-verification never heap-allocates.
+  /// Non-const: plans through the member scratch_ so warm re-verification
+  /// never heap-allocates.
   [[nodiscard]] TrackOutcome verify_tracked(const ContextTrajectory& local,
                                             const ContextTrajectory& neighbour,
                                             std::size_t recency_offset_m,
@@ -123,9 +98,8 @@ class SynCache {
   bool locked_ = false;
   std::int64_t lock_offset_m_ = 0;
   Stats stats_;
-  /// Reusable planning workspace for the warm tracking path.
-  SynSeeker::SeekPlan plan_scratch_;
-  ChannelSelectScratch chan_scratch_;
+  /// Planning workspace shared by the band and every full search.
+  SynSeeker::SeekScratch scratch_;
 };
 
 }  // namespace rups::core

@@ -54,29 +54,11 @@ SynSeeker::SynSeeker(SynConfig config)
   std::iota(identity_rows_.begin(), identity_rows_.end(), std::size_t{0});
 }
 
-std::pair<std::size_t, double> SynSeeker::effective_window(
-    std::size_t available_a, std::size_t available_b) const {
-  const std::size_t avail = std::min(available_a, available_b);
-  if (avail >= config_.window_m) {
-    return {config_.window_m, config_.coherency_threshold};
-  }
-  if (!config_.adaptive_window || avail < config_.min_window_m) {
-    return {0, config_.coherency_threshold};  // 0 = cannot search
-  }
-  // Linear threshold relaxation between min_window_m and window_m.
-  const double t =
-      static_cast<double>(avail - config_.min_window_m) /
-      static_cast<double>(config_.window_m - config_.min_window_m);
-  const double scale =
-      config_.adaptive_threshold_floor +
-      (1.0 - config_.adaptive_threshold_floor) * std::clamp(t, 0.0, 1.0);
-  return {avail, config_.coherency_threshold * scale};
-}
-
 void SynSeeker::plan_into(const ContextTrajectory& a,
                           const ContextTrajectory& b,
-                          std::size_t recency_offset_m, SeekPlan& p,
-                          ChannelSelectScratch& scratch) const {
+                          std::size_t recency_offset_m,
+                          SeekScratch& scratch) const {
+  SeekPlan& p = scratch.plan;
   p.window = 0;
   p.threshold = 0.0;
   p.a_start = 0;
@@ -110,28 +92,39 @@ void SynSeeker::plan_into(const ContextTrajectory& a,
     avail_a = std::min(avail_a, tail_a - recency_offset_m);
     avail_b = std::min(avail_b, tail_b - recency_offset_m);
   }
-  const auto [window, threshold] = effective_window(avail_a, avail_b);
-  p.threshold = threshold;
-  if (window == 0) {
+  // Adaptive window (Sec. V-C): a context shorter than window_m shrinks
+  // the window down to min_window_m, relaxing the threshold linearly.
+  const std::size_t avail = std::min(avail_a, avail_b);
+  p.threshold = config_.coherency_threshold;
+  if (avail >= config_.window_m) {
+    p.window = config_.window_m;
+  } else if (config_.adaptive_window && avail >= config_.min_window_m) {
+    const double t =
+        static_cast<double>(avail - config_.min_window_m) /
+        static_cast<double>(config_.window_m - config_.min_window_m);
+    const double scale =
+        config_.adaptive_threshold_floor +
+        (1.0 - config_.adaptive_threshold_floor) * std::clamp(t, 0.0, 1.0);
+    p.window = avail;
+    p.threshold = config_.coherency_threshold * scale;
+  } else {
     p.reject = "syn.no_window";
-    p.reject_v1 = static_cast<double>(std::min(avail_a, avail_b));
-    p.reject_v2 = threshold;
+    p.reject_v1 = static_cast<double>(avail);
+    p.reject_v2 = p.threshold;
     return;
   }
-  p.window = window;
-  p.a_start = a.size() - recency_offset_m - window;
-  p.b_start = b.size() - recency_offset_m - window;
+  p.a_start = a.size() - recency_offset_m - p.window;
+  p.b_start = b.size() - recency_offset_m - p.window;
 
   // Channel selection from the fixed segments (top-k strongest).
-  select_top_channels_into(a, p.a_start, window, config_.top_channels, scratch,
-                           p.channels_a);
-  select_top_channels_into(b, p.b_start, window, config_.top_channels, scratch,
-                           p.channels_b);
+  select_top_channels_into(a, p.a_start, p.window, config_.top_channels,
+                           scratch.channels, p.channels_a);
+  select_top_channels_into(b, p.b_start, p.window, config_.top_channels,
+                           scratch.channels, p.channels_b);
   if (p.channels_a.empty() || p.channels_b.empty()) {
     p.reject = "syn.no_channels";
-    p.reject_v1 = static_cast<double>(window);
-    p.reject_v2 = threshold;
-    return;
+    p.reject_v1 = static_cast<double>(p.window);
+    p.reject_v2 = p.threshold;
   }
 }
 
@@ -302,36 +295,52 @@ SynSeeker::Candidate SynSeeker::slide(const ScanPair& pair,
   return best_over_positions(pair, window, 0, positions);
 }
 
-std::optional<SynPoint> SynSeeker::find_one(
-    const ContextTrajectory& a, const ContextTrajectory& b,
-    std::size_t recency_offset_m) const {
-  return find_one(a, b, recency_offset_m, nullptr, nullptr, nullptr, nullptr);
+ScanPair SynSeeker::scan_pair(const PackedView& fixed,
+                              std::size_t fixed_start,
+                              const PackedView& sliding,
+                              const QuantizedPack* qfixed,
+                              const QuantizedPack* qsliding) const {
+  ScanPair pair{config_.precision, fixed, fixed_start, sliding, {}, {}, {}, {}};
+  if (config_.precision == KernelPrecision::kInt16) {
+    pair.qfixed16 = {qfixed->span16(), fixed.rows};
+    pair.qsliding16 = {qsliding->span16(), sliding.rows};
+  } else if (config_.precision == KernelPrecision::kInt8) {
+    pair.qfixed8 = {qfixed->span8(), fixed.rows};
+    pair.qsliding8 = {qsliding->span8(), sliding.rows};
+  }
+  return pair;
 }
 
-std::optional<SynPoint> SynSeeker::find_one(
-    const ContextTrajectory& a, const ContextTrajectory& b,
-    std::size_t recency_offset_m, const PackedContext* pack_a,
-    const PackedContext* pack_b) const {
-  return find_one(a, b, recency_offset_m, pack_a, pack_b, nullptr, nullptr);
+std::optional<SynPoint> SynSeeker::accept(const SeekPlan& plan,
+                                          const Candidate& on_b,
+                                          const Candidate& on_a) {
+  std::optional<SynPoint> best;
+  if (on_b.valid && on_b.correlation >= plan.threshold) {
+    best = SynPoint{plan.a_start, on_b.position, plan.window,
+                    on_b.correlation};
+  }
+  if (on_a.valid && on_a.correlation >= plan.threshold &&
+      (!best || on_a.correlation > best->correlation)) {
+    best = SynPoint{on_a.position, plan.b_start, plan.window,
+                    on_a.correlation};
+  }
+  return best;
+}
+
+void SynSeeker::sort_best_first(std::vector<SynPoint>& points) {
+  std::sort(points.begin(), points.end(),
+            [](const SynPoint& x, const SynPoint& y) {
+              return x.correlation > y.correlation;
+            });
 }
 
 std::optional<SynPoint> SynSeeker::find_one(
     const ContextTrajectory& a, const ContextTrajectory& b,
     std::size_t recency_offset_m, const PackedContext* pack_a,
     const PackedContext* pack_b, const QuantizedPack* qpack_a,
-    const QuantizedPack* qpack_b) const {
-  SeekPlan plan_scratch;
-  ChannelSelectScratch chan_scratch;
-  return find_one(a, b, recency_offset_m, pack_a, pack_b, qpack_a, qpack_b,
-                  plan_scratch, chan_scratch);
-}
-
-std::optional<SynPoint> SynSeeker::find_one(
-    const ContextTrajectory& a, const ContextTrajectory& b,
-    std::size_t recency_offset_m, const PackedContext* pack_a,
-    const PackedContext* pack_b, const QuantizedPack* qpack_a,
-    const QuantizedPack* qpack_b, SeekPlan& plan_scratch,
-    ChannelSelectScratch& chan_scratch) const {
+    const QuantizedPack* qpack_b, SeekScratch* scratch) const {
+  SeekScratch local_scratch;
+  SeekScratch& ws = scratch != nullptr ? *scratch : local_scratch;
   SynMetrics& metrics = syn_metrics();
   metrics.seeks.inc();
   obs::ObsTimer timer(&metrics.seek_us, "syn.seek");
@@ -339,8 +348,8 @@ std::optional<SynPoint> SynSeeker::find_one(
   recorder.record(obs::EventType::kSeekStarted, "syn.seek",
                   static_cast<double>(a.size()), static_cast<double>(b.size()),
                   static_cast<double>(recency_offset_m));
-  plan_into(a, b, recency_offset_m, plan_scratch, chan_scratch);
-  const SeekPlan& p = plan_scratch;
+  plan_into(a, b, recency_offset_m, ws);
+  const SeekPlan& p = ws.plan;
   if (p.reject != nullptr) {
     metrics.outcomes.with(p.reject).inc();
     recorder.record(obs::EventType::kSeekRejected, p.reject, 0.0, p.reject_v1,
@@ -355,93 +364,67 @@ std::optional<SynPoint> SynSeeker::find_one(
   // never depends on the caller keeping packs fresh.
   const bool have_a = pack_a != nullptr && pack_a->in_sync_with(a);
   const bool have_b = pack_b != nullptr && pack_b->in_sync_with(b);
-  std::span<const std::size_t> identity(identity_rows_);
-  std::vector<std::size_t> overflow;  // select_top_channels caps at
-                                      // top_channels, so this stays empty
-  const std::size_t need =
-      std::max(p.channels_a.size(), p.channels_b.size());
-  if (need > identity.size()) {
-    overflow.resize(need);
-    std::iota(overflow.begin(), overflow.end(), std::size_t{0});
-    identity = overflow;
-  }
+  const std::span<const std::size_t> identity(identity_rows_);
   const std::span<const std::size_t> rows_ka =
       identity.first(p.channels_a.size());
   const std::span<const std::size_t> rows_kb =
       identity.first(p.channels_b.size());
 
+  // Quantized operands (below kFloat32 only). A pack-backed side serves
+  // both roles from the caller's mirror when it mirrors the SAME pack
+  // state; otherwise, and for every SubsetPack operand, the scanned span is
+  // quantized one-shot into q_scratch, which outlives the scans.
+  const bool quantized = config_.precision != KernelPrecision::kFloat32;
+  const QuantBits bits = config_.precision == KernelPrecision::kInt8
+                             ? QuantBits::kInt8
+                             : QuantBits::kInt16;
+  QuantizedPack q_scratch[4];
+  std::size_t q_used = 0;
+  const auto mirror_of = [&](const PackedSpan& span, const PackedContext* pack,
+                             const QuantizedPack* mirror)
+      -> const QuantizedPack* {
+    if (!quantized) return nullptr;
+    if (pack != nullptr && mirror != nullptr && mirror->mirrors(*pack, bits)) {
+      return mirror;
+    }
+    QuantizedPack& q = q_scratch[q_used++];
+    q.build(span, bits);
+    return &q;
+  };
+
   SubsetPack fixed_a, slide_b, fixed_b, slide_a;
   PackedView f1, s1, f2, s2;
+  const QuantizedPack *qf1, *qs1, *qf2, *qs2;
   std::size_t f1_start = 0;
   std::size_t f2_start = 0;
   if (have_a) {
     f1 = {pack_a->span(), p.channels_a};
     f1_start = p.a_start;
     s2 = {pack_a->span(), p.channels_b};
+    qf1 = qs2 = mirror_of(pack_a->span(), pack_a, qpack_a);
   } else {
     fixed_a = SubsetPack(a, p.channels_a, p.a_start, p.window);
     f1 = {fixed_a.span(), rows_ka};
+    qf1 = mirror_of(fixed_a.span(), nullptr, nullptr);
     slide_a = SubsetPack(a, p.channels_b, 0, a.size());
     s2 = {slide_a.span(), rows_kb};
+    qs2 = mirror_of(slide_a.span(), nullptr, nullptr);
   }
   if (have_b) {
     s1 = {pack_b->span(), p.channels_a};
     f2 = {pack_b->span(), p.channels_b};
     f2_start = p.b_start;
+    qs1 = qf2 = mirror_of(pack_b->span(), pack_b, qpack_b);
   } else {
     slide_b = SubsetPack(b, p.channels_a, 0, b.size());
     s1 = {slide_b.span(), rows_ka};
+    qs1 = mirror_of(slide_b.span(), nullptr, nullptr);
     fixed_b = SubsetPack(b, p.channels_b, p.b_start, p.window);
     f2 = {fixed_b.span(), rows_kb};
+    qf2 = mirror_of(fixed_b.span(), nullptr, nullptr);
   }
-
-  ScanPair pass1{config_.precision, f1, f1_start, s1, {}, {}, {}, {}};
-  ScanPair pass2{config_.precision, f2, f2_start, s2, {}, {}, {}, {}};
-  // Quantized operands. A pack-backed side reuses the caller's mirror when
-  // it mirrors the SAME pack state the float views were taken from;
-  // otherwise (and for every SubsetPack fallback operand) the scanned span
-  // is quantized one-shot here — the scratch packs must outlive the scans.
-  QuantizedPack q_scratch[4];
-  if (config_.precision != KernelPrecision::kFloat32) {
-    const QuantBits bits = config_.precision == KernelPrecision::kInt8
-                               ? QuantBits::kInt8
-                               : QuantBits::kInt16;
-    std::size_t scratch_used = 0;
-    const auto quant_of = [&](const PackedSpan& span, bool pack_backed,
-                              const PackedContext* pack,
-                              const QuantizedPack* mirror)
-        -> const QuantizedPack* {
-      if (pack_backed && mirror != nullptr && mirror->mirrors(*pack, bits)) {
-        return mirror;
-      }
-      QuantizedPack& scratch = q_scratch[scratch_used++];
-      scratch.build(span, bits);
-      return &scratch;
-    };
-    // One quant pack per underlying span: a pack-backed side serves both
-    // its fixed and sliding roles from the same object.
-    const QuantizedPack* qa =
-        quant_of(have_a ? pack_a->span() : fixed_a.span(), have_a, pack_a,
-                 qpack_a);
-    const QuantizedPack* qa_slide =
-        have_a ? qa : quant_of(slide_a.span(), false, nullptr, nullptr);
-    const QuantizedPack* qb =
-        quant_of(have_b ? pack_b->span() : slide_b.span(), have_b, pack_b,
-                 qpack_b);
-    const QuantizedPack* qb_fixed =
-        have_b ? qb : quant_of(fixed_b.span(), false, nullptr, nullptr);
-    if (bits == QuantBits::kInt16) {
-      pass1.qfixed16 = {qa->span16(), f1.rows};
-      pass1.qsliding16 = {qb->span16(), s1.rows};
-      pass2.qfixed16 = {qb_fixed->span16(), f2.rows};
-      pass2.qsliding16 = {qa_slide->span16(), s2.rows};
-    } else {
-      pass1.qfixed8 = {qa->span8(), f1.rows};
-      pass1.qsliding8 = {qb->span8(), s1.rows};
-      pass2.qfixed8 = {qb_fixed->span8(), f2.rows};
-      pass2.qsliding8 = {qa_slide->span8(), s2.rows};
-    }
-  }
+  const ScanPair pass1 = scan_pair(f1, f1_start, s1, qf1, qs1);
+  const ScanPair pass2 = scan_pair(f2, f2_start, s2, qf2, qs2);
 
   // Both correlation-scan passes share one kernel span: the child of
   // "syn.seek" that shows up in the paper's Fig. 10-12 cost breakdowns.
@@ -457,19 +440,9 @@ std::optional<SynPoint> SynSeeker::find_one(
     (c.correlation >= p.threshold ? metrics.accepted : metrics.rejected).inc();
   }
 
-  SynPoint best;
-  bool found = false;
-  if (on_b.valid && on_b.correlation >= p.threshold) {
-    best = {p.a_start, on_b.position, p.window, on_b.correlation};
-    found = true;
-  }
-  if (on_a.valid && on_a.correlation >= p.threshold &&
-      (!found || on_a.correlation > best.correlation)) {
-    best = {on_a.position, p.b_start, p.window, on_a.correlation};
-    found = true;
-  }
-  (found ? metrics.coherency_pass : metrics.coherency_fail).inc();
-  if (!found) {
+  const std::optional<SynPoint> best = accept(p, on_b, on_a);
+  (best ? metrics.coherency_pass : metrics.coherency_fail).inc();
+  if (!best) {
     const double best_corr = std::max(on_b.valid ? on_b.correlation : -2.0,
                                       on_a.valid ? on_a.correlation : -2.0);
     metrics.outcomes.with("below_threshold").inc();
@@ -478,21 +451,9 @@ std::optional<SynPoint> SynSeeker::find_one(
     return std::nullopt;
   }
   metrics.outcomes.with("accepted").inc();
-  recorder.record(obs::EventType::kSeekAccepted, "syn.seek", best.correlation,
+  recorder.record(obs::EventType::kSeekAccepted, "syn.seek", best->correlation,
                   static_cast<double>(p.window), p.threshold);
   return best;
-}
-
-std::vector<SynPoint> SynSeeker::find(const ContextTrajectory& a,
-                                      const ContextTrajectory& b) const {
-  return find(a, b, nullptr, nullptr, nullptr, nullptr);
-}
-
-std::vector<SynPoint> SynSeeker::find(const ContextTrajectory& a,
-                                      const ContextTrajectory& b,
-                                      const PackedContext* pack_a,
-                                      const PackedContext* pack_b) const {
-  return find(a, b, pack_a, pack_b, nullptr, nullptr);
 }
 
 std::vector<SynPoint> SynSeeker::find(const ContextTrajectory& a,
@@ -501,17 +462,28 @@ std::vector<SynPoint> SynSeeker::find(const ContextTrajectory& a,
                                       const PackedContext* pack_b,
                                       const QuantizedPack* qpack_a,
                                       const QuantizedPack* qpack_b) const {
+  SeekScratch scratch;
   std::vector<SynPoint> out;
+  find_into(a, b, pack_a, pack_b, qpack_a, qpack_b, scratch, out);
+  return out;
+}
+
+void SynSeeker::find_into(const ContextTrajectory& a,
+                          const ContextTrajectory& b,
+                          const PackedContext* pack_a,
+                          const PackedContext* pack_b,
+                          const QuantizedPack* qpack_a,
+                          const QuantizedPack* qpack_b, SeekScratch& scratch,
+                          std::vector<SynPoint>& out) const {
+  out.clear();
   for (std::size_t k = 0; k < std::max<std::size_t>(1, config_.syn_points);
        ++k) {
     const std::size_t offset = k * config_.syn_segment_spacing_m;
-    const auto syn = find_one(a, b, offset, pack_a, pack_b, qpack_a, qpack_b);
+    const auto syn =
+        find_one(a, b, offset, pack_a, pack_b, qpack_a, qpack_b, &scratch);
     if (syn.has_value()) out.push_back(*syn);
   }
-  std::sort(out.begin(), out.end(), [](const SynPoint& x, const SynPoint& y) {
-    return x.correlation > y.correlation;
-  });
-  return out;
+  sort_best_first(out);
 }
 
 }  // namespace rups::core

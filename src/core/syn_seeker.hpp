@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/channel_select.hpp"
@@ -82,10 +81,12 @@ struct SynPoint {
 /// segment, single-threaded: parallelism lives one level up, per neighbour
 /// (FleetEngine) and per shard (MatcherService).
 ///
-/// Callers that query repeatedly against slowly-growing trajectories should
-/// pass pre-synced PackedContexts to find()/find_one() — the search then
-/// skips the per-query dense extraction entirely (and a shared ego pack can
-/// serve every neighbour in a batch, see FleetEngine).
+/// The one seek core: SynCache's tracking band reuses plan_into(),
+/// scan_pair() and accept() rather than copying them. Callers that query
+/// repeatedly should pass pre-synced PackedContexts (and, below kFloat32,
+/// their quantized mirrors); a null or stale pack or mirror is replaced
+/// per call by subset packs or a one-shot quantization — correct, just
+/// not amortized.
 class SynSeeker {
  public:
   struct Candidate {
@@ -94,11 +95,9 @@ class SynSeeker {
     bool valid = false;
   };
 
-  /// Window sizing, threshold and channel selection for one recency offset
-  /// — exactly the accept/reject preamble of find_one(), factored out so
-  /// SynCache's tracking mode reproduces the full search's semantics.
-  /// `reject != nullptr` means the search cannot run; the label is the
-  /// flight-recorder reason ("syn.empty", "syn.no_window", ...).
+  /// Window sizing, threshold and channel selection for one recency
+  /// offset. `reject != nullptr` means the search cannot run; the label is
+  /// the flight-recorder reason ("syn.empty", "syn.no_window", ...).
   struct SeekPlan {
     std::size_t window = 0;
     double threshold = 0.0;
@@ -111,65 +110,64 @@ class SynSeeker {
     double reject_v2 = 0.0;
   };
 
+  /// Planning workspace: held across seeks, it keeps planning against
+  /// stable-width trajectories allocation-free once warm.
+  struct SeekScratch {
+    SeekPlan plan;
+    ChannelSelectScratch channels;
+  };
+
   explicit SynSeeker(SynConfig config = {});
 
-  /// Find up to config.syn_points SYN points between two trajectories,
+  /// Up to config.syn_points SYN points between two trajectories,
   /// best-correlation first. Empty if the trajectories are unrelated.
-  /// The 4-argument overload reuses caller-maintained packs (packed once,
-  /// shared by both slide passes and all recency offsets); pass nullptr —
-  /// or an out-of-sync pack — and a temporary pack is built per call.
-  /// The 6-argument overload additionally reuses caller-maintained
-  /// quantized mirrors when config.precision != kFloat32 (a stale or
-  /// wrong-width mirror is ignored; the seek then quantizes the scanned
-  /// spans one-shot per call — correct, just not amortized).
-  [[nodiscard]] std::vector<SynPoint> find(const ContextTrajectory& a,
-                                           const ContextTrajectory& b) const;
-  [[nodiscard]] std::vector<SynPoint> find(const ContextTrajectory& a,
-                                           const ContextTrajectory& b,
-                                           const PackedContext* pack_a,
-                                           const PackedContext* pack_b) const;
   [[nodiscard]] std::vector<SynPoint> find(
       const ContextTrajectory& a, const ContextTrajectory& b,
-      const PackedContext* pack_a, const PackedContext* pack_b,
-      const QuantizedPack* qpack_a, const QuantizedPack* qpack_b) const;
+      const PackedContext* pack_a = nullptr,
+      const PackedContext* pack_b = nullptr,
+      const QuantizedPack* qpack_a = nullptr,
+      const QuantizedPack* qpack_b = nullptr) const;
+
+  /// find() through the caller's workspace into `out` (cleared first):
+  /// find_one() at each offset k * syn_segment_spacing_m, best-first.
+  void find_into(const ContextTrajectory& a, const ContextTrajectory& b,
+                 const PackedContext* pack_a, const PackedContext* pack_b,
+                 const QuantizedPack* qpack_a, const QuantizedPack* qpack_b,
+                 SeekScratch& scratch, std::vector<SynPoint>& out) const;
 
   /// One double-sliding pass where the fixed recent segments END
-  /// `recency_offset_m` metres before the newest entry.
+  /// `recency_offset_m` metres before the newest entry; records the syn.*
+  /// metrics and seek events. A null `scratch` plans through a temporary.
   [[nodiscard]] std::optional<SynPoint> find_one(
       const ContextTrajectory& a, const ContextTrajectory& b,
-      std::size_t recency_offset_m = 0) const;
-  [[nodiscard]] std::optional<SynPoint> find_one(
-      const ContextTrajectory& a, const ContextTrajectory& b,
-      std::size_t recency_offset_m, const PackedContext* pack_a,
-      const PackedContext* pack_b) const;
-  [[nodiscard]] std::optional<SynPoint> find_one(
-      const ContextTrajectory& a, const ContextTrajectory& b,
-      std::size_t recency_offset_m, const PackedContext* pack_a,
-      const PackedContext* pack_b, const QuantizedPack* qpack_a,
-      const QuantizedPack* qpack_b) const;
-  /// Scratch-reusing form: plans through the caller's SeekPlan and channel
-  /// workspace (see plan_into), so a steady-state full search against
-  /// stable-width trajectories performs no dynamic allocation. Identical
-  /// results to the allocating overloads.
-  [[nodiscard]] std::optional<SynPoint> find_one(
-      const ContextTrajectory& a, const ContextTrajectory& b,
-      std::size_t recency_offset_m, const PackedContext* pack_a,
-      const PackedContext* pack_b, const QuantizedPack* qpack_a,
-      const QuantizedPack* qpack_b, SeekPlan& plan_scratch,
-      ChannelSelectScratch& chan_scratch) const;
+      std::size_t recency_offset_m = 0, const PackedContext* pack_a = nullptr,
+      const PackedContext* pack_b = nullptr,
+      const QuantizedPack* qpack_a = nullptr,
+      const QuantizedPack* qpack_b = nullptr,
+      SeekScratch* scratch = nullptr) const;
 
-  /// Plan one recency offset into `out`: resets every field but keeps the
-  /// channel vectors' capacity, and ranks through the caller's workspace —
-  /// repeated planning against stable-width trajectories is allocation-free
-  /// once warm.
+  /// Plan one recency offset into `scratch.plan` (every field reset,
+  /// vector capacity kept), ranking through `scratch.channels`.
   void plan_into(const ContextTrajectory& a, const ContextTrajectory& b,
-                 std::size_t recency_offset_m, SeekPlan& out,
-                 ChannelSelectScratch& scratch) const;
+                 std::size_t recency_offset_m, SeekScratch& scratch) const;
 
-  /// Effective window and threshold after the adaptive-window rule
-  /// (window 0 = cannot search).
-  [[nodiscard]] std::pair<std::size_t, double> effective_window(
-      std::size_t available_a, std::size_t available_b) const;
+  /// One pass's operands at this seeker's precision: the float views, plus
+  /// below kFloat32 the views of their mirrors `qfixed` / `qsliding`.
+  [[nodiscard]] ScanPair scan_pair(const PackedView& fixed,
+                                   std::size_t fixed_start,
+                                   const PackedView& sliding,
+                                   const QuantizedPack* qfixed,
+                                   const QuantizedPack* qsliding) const;
+
+  /// The accept rule: the better of pass 1 (`on_b`, A's window placed in
+  /// B) and pass 2 (`on_a`) at or above plan.threshold; pass 2 wins only
+  /// on strictly greater correlation.
+  [[nodiscard]] static std::optional<SynPoint> accept(const SeekPlan& plan,
+                                                      const Candidate& on_b,
+                                                      const Candidate& on_a);
+
+  /// Best-correlation-first order of a SYN point list.
+  static void sort_best_first(std::vector<SynPoint>& points);
 
   /// Best correlation over the slide-position indices [pos_lo, pos_hi) on
   /// the stride grid (position metres = index * stride_m); scored through
@@ -213,7 +211,8 @@ class SynSeeker {
   SynConfig config_;
   /// Identity row map 0..top_channels-1, built once so fallback seeks
   /// (SubsetPack views) don't heap-allocate per call; find_one takes
-  /// prefix subspans of it.
+  /// prefix subspans of it (plan_into caps both channel lists at
+  /// top_channels).
   std::vector<std::size_t> identity_rows_;
 };
 

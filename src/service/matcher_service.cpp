@@ -17,6 +17,18 @@ constexpr std::uint64_t pair_key(std::uint32_t ego,
   return (static_cast<std::uint64_t>(ego) << 32) | neighbour;
 }
 
+/// Shard routing keys must be finite: count and refuse anything else.
+/// The family is registered on the first rejection, so clean runs export
+/// exactly the metrics they did before.
+bool finite_position(double position_m) {
+  if (std::isfinite(position_m)) return true;
+  obs::Registry::global()
+      .counter_family("service.rejected_input", "reason")
+      .with("non_finite_position")
+      .inc();
+  return false;
+}
+
 }  // namespace
 
 const char* MatcherService::admission_reason(Admission a) noexcept {
@@ -73,6 +85,7 @@ MatcherService::MatcherService(ServiceConfig config)
 
 bool MatcherService::register_vehicle(std::uint64_t id, double position_m) {
   obs::Registry& reg = obs::Registry::global();
+  if (!finite_position(position_m)) return false;
   if (vehicle_index_.contains(id)) return false;
   const std::uint32_t slot =
       vehicles_.acquire_index(id, position_m, config_.fleet);
@@ -136,6 +149,7 @@ bool MatcherService::deregister_vehicle(std::uint64_t id) {
 bool MatcherService::observe(std::uint64_t id, double position_m,
                              core::GeoSample geo,
                              const core::PowerVector& power) {
+  if (!finite_position(position_m)) return false;
   const auto it = vehicle_index_.find(id);
   if (it == vehicle_index_.end()) return false;
   VehicleSlot& slot = vehicles_[it->second];
@@ -159,10 +173,15 @@ void MatcherService::begin_round() {
 }
 
 std::uint32_t MatcherService::shard_of_position(double position_m) const {
-  const auto cell = static_cast<long long>(
-      std::floor(position_m / config_.cell_m));
-  const auto n = static_cast<long long>(shards_.size());
-  return static_cast<std::uint32_t>(((cell % n) + n) % n);
+  // Floored modulo in floating point: fmod of integral doubles is exact,
+  // so in-range cells map as integer arithmetic would, and cells beyond
+  // any integer type still land in [0, shard_count).
+  const double cell = std::floor(position_m / config_.cell_m);
+  if (!std::isfinite(cell)) return 0;
+  const auto n = static_cast<double>(shards_.size());
+  double shard = std::fmod(cell, n);
+  if (shard < 0.0) shard += n;
+  return static_cast<std::uint32_t>(shard);
 }
 
 std::uint32_t MatcherService::shard_of(std::uint64_t id) const {

@@ -101,7 +101,9 @@ class MatcherService {
   explicit MatcherService(ServiceConfig config = {});
 
   /// Admit a vehicle into the arena. Returns false (and counts a
-  /// vehicles_full rejection) when the pool is exhausted.
+  /// vehicles_full rejection) when the pool is exhausted, and false (counted
+  /// in service.rejected_input{reason="non_finite_position"}) for a NaN or
+  /// infinite position.
   [[nodiscard]] bool register_vehicle(std::uint64_t id,
                                       double position_m = 0.0);
   /// Release a vehicle: its slot, every pair session touching it, the
@@ -114,7 +116,8 @@ class MatcherService {
   /// Append one context-trajectory metre for `id` and update its road
   /// position (shard routing key). The evicted PowerVector's buffers are
   /// recycled into the next append — steady-state observes do not allocate.
-  /// Returns false for unknown ids.
+  /// Returns false for unknown ids, and rejects (counted as in
+  /// register_vehicle) a non-finite position without touching the vehicle.
   bool observe(std::uint64_t id, double position_m, core::GeoSample geo,
                const core::PowerVector& power);
 

@@ -64,25 +64,5 @@ TEST(ChannelSelect, WindowBeyondEndClamped) {
   EXPECT_EQ(top.size(), 2u);
 }
 
-TEST(ChannelSelect, RecentWindowUsesTail) {
-  ContextTrajectory traj(2, 100);
-  // First half: channel 0 strong; second half: channel 1 strong.
-  for (std::size_t i = 0; i < 100; ++i) {
-    PowerVector pv(2);
-    pv.set(0, i < 50 ? -50.0f : -100.0f);
-    pv.set(1, i < 50 ? -100.0f : -50.0f);
-    traj.append(GeoSample{}, std::move(pv));
-  }
-  const auto top = select_top_channels_recent(traj, 40, 1);
-  ASSERT_EQ(top.size(), 1u);
-  EXPECT_EQ(top[0], 1u);
-}
-
-TEST(ChannelSelect, ShortTrajectoryRecentWindowFallsBack) {
-  const auto traj = make_graded(5, 4);
-  const auto top = select_top_channels_recent(traj, 50, 2);
-  EXPECT_EQ(top.size(), 2u);
-}
-
 }  // namespace
 }  // namespace rups::core

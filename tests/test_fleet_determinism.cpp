@@ -6,6 +6,7 @@
 
 #include "core/resolver.hpp"
 #include "core/syn_seeker.hpp"
+#include "obs/metrics.hpp"
 #include "support/road_field.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -358,16 +359,23 @@ TEST(FleetEngine, WarmCacheActuallyTracks) {
 }
 
 TEST(FleetEngine, RejectsDuplicateIdsAndSizeMismatch) {
+  // A rejected batch must not count as a batch nor create SynCache shards.
   FleetEngine engine;
   ContextTrajectory ego(kChannels, kCapacity);
   ContextTrajectory n1(kChannels, kCapacity);
   const std::vector<const ContextTrajectory*> two = {&n1, &n1};
-  const std::vector<std::uint64_t> dup_ids = {5, 5};
+  obs::Registry& reg = obs::Registry::global();
+  const std::uint64_t batches = reg.counter("fleet.batches").value();
+  const std::uint64_t queries = reg.counter("fleet.queries").value();
+  const std::vector<std::uint64_t> dup_ids = {7, 7};
   EXPECT_THROW((void)engine.estimate_batch(ego, two, dup_ids, nullptr),
                std::invalid_argument);
   const std::vector<std::uint64_t> one_id = {5};
   EXPECT_THROW((void)engine.estimate_batch(ego, two, one_id, nullptr),
                std::invalid_argument);
+  EXPECT_EQ(engine.shard_count(), 0u);
+  EXPECT_EQ(reg.counter("fleet.batches").value(), batches);
+  EXPECT_EQ(reg.counter("fleet.queries").value(), queries);
 }
 
 }  // namespace

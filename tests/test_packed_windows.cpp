@@ -19,24 +19,10 @@
 namespace rups::core {
 namespace {
 
+using test::drive;
 using test::road_rssi;
+using test::small_config;
 
-ContextTrajectory drive(std::uint64_t road_seed, std::int64_t road_start,
-                        std::size_t len, std::size_t channels,
-                        std::size_t capacity, std::uint64_t noise_seed) {
-  ContextTrajectory traj(channels, capacity);
-  util::Rng rng(noise_seed);
-  for (std::size_t i = 0; i < len; ++i) {
-    PowerVector pv(channels);
-    for (std::size_t c = 0; c < channels; ++c) {
-      pv.set(c, road_rssi(road_seed, road_start + static_cast<std::int64_t>(i),
-                          c) +
-                    static_cast<float>(rng.gaussian(0.0, 0.5)));
-    }
-    traj.append(GeoSample{}, std::move(pv));
-  }
-  return traj;
-}
 
 void append_one(ContextTrajectory& t, std::uint64_t road_seed,
                 std::int64_t road_start, util::Rng& rng) {
@@ -77,7 +63,7 @@ void expect_pack_matches(const PackedContext& pack,
 }
 
 TEST(PackedContext, IncrementalAppendMatchesFreshPack) {
-  auto t = drive(1, 0, 120, 24, 400, 7);
+  auto t = drive(1, 0, 120, 24, 0.5, 7, {.capacity = 400});
   PackedContext incremental;
   incremental.sync(t);
   expect_pack_matches(incremental, t);
@@ -94,7 +80,7 @@ TEST(PackedContext, IncrementalAppendMatchesFreshPack) {
 }
 
 TEST(PackedContext, RetroFillWithinVolatileSuffixIsRepacked) {
-  auto t = drive(2, 0, 100, 16, 200, 11);
+  auto t = drive(2, 0, 100, 16, 0.5, 11, {.capacity = 200});
   PackedContext pack;
   pack.sync(t);
 
@@ -110,7 +96,7 @@ TEST(PackedContext, RetroFillWithinVolatileSuffixIsRepacked) {
 
 TEST(PackedContext, EvictionAndCapacityWrapStayInSync) {
   const std::size_t capacity = 150;
-  auto t = drive(3, 0, 100, 12, capacity, 13);
+  auto t = drive(3, 0, 100, 12, 0.5, 13, {.capacity = capacity});
   PackedContext pack;
   pack.sync(t);
 
@@ -126,8 +112,8 @@ TEST(PackedContext, EvictionAndCapacityWrapStayInSync) {
 }
 
 TEST(PackedContext, WidthChangeForcesConsistentRepack) {
-  auto t16 = drive(4, 0, 80, 16, 200, 17);
-  auto t24 = drive(4, 0, 80, 24, 200, 17);
+  auto t16 = drive(4, 0, 80, 16, 0.5, 17, {.capacity = 200});
+  auto t24 = drive(4, 0, 80, 24, 0.5, 17, {.capacity = 200});
   PackedContext pack;
   pack.sync(t16);
   expect_pack_matches(pack, t16);
@@ -136,20 +122,12 @@ TEST(PackedContext, WidthChangeForcesConsistentRepack) {
   EXPECT_FALSE(pack.in_sync_with(t16));
 }
 
-SynConfig small_config() {
-  SynConfig cfg;
-  cfg.window_m = 40;
-  cfg.top_channels = 20;
-  cfg.coherency_threshold = 1.2;
-  return cfg;
-}
-
 TEST(PackedSearch, PackedAndUnpackedSearchesAreBitIdentical) {
   // The packed (all-channel, row-mapped) and unpacked (per-query subset
   // pack) layouts must score every window identically — the determinism
   // guarantees of FleetEngine/SynCache rest on this.
-  const auto a = drive(21, 0, 260, 30, 400, 31);
-  const auto b = drive(21, 45, 260, 30, 400, 32);
+  const auto a = drive(21, 0, 260, 30, 0.5, 31, {.capacity = 400});
+  const auto b = drive(21, 45, 260, 30, 0.5, 32, {.capacity = 400});
   SynConfig cfg = small_config();
   cfg.syn_points = 3;
   cfg.syn_segment_spacing_m = 30;
@@ -183,8 +161,8 @@ TEST(PackedSearch, PackedAndUnpackedSearchesAreBitIdentical) {
 }
 
 TEST(PackedSearch, StalePackIsIgnoredNotTrusted) {
-  auto a = drive(22, 0, 200, 24, 400, 41);
-  const auto b = drive(22, 30, 200, 24, 400, 42);
+  auto a = drive(22, 0, 200, 24, 0.5, 41, {.capacity = 400});
+  const auto b = drive(22, 30, 200, 24, 0.5, 42, {.capacity = 400});
   const SynSeeker seeker(small_config());
 
   PackedContext stale;
@@ -207,8 +185,9 @@ TEST(PackedSearch, EngineGrowingContextMatchesScratchSeeker) {
   // the metres driven in between; every query must still equal a scratch
   // SynSeeker run on the same contexts (the pack-reuse fix this pins).
   const std::size_t channels = 24;
-  auto local = drive(23, 0, 180, channels, 400, 51);
-  const auto neighbour = drive(23, 35, 220, channels, 400, 52);
+  auto local = drive(23, 0, 180, channels, 0.5, 51, {.capacity = 400});
+  const auto neighbour =
+      drive(23, 35, 220, channels, 0.5, 52, {.capacity = 400});
 
   SynConfig cfg = small_config();
   PackedContext pack;

@@ -184,41 +184,6 @@ TEST(QuantKernel, BatchMatchesPerPositionBitExact) {
   }
 }
 
-TEST(QuantKernel, MultiMatchesIndependentBatches) {
-  util::Rng rng(77);
-  const TrajectoryCorrelationConfig config{};
-  const std::size_t channels = 24;
-  const std::size_t window = 60;
-  const auto fixed_t = random_context(rng, window, channels, 0.9);
-  const Operand fixed(fixed_t, channels, 0, window);
-  std::vector<ContextTrajectory> slide_ts;
-  std::vector<Operand> slides;
-  const std::size_t lens[] = {window + 40, window + 21, window + 64};
-  for (std::size_t len : lens) {
-    slide_ts.push_back(random_context(rng, len, channels, 0.85));
-    slides.emplace_back(slide_ts.back(), channels, 0, len);
-  }
-  std::vector<std::vector<double>> multi_out(3);
-  std::vector<std::vector<double>> solo_out(3);
-  std::vector<QuantScanTask16> tasks;
-  for (std::size_t i = 0; i < 3; ++i) {
-    const std::size_t count = lens[i] - window + 1;
-    multi_out[i].assign(count, 0.0);
-    solo_out[i].assign(count, 0.0);
-    tasks.push_back({slides[i].v16(), 0, count, 1, multi_out[i].data()});
-  }
-  quantized_correlation_multi<std::int16_t>(fixed.v16(), 0, tasks, window,
-                                            config);
-  for (std::size_t i = 0; i < 3; ++i) {
-    quantized_correlation_batch<std::int16_t>(fixed.v16(), 0, slides[i].v16(),
-                                              0, multi_out[i].size(), window,
-                                              config, solo_out[i].data());
-    for (std::size_t q = 0; q < multi_out[i].size(); ++q) {
-      expect_bit_equal(solo_out[i][q], multi_out[i][q], "multi", q);
-    }
-  }
-}
-
 TEST(QuantKernel, RoundTripWithinHalfStep) {
   util::Rng rng(4242);
   const std::size_t channels = 20;
@@ -387,25 +352,8 @@ TEST(QuantKernel, WindowCapEnforced) {
                std::invalid_argument);
 }
 
-using test::road_rssi;
+using test::drive;
 
-ContextTrajectory drive(std::uint64_t road_seed, std::int64_t road_start,
-                        std::size_t len, std::size_t channels, double sigma,
-                        double usable_fraction, std::uint64_t noise_seed) {
-  ContextTrajectory traj(channels, len);
-  util::Rng rng(noise_seed);
-  for (std::size_t i = 0; i < len; ++i) {
-    PowerVector pv(channels);
-    for (std::size_t c = 0; c < channels; ++c) {
-      if (rng.uniform() > usable_fraction) continue;
-      pv.set(c, road_rssi(road_seed, road_start + static_cast<std::int64_t>(i),
-                          c) +
-                    static_cast<float>(rng.gaussian(0.0, sigma)));
-    }
-    traj.append(GeoSample{0.0, static_cast<double>(i)}, std::move(pv));
-  }
-  return traj;
-}
 
 TEST(QuantKernel, PaperPointEstimateIdenticalAcrossPrecisions) {
   // The ctest gate from ISSUE 8: at the paper point (m=1000, w=100, k=45,
@@ -413,8 +361,8 @@ TEST(QuantKernel, PaperPointEstimateIdenticalAcrossPrecisions) {
   // quantity that becomes the relative-distance fix — must be identical at
   // kFloat32, kInt16 and kInt8, end to end through SynSeeker::find.
   const std::size_t m = 1000;
-  const auto a = drive(99, 0, m, 45, 0.4, 0.9, 21);
-  const auto b = drive(99, 137, m, 45, 0.4, 0.9, 22);
+  const auto a = drive(99, 0, m, 45, 0.4, 21, {.usable_fraction = 0.9});
+  const auto b = drive(99, 137, m, 45, 0.4, 22, {.usable_fraction = 0.9});
   SynConfig cfg;
   cfg.window_m = 100;
   cfg.top_channels = 45;
@@ -447,8 +395,8 @@ TEST(QuantKernel, SeekerPackedAndFallbackPathsAgree) {
   // Scores may differ between pack/subset routes (different quantization
   // grids), but each route must clear the threshold and land on the same
   // alignment.
-  const auto a = drive(7, 0, 300, 30, 0.4, 0.9, 5);
-  const auto b = drive(7, 60, 300, 30, 0.4, 0.9, 6);
+  const auto a = drive(7, 0, 300, 30, 0.4, 5, {.usable_fraction = 0.9});
+  const auto b = drive(7, 60, 300, 30, 0.4, 6, {.usable_fraction = 0.9});
   SynConfig cfg;
   cfg.window_m = 85;
   cfg.top_channels = 30;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <span>
@@ -11,6 +12,7 @@
 
 #include "core/fleet.hpp"
 #include "obs/health.hpp"
+#include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
 #include "sim/service_sim.hpp"
 #include "util/thread_pool.hpp"
@@ -216,6 +218,40 @@ TEST(ShardRouting, AnyShardCountMatchesUnshardedEngineBitForBit) {
           << "pooled, shards=" << shards << ", seed=" << seed;
     }
   }
+}
+
+TEST(ShardRouting, HostilePositionsAreRejectedOrRoutedInRange) {
+  // NaN / ±inf would make the shard computation undefined: both entry
+  // points refuse them, count them, and leave the vehicle where it was.
+  ServiceConfig cfg;
+  cfg.shard_count = 3;
+  MatcherService svc(cfg);
+  obs::Counter& rejected = obs::Registry::global()
+                               .counter_family("service.rejected_input",
+                                               "reason")
+                               .with("non_finite_position");
+  [[maybe_unused]] const std::uint64_t before = rejected.value();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(svc.register_vehicle(1, nan));
+  EXPECT_FALSE(svc.register_vehicle(1, -inf));
+  EXPECT_EQ(svc.vehicle_count(), 0u);
+  ASSERT_TRUE(svc.register_vehicle(1, 300.0));
+  const std::uint32_t shard = svc.shard_of(1);
+  const core::PowerVector power(cfg.fleet.rups.channels);
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_FALSE(svc.observe(1, bad, core::GeoSample{}, power)) << bad;
+  }
+  EXPECT_EQ(svc.shard_of(1), shard);
+#ifndef RUPS_OBS_DISABLED
+  EXPECT_EQ(rejected.value() - before, 5u);
+#endif
+  // Finite positions far beyond any integer cell index still route to a
+  // valid shard.
+  ASSERT_TRUE(svc.register_vehicle(2, 1e300));
+  ASSERT_TRUE(svc.observe(1, -1e300, core::GeoSample{}, power));
+  EXPECT_LT(svc.shard_of(1), svc.shard_count());
+  EXPECT_LT(svc.shard_of(2), svc.shard_count());
 }
 
 TEST(Admission, UnknownVehicleAndSelfQueryAreRejected) {

@@ -10,34 +10,9 @@
 namespace rups::core {
 namespace {
 
+using test::drive;
 using test::road_rssi;
-
-/// Vehicle trajectory covering road metres [road_start, road_start+len),
-/// with measurement noise `sigma`.
-ContextTrajectory drive(std::uint64_t road_seed, std::int64_t road_start,
-                        std::size_t len, std::size_t channels, double sigma,
-                        std::uint64_t noise_seed) {
-  ContextTrajectory traj(channels, len);
-  util::Rng rng(noise_seed);
-  for (std::size_t i = 0; i < len; ++i) {
-    PowerVector pv(channels);
-    for (std::size_t c = 0; c < channels; ++c) {
-      pv.set(c, road_rssi(road_seed, road_start + static_cast<std::int64_t>(i),
-                          c) +
-                    static_cast<float>(rng.gaussian(0.0, sigma)));
-    }
-    traj.append(GeoSample{0.0, static_cast<double>(i)}, std::move(pv));
-  }
-  return traj;
-}
-
-SynConfig small_config() {
-  SynConfig cfg;
-  cfg.window_m = 40;
-  cfg.top_channels = 20;
-  cfg.coherency_threshold = 1.2;
-  return cfg;
-}
+using test::small_config;
 
 TEST(SynSeeker, FindsExactOverlapOffset) {
   const auto a = drive(1, 0, 200, 30, 0.5, 10);
@@ -223,6 +198,43 @@ TEST(SynSeeker, RespectTurnsRefusesWhenTailTooShort) {
   SynConfig cfg = small_config();
   cfg.respect_turns = true;
   EXPECT_FALSE(SynSeeker(cfg).find_one(a, b).has_value());
+}
+
+TEST(SynSeeker, AcceptRuleTiesThresholdAndRejections) {
+  // The accept rule shared by the full search and SynCache's band, on a
+  // plan whose fixed windows start at a = 70 and b = 90.
+  SynSeeker::SeekPlan plan;
+  plan.window = 40;
+  plan.threshold = 1.2;
+  plan.a_start = 70;
+  plan.b_start = 90;
+  using C = SynSeeker::Candidate;
+  const auto accept = [&plan](C on_b, C on_a) {
+    return SynSeeker::accept(plan, on_b, on_a);
+  };
+
+  // A tie goes to pass 1: A's window (index_a = a_start) at B's position.
+  const auto tie = accept({1.5, 12, true}, {1.5, 34, true});
+  ASSERT_TRUE(tie.has_value());
+  EXPECT_EQ(tie->index_a, 70u);
+  EXPECT_EQ(tie->index_b, 12u);
+  EXPECT_EQ(tie->window_m, 40u);
+  EXPECT_EQ(tie->correlation, 1.5);
+  // A strictly greater pass 2 wins: B's window (index_b = b_start).
+  const auto two = accept({1.5, 12, true}, {1.5000001, 34, true});
+  ASSERT_TRUE(two.has_value());
+  EXPECT_EQ(two->index_a, 34u);
+  EXPECT_EQ(two->index_b, 90u);
+  EXPECT_EQ(two->correlation, 1.5000001);
+  // The threshold is inclusive.
+  const auto at = accept({1.1, 5, true}, {1.2, 8, true});
+  ASSERT_TRUE(at.has_value());
+  EXPECT_EQ(at->index_a, 8u);
+  // Invalid candidates (even above the threshold) and below-threshold
+  // ones give nothing.
+  EXPECT_FALSE(accept({}, {}).has_value());
+  EXPECT_FALSE(accept({1.9, 5, false}, {1.9, 8, false}).has_value());
+  EXPECT_FALSE(accept({1.1999999, 5, true}, {-0.5, 8, true}).has_value());
 }
 
 class SynOffsetSweep : public ::testing::TestWithParam<int> {};
