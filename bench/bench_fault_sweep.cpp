@@ -23,13 +23,12 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "sim/campaign.hpp"
 #include "sim/convoy_sim.hpp"
 #include "sim/scenario.hpp"
 #include "util/rng.hpp"
 #include "v2v/channel.hpp"
-#include "v2v/exchange.hpp"
 #include "v2v/link.hpp"
+#include "v2v/receiver.hpp"
 
 using namespace rups;
 
@@ -41,8 +40,7 @@ struct Profile {
 
   std::unique_ptr<v2v::DsrcLink> link;
   std::unique_ptr<v2v::FaultyChannel> channel;
-  std::unique_ptr<v2v::ExchangeSession> session;
-  std::unique_ptr<sim::V2vReceiver> receiver;
+  std::unique_ptr<v2v::V2vRig> rig;
 
   std::vector<double> errors;
   std::size_t hits = 0;
@@ -110,9 +108,8 @@ int main() {
     p.link = std::make_unique<v2v::DsrcLink>(0xB0B5'CAFEULL);
     p.channel = std::make_unique<v2v::FaultyChannel>(
         util::hash_combine(0xC4A77E1ULL, i), p.fault);
-    p.session = std::make_unique<v2v::ExchangeSession>(
-        p.link.get(), p.channel.get(), v2v::ExchangeConfig{});
-    p.receiver = std::make_unique<sim::V2vReceiver>(
+    p.rig = std::make_unique<v2v::V2vRig>(
+        p.link.get(), p.channel.get(), v2v::ExchangeConfig{},
         rups_cfg.channels, rups_cfg.context_capacity_m);
   }
 
@@ -129,17 +126,12 @@ int main() {
       ideal_errors.push_back(*err);
     }
     for (auto& p : profiles) {
-      const bool full = !p.receiver->have_full;
-      const auto exchanged =
-          full ? p.session->exchange_full(front)
-               : p.session->exchange_tail(front, p.receiver->synced_metre);
-      (void)p.receiver->ingest(exchanged, full);
-      switch (exchanged.outcome) {
+      switch (p.rig->pull(front).outcome) {
         case v2v::ExchangeOutcome::kDelivered: ++p.delivered; break;
         case v2v::ExchangeOutcome::kDegraded: ++p.degraded; break;
         case v2v::ExchangeOutcome::kFailed: ++p.failed; break;
       }
-      const auto result = sim.query(1, 0, p.receiver->received);
+      const auto result = sim.query(1, 0, p.rig->receiver.received);
       if (const auto err = result.rups_error()) {
         ++p.hits;
         p.errors.push_back(*err);

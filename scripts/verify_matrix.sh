@@ -29,7 +29,9 @@
 #     alloc.cpp logs the reason once and test_alloc GTEST_SKIPs its
 #     accounting assertions in this lane. The sharded matcher service
 #     suites (arena slot recycling, ticket-table indexing, bounded-ring
-#     queue arithmetic) run here too.
+#     queue arithmetic) run here too, as do the fleet and streaming
+#     tracking suites (V2V rigs sit by value in a growing vector and
+#     borrow their link and channel pointers).
 #  3. tsan — ThreadSanitizer over the shard-concurrency suite, the
 #     thread-pool tests and the pooled streaming-determinism suite:
 #     pooled drains slice shards (and streaming updates slice
@@ -63,7 +65,7 @@ cmake --build --preset asan-ubsan -j"$jobs" --target \
   test_profiler test_alloc test_expo test_ops_shutdown \
   test_service test_service_concurrency \
   test_service_churn test_stream_recovery test_stream_determinism \
-  test_packed_stream \
+  test_packed_stream test_fleet_sim test_stream_tracking \
   trace_tool rups_exporterd
 
 echo ""
@@ -79,7 +81,7 @@ for bin in test_obs test_obs_disabled test_obs_recorder test_obs_health \
            test_profiler test_alloc test_expo test_ops_shutdown \
            test_service test_service_concurrency \
            test_service_churn test_stream_recovery test_stream_determinism \
-           test_packed_stream; do
+           test_packed_stream test_fleet_sim test_stream_tracking; do
   echo "-- $bin"
   "build-asan/tests/$bin"
 done

@@ -229,8 +229,10 @@ MatcherService::Ticket MatcherService::submit(std::uint64_t ego_id,
         static_cast<double>(sessions_.in_use()));
   }
 
-  const std::uint32_t shard_index =
-      shard_of_position(vehicles_[ego_slot].position_m);
+  VehicleSlot& ego = vehicles_[ego_slot];
+  const std::uint32_t shard_index = ego.pinned_round == rounds_
+                                        ? ego.pinned_shard
+                                        : shard_of_position(ego.position_m);
   Shard& shard = shards_[shard_index];
   QueuedRequest request;
   request.ego_slot = ego_slot;
@@ -241,6 +243,8 @@ MatcherService::Ticket MatcherService::submit(std::uint64_t ego_id,
     return reject(Admission::kQueueFull);
   }
 
+  ego.pinned_round = rounds_;
+  ego.pinned_shard = shard_index;
   ++round_requests_;
   m_admission_.with(admission_reason(Admission::kAccepted)).inc();
   if (health_ != nullptr) health_->on_admission(true);

@@ -6,10 +6,12 @@
 //
 //   * Sharding is geographic: a vehicle belongs to the cell
 //     floor(position / cell_m), and cells are folded onto shard_count
-//     shards. All requests of one ego land in one shard per round, so
-//     per-ego engine state evolves in submission order regardless of the
-//     shard count — shard-routed results are bit-identical to a
-//     single-process FleetEngine fed the same sequence, serial or pooled.
+//     shards. An ego's first accepted submit of a round pins its shard
+//     until the next begin_round, so all requests of one ego land in one
+//     shard per round and per-ego engine state evolves in submission
+//     order regardless of the shard count — shard-routed results are
+//     bit-identical to a single-process FleetEngine fed the same
+//     sequence, serial or pooled.
 //   * Admission control is explicit: submit() returns a reasoned ticket
 //     (queue full, session arena exhausted, unknown vehicle, round table
 //     full) instead of blocking or growing queues. Rejections are counted
@@ -125,7 +127,8 @@ class MatcherService {
   void begin_round();
 
   /// Request the ego-vs-neighbour relative distance. Routed to the ego's
-  /// regional shard; rejected with a reason instead of blocking.
+  /// regional shard, pinned by its first accepted submit of the round;
+  /// rejected with a reason instead of blocking.
   [[nodiscard]] Ticket submit(std::uint64_t ego_id,
                               std::uint64_t neighbour_id);
 
@@ -213,6 +216,10 @@ class MatcherService {
     /// PowerVector here so the next observe reuses its heap buffers.
     core::PowerVector spare;
     core::FleetEngine engine;
+    /// Shard this ego's requests run on during round `pinned_round`; the
+    /// sentinel never equals rounds_, even before the first begin_round.
+    std::uint64_t pinned_round = std::numeric_limits<std::uint64_t>::max();
+    std::uint32_t pinned_shard = 0;
   };
 
   /// One live (ego, neighbour) pair. Its existence bounds how many

@@ -10,8 +10,8 @@
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/timer.hpp"
-#include "v2v/exchange.hpp"
 #include "v2v/link.hpp"
+#include "v2v/receiver.hpp"
 
 namespace rups::sim {
 
@@ -144,9 +144,9 @@ CampaignResult run_campaign(ConvoySimulation& sim,
   // copy. Degraded/failed deliveries feed the health monitor.
   v2v::DsrcLink link(/*seed=*/0xB0B5'CAFEULL);
   v2v::FaultyChannel channel(config.fault_seed, config.fault);
-  v2v::ExchangeSession session(&link, &channel, config.exchange);
   const core::RupsConfig& rups_cfg = sim.rig(0).engine().config();
-  V2vReceiver receiver(rups_cfg.channels, rups_cfg.context_capacity_m);
+  v2v::V2vRig rig(&link, &channel, config.exchange, rups_cfg.channels,
+                  rups_cfg.context_capacity_m);
 
   sim.run_until(config.warmup_s);
   double t = config.warmup_s;
@@ -168,11 +168,7 @@ CampaignResult run_campaign(ConvoySimulation& sim,
     if (config.model_v2v_cost) {
       const core::ContextTrajectory& front = sim.rig(0).engine().context();
       if (!front.empty()) {
-        const bool full = !receiver.have_full;
-        const v2v::ExchangeResult exchanged =
-            full ? session.exchange_full(front)
-                 : session.exchange_tail(front, receiver.synced_metre);
-        (void)receiver.ingest(exchanged, full);
+        const v2v::ExchangeResult exchanged = rig.pull(front);
         if (config.enable_health) {
           monitor.on_exchange(
               exchanged.usable(),
@@ -183,7 +179,7 @@ CampaignResult run_campaign(ConvoySimulation& sim,
     const obs::AllocTotals allocs_before = obs::thread_alloc_totals();
     obs::ObsTimer timer(&metrics.latency_us, "campaign.query");
     result.queries.push_back(config.model_v2v_cost
-                                 ? sim.query(1, 0, receiver.received)
+                                 ? sim.query(1, 0, rig.receiver.received)
                                  : sim.query(1, 0));
     timer.stop();
     if (obs::alloc_accounting_available()) {
@@ -206,7 +202,7 @@ CampaignResult run_campaign(ConvoySimulation& sim,
   metrics.availability.set(result.rups_availability());
   RUPS_LOG(kDebug) << "campaign finished: " << result.queries.size()
                    << " queries, availability " << result.rups_availability()
-                   << ", v2v bytes " << session.total_bytes();
+                   << ", v2v bytes " << rig.session.total_bytes();
   if (config.enable_health) sim.set_health_monitor(nullptr);
   if (!config.diagnostics_dir.empty()) {
     recorder.set_dump_dir(previous_dump_dir);

@@ -8,7 +8,6 @@
 #include "obs/timeseries.hpp"
 #include "sim/convoy_sim.hpp"
 #include "v2v/exchange.hpp"
-#include "v2v/receiver.hpp"
 
 namespace rups::sim {
 
@@ -82,11 +81,6 @@ struct CampaignResult {
   /// Fraction of queries that produced a RUPS estimate.
   [[nodiscard]] double rups_availability() const;
 };
-
-/// Receiver-side exchange bookkeeping now lives in the v2v layer
-/// (v2v/receiver.hpp) so the streaming stack can reuse it; the sim-side
-/// name is kept as an alias for run_campaign / FleetSimulation users.
-using V2vReceiver = v2v::V2vReceiver;
 
 /// Run the campaign: rear vehicle (index 1) queries the front (index 0).
 [[nodiscard]] CampaignResult run_campaign(ConvoySimulation& sim,

@@ -61,18 +61,6 @@ std::vector<double> FleetCampaignResult::rups_errors() const {
   return out;
 }
 
-std::vector<double> FleetCampaignResult::rups_errors_for(
-    std::size_t neighbour_index) const {
-  std::vector<double> out;
-  for (const auto& round : rounds) {
-    for (const auto& o : round.outcomes) {
-      if (o.neighbour_index != neighbour_index) continue;
-      if (const auto e = o.rups_error()) out.push_back(*e);
-    }
-  }
-  return out;
-}
-
 double FleetCampaignResult::availability() const {
   std::size_t total = 0;
   std::size_t hits = 0;
@@ -112,15 +100,14 @@ FleetSimulation::FleetSimulation(Scenario scenario, FleetCampaignConfig config)
     neighbour_indices_.push_back(i);
     channels_.push_back(std::make_unique<v2v::FaultyChannel>(
         util::hash_combine(config_.base.fault_seed, i), config_.base.fault));
-    sessions_.emplace_back(&link_, channels_.back().get(),
-                           config_.base.exchange);
-    receivers_.emplace_back(rups_cfg.channels, rups_cfg.context_capacity_m);
+    rigs_.emplace_back(&link_, channels_.back().get(), config_.base.exchange,
+                       rups_cfg.channels, rups_cfg.context_capacity_m);
   }
 }
 
 std::size_t FleetSimulation::v2v_bytes() const noexcept {
   std::size_t total = 0;
-  for (const auto& s : sessions_) total += s.total_bytes();
+  for (const auto& rig : rigs_) total += rig.session.total_bytes();
   return total;
 }
 
@@ -143,19 +130,15 @@ FleetRound FleetSimulation::query_round(util::ThreadPool* pool) {
     if (config_.base.model_v2v_cost) {
       // The ego estimates from what actually crossed the channel: the
       // decoded receiver-side copy, not the neighbour's in-memory context.
-      V2vReceiver& receiver = receivers_[s];
-      const bool full = !receiver.have_full;
-      const v2v::ExchangeResult exchanged =
-          full ? sessions_[s].exchange_full(ctx)
-               : sessions_[s].exchange_tail(ctx, receiver.synced_metre);
-      (void)receiver.ingest(exchanged, full);
+      v2v::V2vRig& rig = rigs_[s];
+      const v2v::ExchangeResult exchanged = rig.pull(ctx);
       if (health_ != nullptr) {
         health_->on_exchange(
             exchanged.usable(),
             exchanged.outcome == v2v::ExchangeOutcome::kDegraded);
       }
-      if (receiver.received.empty()) continue;  // nothing decodable yet
-      contexts.push_back(&receiver.received);
+      if (rig.receiver.received.empty()) continue;  // nothing decodable yet
+      contexts.push_back(&rig.receiver.received);
     } else {
       contexts.push_back(&ctx);
     }

@@ -19,8 +19,8 @@
 #include "sim/convoy_sim.hpp"
 #include "util/thread_pool.hpp"
 #include "v2v/channel.hpp"
-#include "v2v/exchange.hpp"
 #include "v2v/link.hpp"
+#include "v2v/receiver.hpp"
 
 namespace rups::sim {
 
@@ -70,9 +70,6 @@ struct FleetCampaignResult {
 
   /// Absolute errors over every outcome that produced an estimate.
   [[nodiscard]] std::vector<double> rups_errors() const;
-  /// Errors restricted to one neighbour (per-neighbour accuracy).
-  [[nodiscard]] std::vector<double> rups_errors_for(
-      std::size_t neighbour_index) const;
   /// Fraction of outcomes with an estimate.
   [[nodiscard]] double availability() const;
   /// Mean per-neighbour serial query latency (us).
@@ -108,12 +105,10 @@ class FleetSimulation {
   std::size_t ego_;
   core::FleetEngine engine_;
   v2v::DsrcLink link_;
-  /// One fault channel + session + receiver-side context cache per
-  /// neighbour (index into rigs). Channels are heap-held: sessions keep
-  /// raw pointers to them.
+  /// One fault channel + V2V rig per neighbour (parallel to
+  /// neighbour_indices_). Channels are heap-held: rigs borrow them.
   std::vector<std::unique_ptr<v2v::FaultyChannel>> channels_;
-  std::vector<v2v::ExchangeSession> sessions_;
-  std::vector<V2vReceiver> receivers_;
+  std::vector<v2v::V2vRig> rigs_;
   std::vector<std::size_t> neighbour_indices_;
   obs::HealthMonitor* health_ = nullptr;
 };

@@ -3,23 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <span>
 
 #include "core/fleet.hpp"
+#include "util/function_ref.hpp"
+#include "util/stats.hpp"
 #include "v2v/receiver.hpp"
 
 namespace rups::sim {
 namespace {
-
-[[nodiscard]] double sorted_quantile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double rank =
-      std::clamp(q, 0.0, 1.0) * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] + frac * (values[hi] - values[lo]);
-}
 
 /// Force the engine geometry onto the city workload's.
 [[nodiscard]] StreamCampaignConfig normalized(StreamCampaignConfig cfg) {
@@ -29,39 +21,19 @@ namespace {
   return cfg;
 }
 
-}  // namespace
+/// One mode's per-metre hook, given the ego context, the senders' live
+/// contexts and whether this metre ends the round: the update it ran
+/// (results[j] belongs to ids[j]), or nullptr when it did not update.
+using Step = util::FunctionRef<const stream::StreamingEngine::Update*(
+    const core::ContextTrajectory& ego,
+    std::span<const core::ContextTrajectory* const> senders, bool round_end)>;
 
-double StreamCampaignResult::mean_error() const {
-  if (errors.empty()) return 0.0;
-  double sum = 0.0;
-  for (double e : errors) sum += e;
-  return sum / static_cast<double>(errors.size());
-}
-
-double StreamCampaignResult::staleness_quantile(double q) const {
-  return sorted_quantile(staleness_s, q);
-}
-
-StreamCampaignResult run_stream_campaign(const StreamCampaignConfig& config,
-                                         util::ThreadPool* pool) {
-  const StreamCampaignConfig cfg = normalized(config);
-  CityFleet city(cfg.city);
-  const std::size_t k = std::min(cfg.neighbours, city.vehicle_count() - 1);
-
-  stream::StreamingEngine engine(cfg.stream);
-  v2v::DsrcLink link(cfg.link_seed);
-  std::vector<std::unique_ptr<v2v::FaultyChannel>> channels;
-  for (std::size_t i = 1; i <= k; ++i) {
-    if (cfg.ideal) {
-      engine.add_neighbour(city.vehicle_id(i));
-    } else {
-      channels.push_back(std::make_unique<v2v::FaultyChannel>(
-          cfg.fault_seed + i, cfg.fault));
-      engine.add_neighbour(city.vehicle_id(i), &link, channels.back().get());
-    }
-  }
-
-  // Vehicle-owned live contexts: 0 = ego, 1..k = the streaming senders.
+/// The CityFleet drive both modes share: every round's samples land one
+/// metre at a time in the live contexts (0 = ego, 1..k = senders), `step`
+/// runs after each metre, and estimates, errors and per-metre staleness
+/// are accounted identically whichever mode produced them.
+void drive(const StreamCampaignConfig& cfg, CityFleet& city, std::size_t k,
+           Step step, StreamCampaignResult& result) {
   std::vector<core::ContextTrajectory> trajs;
   trajs.reserve(k + 1);
   for (std::size_t i = 0; i <= k; ++i) {
@@ -75,7 +47,6 @@ StreamCampaignResult run_stream_campaign(const StreamCampaignConfig& config,
   collector.begin(0.0);
   for (std::size_t i = 1; i <= k; ++i) collector.track(city.vehicle_id(i));
 
-  StreamCampaignResult result;
   std::vector<double> last_estimate_s(k + 1, 0.0);
   bool accounting = false;
   double t = 0.0;
@@ -104,22 +75,19 @@ StreamCampaignResult run_stream_campaign(const StreamCampaignConfig& config,
           cfg.city.interval_s;
       collector.observe(t);
 
-      const auto& update = engine.update(
-          trajs[0],
-          std::span<const core::ContextTrajectory* const>(senders.data(),
-                                                          senders.size()),
-          pool);
-      ++result.updates;
-      for (std::size_t j = 0; j < update.ids.size(); ++j) {
-        const auto& nr = update.results[j];
-        if (!nr.estimate.has_value()) continue;
-        ++result.estimates;
-        const std::size_t i = update.ids[j] - city.vehicle_id(0);
-        collector.note_estimate(update.ids[j], t);
-        last_estimate_s[i] = t;
-        if (accounting) {
-          result.errors.push_back(
-              std::abs(nr.estimate->distance_m - (last_pos[0] - last_pos[i])));
+      if (const auto* update = step(trajs[0], senders, s + 1 == max_steps)) {
+        ++result.updates;
+        for (std::size_t j = 0; j < update->ids.size(); ++j) {
+          const auto& nr = update->results[j];
+          if (!nr.estimate.has_value()) continue;
+          ++result.estimates;
+          const std::size_t i = update->ids[j] - city.vehicle_id(0);
+          collector.note_estimate(update->ids[j], t);
+          last_estimate_s[i] = t;
+          if (accounting) {
+            result.errors.push_back(std::abs(nr.estimate->distance_m -
+                                             (last_pos[0] - last_pos[i])));
+          }
         }
       }
       if (accounting) {
@@ -129,13 +97,52 @@ StreamCampaignResult run_stream_campaign(const StreamCampaignConfig& config,
       }
     }
   }
+  result.series = collector.finish(t);
+}
 
-  result.bytes = engine.total_beacon_bytes();
+void set_bytes(StreamCampaignResult& result, std::size_t bytes) {
+  result.bytes = bytes;
   result.bytes_per_estimate =
-      result.estimates > 0
-          ? static_cast<double>(result.bytes) /
-                static_cast<double>(result.estimates)
-          : 0.0;
+      result.estimates > 0 ? static_cast<double>(bytes) /
+                                 static_cast<double>(result.estimates)
+                           : 0.0;
+}
+
+}  // namespace
+
+double StreamCampaignResult::mean_error() const { return util::mean(errors); }
+
+double StreamCampaignResult::staleness_quantile(double q) const {
+  return util::percentile(staleness_s, q);
+}
+
+StreamCampaignResult run_stream_campaign(const StreamCampaignConfig& config,
+                                         util::ThreadPool* pool) {
+  const StreamCampaignConfig cfg = normalized(config);
+  CityFleet city(cfg.city);
+  const std::size_t k = std::min(cfg.neighbours, city.vehicle_count() - 1);
+
+  stream::StreamingEngine engine(cfg.stream);
+  v2v::DsrcLink link(cfg.link_seed);
+  std::vector<std::unique_ptr<v2v::FaultyChannel>> channels;
+  for (std::size_t i = 1; i <= k; ++i) {
+    if (cfg.ideal) {
+      engine.add_neighbour(city.vehicle_id(i));
+    } else {
+      channels.push_back(std::make_unique<v2v::FaultyChannel>(
+          cfg.fault_seed + i, cfg.fault));
+      engine.add_neighbour(city.vehicle_id(i), &link, channels.back().get());
+    }
+  }
+
+  StreamCampaignResult result;
+  drive(cfg, city, k,
+        [&](const core::ContextTrajectory& ego,
+            std::span<const core::ContextTrajectory* const> senders,
+            bool) { return &engine.update(ego, senders, pool); },
+        result);
+
+  set_bytes(result, engine.total_beacon_bytes());
   for (std::size_t i = 1; i <= k; ++i) {
     if (const stream::BeaconStats* s =
             engine.beacon_stats(city.vehicle_id(i))) {
@@ -147,7 +154,6 @@ StreamCampaignResult run_stream_campaign(const StreamCampaignConfig& config,
       result.beacons.metres_gained += s->metres_gained;
     }
   }
-  result.series = collector.finish(t);
   return result;
 }
 
@@ -160,125 +166,51 @@ StreamCampaignResult run_batch_campaign(const StreamCampaignConfig& config,
   core::FleetEngine fleet(cfg.stream.fleet);
   v2v::DsrcLink link(cfg.link_seed);
   std::vector<std::unique_ptr<v2v::FaultyChannel>> channels;
-  std::vector<std::unique_ptr<v2v::ExchangeSession>> sessions;
-  std::vector<v2v::V2vReceiver> receivers;
-  for (std::size_t i = 1; i <= k; ++i) {
-    if (!cfg.ideal) {
+  std::vector<v2v::V2vRig> rigs;
+  if (!cfg.ideal) {
+    for (std::size_t i = 1; i <= k; ++i) {
       channels.push_back(std::make_unique<v2v::FaultyChannel>(
           cfg.fault_seed + i, cfg.fault));
-      sessions.push_back(std::make_unique<v2v::ExchangeSession>(
-          &link, channels.back().get(), cfg.stream.beacon.exchange));
+      rigs.emplace_back(&link, channels.back().get(),
+                        cfg.stream.beacon.exchange, cfg.city.channels,
+                        cfg.city.context_capacity_m);
     }
-    receivers.emplace_back(cfg.city.channels, cfg.city.context_capacity_m);
   }
 
-  std::vector<core::ContextTrajectory> trajs;
-  for (std::size_t i = 0; i <= k; ++i) {
-    trajs.emplace_back(cfg.city.channels, cfg.city.context_capacity_m);
-  }
-  std::vector<double> last_pos(k + 1, 0.0);
-
-  obs::TimeSeriesCollector collector(cfg.series);
-  collector.begin(0.0);
-  for (std::size_t i = 1; i <= k; ++i) collector.track(city.vehicle_id(i));
-
+  // Context lands per metre exactly like the streaming drive; only the
+  // exchange + estimate happen once per round, at its last metre.
+  stream::StreamingEngine::Update round;
+  std::vector<const core::ContextTrajectory*> views;
   StreamCampaignResult result;
-  std::vector<double> last_estimate_s(k + 1, 0.0);
-  std::vector<const core::ContextTrajectory*> views(k, nullptr);
-  std::vector<std::uint64_t> ids(k, 0);
-  std::vector<core::FleetEngine::NeighbourResult> results;
-  bool accounting = false;
-  double t = 0.0;
+  drive(cfg, city, k,
+        [&](const core::ContextTrajectory& ego,
+            std::span<const core::ContextTrajectory* const> senders,
+            bool round_end) -> const stream::StreamingEngine::Update* {
+          if (!round_end) return nullptr;
+          views.clear();
+          round.ids.clear();
+          for (std::size_t i = 1; i <= k; ++i) {
+            const core::ContextTrajectory* view = senders[i - 1];
+            if (!cfg.ideal) {
+              v2v::V2vRig& rig = rigs[i - 1];
+              (void)rig.pull(*view);
+              if (rig.receiver.received.empty()) continue;
+              view = &rig.receiver.received;
+            }
+            views.push_back(view);
+            round.ids.push_back(city.vehicle_id(i));
+          }
+          if (!views.empty()) {
+            fleet.estimate_batch_into(ego, views, round.ids, pool,
+                                      round.results);
+          }
+          return &round;
+        },
+        result);
 
-  for (std::size_t r = 0; r < cfg.rounds; ++r) {
-    city.advance_round();
-    if (!accounting && r >= cfg.warmup_rounds) {
-      for (std::size_t i = 1; i <= k; ++i) last_estimate_s[i] = t;
-      accounting = true;
-    }
-    std::size_t max_steps = 0;
-    for (std::size_t i = 0; i <= k; ++i) {
-      max_steps = std::max(max_steps, city.samples(i).size());
-    }
-    // Context lands per metre exactly like the streaming drive; only the
-    // EXCHANGE + estimate happen once per round. Staleness is sampled at
-    // the shared per-metre cadence so quantiles are comparable.
-    for (std::size_t s = 0; s < max_steps; ++s) {
-      for (std::size_t i = 0; i <= k; ++i) {
-        const auto& batch = city.samples(i);
-        if (s < batch.size()) {
-          trajs[i].append(batch[s].geo, batch[s].power);
-          last_pos[i] = batch[s].position_m;
-        }
-      }
-      t = (static_cast<double>(r) +
-           static_cast<double>(s + 1) / static_cast<double>(max_steps)) *
-          cfg.city.interval_s;
-      collector.observe(t);
-      if (accounting && s + 1 < max_steps) {
-        for (std::size_t i = 1; i <= k; ++i) {
-          result.staleness_s.push_back(t - last_estimate_s[i]);
-        }
-      }
-    }
-
-    // Round exchange: full until a usable context is cached, then tails
-    // from the receiver watermark (the PR 5 campaign protocol).
-    std::size_t batch_n = 0;
-    for (std::size_t i = 1; i <= k; ++i) {
-      v2v::V2vReceiver& recv = receivers[i - 1];
-      if (cfg.ideal) {
-        views[batch_n] = &trajs[i];
-        ids[batch_n] = city.vehicle_id(i);
-        ++batch_n;
-        continue;
-      }
-      v2v::ExchangeSession& session = *sessions[i - 1];
-      const bool full = !recv.have_full;
-      const v2v::ExchangeResult ex =
-          full ? session.exchange_full(trajs[i])
-               : session.exchange_tail(trajs[i], recv.synced_metre);
-      (void)recv.ingest(ex, full);
-      if (!recv.received.empty()) {
-        views[batch_n] = &recv.received;
-        ids[batch_n] = city.vehicle_id(i);
-        ++batch_n;
-      }
-    }
-    ++result.updates;
-    if (batch_n > 0) {
-      fleet.estimate_batch_into(
-          trajs[0],
-          std::span<const core::ContextTrajectory* const>(views.data(),
-                                                          batch_n),
-          std::span<const std::uint64_t>(ids.data(), batch_n), pool,
-          results);
-      for (std::size_t j = 0; j < batch_n; ++j) {
-        if (!results[j].estimate.has_value()) continue;
-        ++result.estimates;
-        const std::size_t i = ids[j] - city.vehicle_id(0);
-        collector.note_estimate(ids[j], t);
-        last_estimate_s[i] = t;
-        if (accounting) {
-          result.errors.push_back(std::abs(results[j].estimate->distance_m -
-                                           (last_pos[0] - last_pos[i])));
-        }
-      }
-    }
-    if (accounting) {
-      for (std::size_t i = 1; i <= k; ++i) {
-        result.staleness_s.push_back(t - last_estimate_s[i]);
-      }
-    }
-  }
-
-  for (const auto& session : sessions) result.bytes += session->total_bytes();
-  result.bytes_per_estimate =
-      result.estimates > 0
-          ? static_cast<double>(result.bytes) /
-                static_cast<double>(result.estimates)
-          : 0.0;
-  result.series = collector.finish(t);
+  std::size_t bytes = 0;
+  for (const v2v::V2vRig& rig : rigs) bytes += rig.session.total_bytes();
+  set_bytes(result, bytes);
   return result;
 }
 

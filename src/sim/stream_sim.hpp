@@ -8,8 +8,9 @@
 // re-verification, continuous estimates.
 //
 // The same config also runs as the ROUND baseline (run_batch_campaign):
-// identical CityFleet drive, but context moves via per-round full+tail
-// ExchangeSessions and each neighbour is estimated once per round — the
+// the identical CityFleet drive (one shared per-metre loop), but context
+// moves once per round through one v2v::V2vRig per neighbour (full context
+// once, then tails) and each neighbour is estimated once per round — the
 // cost/staleness reference bench_stream compares against.
 
 #include <cstdint>

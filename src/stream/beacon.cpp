@@ -22,17 +22,16 @@ BeaconSession::BeaconSession(std::size_t channels, std::size_t capacity_m,
                              v2v::DsrcLink* link, v2v::FaultyChannel* channel,
                              BeaconConfig config)
     : config_(config),
-      session_(link, channel, config.exchange),
-      receiver_(channels, capacity_m) {}
+      rig_(link, channel, config.exchange, channels, capacity_m) {}
 
 BeaconOutcome BeaconSession::beacon(const core::ContextTrajectory& sender) {
   ++stats_.beacons;
   const std::uint64_t sender_end =
       sender.empty() ? 0 : sender.first_metre() + sender.size();
 
-  const bool need_full = !receiver_.have_full ||
+  const bool need_full = !rig_.receiver.have_full ||
                          pending_rerequests_ >= config_.max_gap_rerequests;
-  if (!need_full && receiver_.synced_metre >= sender_end) {
+  if (!need_full && rig_.receiver.synced_metre >= sender_end) {
     // Sender watermark == receiver watermark: the beacon is a bare
     // heartbeat, nothing crosses the link but the header + watermark.
     ++stats_.no_news;
@@ -46,19 +45,15 @@ BeaconOutcome BeaconSession::beacon(const core::ContextTrajectory& sender) {
   } else {
     ++stats_.diffs;
   }
-  const v2v::ExchangeResult result =
-      need_full ? session_.exchange_full(sender)
-                : session_.exchange_tail(sender, receiver_.synced_metre);
-
-  const std::uint64_t before = receiver_.synced_metre;
-  (void)receiver_.ingest(result, need_full);
-  const std::uint64_t after = receiver_.synced_metre;
+  const std::uint64_t before = rig_.receiver.synced_metre;
+  (void)rig_.pull(sender, need_full);
+  const std::uint64_t after = rig_.receiver.synced_metre;
   if (after > before) stats_.metres_gained += after - before;
 
   // Caught up = the view holds a usable context whose end reached the
   // sender watermark announced by THIS beacon. (The sender may have moved
   // again by the next beacon; that is news, not a gap.)
-  if (receiver_.have_full && after >= sender_end) {
+  if (rig_.receiver.have_full && after >= sender_end) {
     pending_rerequests_ = 0;
     if (need_full) return BeaconOutcome::kResync;
     return recovering ? BeaconOutcome::kRecovered : BeaconOutcome::kSynced;

@@ -58,9 +58,9 @@ struct BeaconStats {
 };
 
 /// One receiver-side beacon-diff session against one sending neighbour.
-/// Owns the receiver cache and the exchange protocol state; the sender's
-/// live trajectory is passed per beacon (the simulation shortcut every
-/// exchange user here takes — framing/channel damage still applies to
+/// Owns one v2v::V2vRig (receiver cache + exchange protocol state); the
+/// sender's live trajectory is passed per beacon (the simulation shortcut
+/// every exchange user here takes — framing/channel damage still applies to
 /// everything that crosses the link).
 class BeaconSession {
  public:
@@ -84,28 +84,21 @@ class BeaconSession {
 
   /// Receiver-side view of the neighbour (estimate against this).
   [[nodiscard]] const core::ContextTrajectory& view() const noexcept {
-    return receiver_.received;
+    return rig_.receiver.received;
   }
   [[nodiscard]] std::uint64_t watermark() const noexcept {
-    return receiver_.synced_metre;
+    return rig_.receiver.synced_metre;
   }
   [[nodiscard]] const BeaconStats& stats() const noexcept { return stats_; }
   /// Wire bytes so far: exchange payload bytes + heartbeat headers.
   [[nodiscard]] std::size_t total_bytes() const noexcept {
-    return session_.total_bytes() + stats_.no_news * kHeartbeatBytes;
-  }
-  /// Simulated link seconds spent moving context (heartbeats are
-  /// fire-and-forget broadcast frames; their airtime is negligible next to
-  /// the ARQ rounds and is not modelled).
-  [[nodiscard]] double total_seconds() const noexcept {
-    return session_.total_seconds();
+    return rig_.session.total_bytes() + stats_.no_news * kHeartbeatBytes;
   }
   [[nodiscard]] const BeaconConfig& config() const noexcept { return config_; }
 
  private:
   BeaconConfig config_;
-  v2v::ExchangeSession session_;
-  v2v::V2vReceiver receiver_;
+  v2v::V2vRig rig_;
   /// Consecutive rounds that ended short of the sender watermark.
   std::size_t pending_rerequests_ = 0;
   BeaconStats stats_;

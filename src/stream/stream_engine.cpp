@@ -1,5 +1,7 @@
 #include "stream/stream_engine.hpp"
 
+#include <stdexcept>
+
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
 
@@ -34,15 +36,18 @@ StreamingEngine::StreamingEngine(StreamConfig config)
 
 void StreamingEngine::add_neighbour(std::uint64_t id, v2v::DsrcLink* link,
                                     v2v::FaultyChannel* channel) {
-  Neighbour nb;
-  nb.id = id;
-  nb.beacon = std::make_unique<BeaconSession>(
+  add_neighbour(id);
+  neighbours_.back().beacon = std::make_unique<BeaconSession>(
       config_.fleet.rups.channels, config_.fleet.rups.context_capacity_m,
       link, channel, config_.beacon);
-  neighbours_.push_back(std::move(nb));
 }
 
 void StreamingEngine::add_neighbour(std::uint64_t id) {
+  for (const Neighbour& nb : neighbours_) {
+    if (nb.id == id) {
+      throw std::invalid_argument("StreamingEngine: duplicate neighbour id");
+    }
+  }
   Neighbour nb;
   nb.id = id;
   neighbours_.push_back(std::move(nb));

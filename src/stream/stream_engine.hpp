@@ -55,7 +55,9 @@ class StreamingEngine {
   explicit StreamingEngine(StreamConfig config = {});
 
   /// Register a beacon neighbour: context arrives via a BeaconSession on
-  /// `link`/`channel` (channel may be nullptr for an ideal link).
+  /// `link`/`channel` (channel may be nullptr for an ideal link). Both
+  /// overloads throw std::invalid_argument, registering nothing, when `id`
+  /// is already registered.
   void add_neighbour(std::uint64_t id, v2v::DsrcLink* link,
                      v2v::FaultyChannel* channel);
   /// Register an ideal neighbour: estimates run directly against the

@@ -256,7 +256,6 @@ ExchangeResult ExchangeSession::run(std::vector<std::uint8_t> encoded,
   }
   metrics.outcomes.with(exchange_outcome_name(result.outcome)).inc();
   bytes_ += result.stats.payload_bytes;
-  seconds_ += result.stats.duration_s;
   recorder.record(obs::EventType::kExchangeSent, "v2v.exchange",
                   static_cast<double>(result.stats.payload_bytes),
                   static_cast<double>(result.stats.packets),

@@ -82,9 +82,8 @@ class ExchangeSession {
   [[nodiscard]] ExchangeResult exchange_tail(
       const core::ContextTrajectory& sender, std::uint64_t since_metre);
 
-  /// Total bytes and seconds spent in this session so far.
+  /// Total payload bytes moved in this session so far.
   [[nodiscard]] std::size_t total_bytes() const noexcept { return bytes_; }
-  [[nodiscard]] double total_seconds() const noexcept { return seconds_; }
   [[nodiscard]] const ExchangeConfig& config() const noexcept {
     return config_;
   }
@@ -97,7 +96,6 @@ class ExchangeSession {
   ExchangeConfig config_;
   std::uint32_t next_message_id_;
   std::size_t bytes_ = 0;
-  double seconds_ = 0.0;
 };
 
 }  // namespace rups::v2v

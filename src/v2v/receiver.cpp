@@ -51,4 +51,14 @@ bool V2vReceiver::ingest(const v2v::ExchangeResult& result,
   return after_end != before_end || full_exchange;
 }
 
+ExchangeResult V2vRig::pull(const core::ContextTrajectory& sender,
+                            bool force_full) {
+  const bool full = force_full || !receiver.have_full;
+  ExchangeResult result =
+      full ? session.exchange_full(sender)
+           : session.exchange_tail(sender, receiver.synced_metre);
+  (void)receiver.ingest(result, full);
+  return result;
+}
+
 }  // namespace rups::v2v

@@ -10,7 +10,7 @@ namespace rups::v2v {
 /// Receiver-side view of one neighbour's trajectory, maintained across
 /// exchanges: splices delivered/degraded updates onto a cached copy, tracks
 /// the sync watermark, and falls back to a full transfer when a failed
-/// exchange leaves a gap. Shared by the campaign/fleet simulators and the
+/// exchange leaves a gap. Driven through V2vRig by the simulators and the
 /// streaming BeaconSession (src/stream).
 struct V2vReceiver {
   core::ContextTrajectory received;
@@ -30,6 +30,23 @@ struct V2vReceiver {
   /// `synced_metre`, so back-to-back kDegraded exchanges re-request from
   /// the original watermark instead of regressing it.
   bool ingest(const v2v::ExchangeResult& result, bool full_exchange);
+};
+
+/// One receiver's side of the Sec. V-B exchange: a session over a borrowed
+/// link/channel (both must outlive it; channel may be nullptr) plus the
+/// cache it fills. `pull` is the one place the full-vs-tail rule lives.
+struct V2vRig {
+  ExchangeSession session;
+  V2vReceiver receiver;
+
+  V2vRig(DsrcLink* link, FaultyChannel* channel, ExchangeConfig config,
+         std::size_t channels, std::size_t capacity_m)
+      : session(link, channel, config), receiver(channels, capacity_m) {}
+
+  /// Send the sender's whole context when forced or until a usable copy
+  /// is cached, else the tail past the watermark; ingest the outcome.
+  ExchangeResult pull(const core::ContextTrajectory& sender,
+                      bool force_full = false);
 };
 
 }  // namespace rups::v2v

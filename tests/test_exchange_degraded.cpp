@@ -16,6 +16,7 @@
 #include "v2v/codec.hpp"
 #include "v2v/exchange.hpp"
 #include "v2v/link.hpp"
+#include "v2v/receiver.hpp"
 
 namespace rups::v2v {
 namespace {
@@ -219,7 +220,7 @@ TEST(ExchangeDegraded, SpliceTailExtendsReceiverCopy) {
 }
 
 TEST(ExchangeDegraded, ReceiverFallsBackToFullAfterFailure) {
-  sim::V2vReceiver receiver(16, 1024);
+  V2vReceiver receiver(16, 1024);
   EXPECT_FALSE(receiver.have_full);
 
   const auto sender = sample_trajectory(300, 16);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -25,38 +26,56 @@ struct RoundDigest {
   friend bool operator==(const RoundDigest&, const RoundDigest&) = default;
 };
 
-std::vector<RoundDigest> drive(util::ThreadPool* pool) {
+constexpr double kCellM = 60.0;
+
+sim::CityFleetConfig city_config() {
   sim::CityFleetConfig city_cfg;
   city_cfg.vehicles = 16;
   city_cfg.channels = 24;
   city_cfg.context_capacity_m = 120;
   city_cfg.spacing_m = 22.0;
-  sim::CityFleet city(city_cfg);
+  return city_cfg;
+}
 
+ServiceConfig service_config() {
+  const sim::CityFleetConfig city_cfg = city_config();
   ServiceConfig cfg;
   cfg.shard_count = 4;
-  cfg.cell_m = 60.0;
+  cfg.cell_m = kCellM;
   cfg.queue_capacity = 32;
   cfg.max_vehicles = city_cfg.vehicles;
   cfg.max_sessions = 64;
   cfg.fleet.rups.channels = city_cfg.channels;
   cfg.fleet.rups.context_capacity_m = city_cfg.context_capacity_m;
-  MatcherService svc(cfg);
+  return cfg;
+}
+
+void register_all(const sim::CityFleet& city, MatcherService& svc) {
   for (std::size_t v = 0; v < city.vehicle_count(); ++v) {
     EXPECT_TRUE(svc.register_vehicle(city.vehicle_id(v), city.position(v)));
   }
+}
 
+// Starts a round and observes every vehicle's new metres.
+void feed_round(sim::CityFleet& city, MatcherService& svc) {
+  city.advance_round();
+  svc.begin_round();
+  for (std::size_t v = 0; v < city.vehicle_count(); ++v) {
+    for (const sim::CityFleet::Sample& s : city.samples(v)) {
+      EXPECT_TRUE(
+          svc.observe(city.vehicle_id(v), s.position_m, s.geo, s.power));
+    }
+  }
+}
+
+std::vector<RoundDigest> drive(util::ThreadPool* pool) {
+  sim::CityFleet city(city_config());
+  MatcherService svc(service_config());
+  register_all(city, svc);
   std::vector<RoundDigest> digests;
   std::vector<MatcherService::Ticket> tickets;
   for (std::size_t round = 0; round < 12; ++round) {
-    city.advance_round();
-    svc.begin_round();
-    for (std::size_t v = 0; v < city.vehicle_count(); ++v) {
-      for (const sim::CityFleet::Sample& s : city.samples(v)) {
-        EXPECT_TRUE(
-            svc.observe(city.vehicle_id(v), s.position_m, s.geo, s.power));
-      }
-    }
+    feed_round(city, svc);
     if (round < 4) continue;
 
     tickets.clear();
@@ -92,6 +111,38 @@ TEST(ServiceConcurrency, PooledDrainsRaceFreeAndMatchSerial) {
     util::ThreadPool pool(4);
     EXPECT_EQ(drive(&pool), serial) << "pass " << pass;
   }
+}
+
+// One ego submits, is observed one cell on (the next shard), and submits
+// again in the same round. Its first submit pins its shard for the round,
+// so both requests run on one shard and a pooled drain never drives one
+// FleetEngine from two workers.
+std::array<std::optional<double>, 2> split_round(util::ThreadPool* pool) {
+  sim::CityFleet city(city_config());
+  MatcherService svc(service_config());
+  register_all(city, svc);
+  for (int round = 0; round < 12; ++round) feed_round(city, svc);
+  const std::uint64_t ego = city.vehicle_id(2);
+  const MatcherService::Ticket first = svc.submit(ego, city.vehicle_id(1));
+  const sim::CityFleet::Sample& last = city.samples(2).back();
+  EXPECT_TRUE(svc.observe(ego, last.position_m + kCellM, last.geo, last.power));
+  EXPECT_NE(svc.shard_of(ego), first.shard);
+  const MatcherService::Ticket second = svc.submit(ego, city.vehicle_id(3));
+  EXPECT_TRUE(first.accepted() && second.accepted());
+  EXPECT_EQ(second.shard, first.shard);
+  svc.drain(pool);
+  const auto metres = [&](const MatcherService::Ticket& t) {
+    const auto& estimate = svc.result(t).estimate;
+    return estimate ? std::optional(estimate->distance_m) : std::nullopt;
+  };
+  return {metres(first), metres(second)};
+}
+
+TEST(ServiceConcurrency, EgoShardPinnedForTheRound) {
+  const auto serial = split_round(nullptr);
+  EXPECT_TRUE(serial[0].has_value() || serial[1].has_value());
+  util::ThreadPool pool(4);
+  EXPECT_EQ(split_round(&pool), serial);
 }
 
 }  // namespace

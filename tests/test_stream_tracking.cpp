@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cmath>
+#include <stdexcept>
 
 #include "sim/convoy_sim.hpp"
 #include "stream/stream_engine.hpp"
@@ -61,6 +62,16 @@ TEST(StreamingEngineTracking, LockFollowAndStayAccurate) {
   EXPECT_LE(stats->resyncs - 1, 10u);
   // 120 beacons must cost far less than one full exchange each.
   EXPECT_LT(engine.total_beacon_bytes() - full_bytes, full_bytes * 3);
+}
+
+TEST(StreamingEngineTracking, DuplicateNeighbourIdIsRejected) {
+  v2v::DsrcLink link(1);
+  stream::StreamingEngine engine;
+  engine.add_neighbour(7);
+  EXPECT_THROW(engine.add_neighbour(7, &link, nullptr), std::invalid_argument);
+  EXPECT_THROW(engine.add_neighbour(7), std::invalid_argument);
+  EXPECT_EQ(engine.neighbour_count(), 1u);
+  EXPECT_EQ(engine.beacon_stats(7), nullptr);  // still the ideal neighbour
 }
 
 }  // namespace
