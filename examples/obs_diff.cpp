@@ -1,11 +1,10 @@
-// obs_diff: the metrics-diff regression gate. Compares two metrics JSON
-// documents — bare obs::MetricsSnapshot dumps (trace_tool --metrics-out,
-// bench_out/*_metrics.json), committed bench baselines (BENCH_*.json with
-// "benchmarks"/"metrics" sections), or google-benchmark --benchmark_out
-// files — metric by metric against per-kind relative tolerances, prints a
-// pass/fail table and exits non-zero when the candidate regressed.
+// obs_diff: the metrics-diff regression gate. Compares a committed baseline
+// section against a candidate — a bare obs::MetricsSnapshot dump
+// (trace_tool --metrics-out, bench_out/*_metrics.json) or a google-benchmark
+// --benchmark_out file — row by row against per-kind relative tolerances,
+// prints a pass/fail table and exits non-zero when the candidate regressed.
+// Every baseline row must be present in the candidate: a missing row fails.
 //
-//   $ ./obs_diff BENCH_obs_baseline.json fresh_run.json
 //   $ ./obs_diff --section comm_metrics --counter-tol 0.02 base.json new.json
 //
 // Exit codes: 0 = within tolerance, 1 = regression(s), 2 = usage error.
@@ -13,8 +12,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
@@ -29,58 +28,29 @@ using rups::util::JsonValue;
 namespace {
 
 struct Options {
-  std::string baseline_path;
-  std::string candidate_path;
   std::string section;          // dotted path to the metrics object
   double counter_tol = 0.25;    // two-sided relative
   double gauge_tol = 0.25;      // two-sided, relative with abs floor 1.0
-  double mean_tol = 0.50;       // one-sided on histogram means
   double bench_tol = 0.50;      // one-sided on benchmark cpu times
-  double label_tol = -1.0;      // family cells ("name{...}"); <0 = inherit
   double series_tol = 0.25;     // series columns, per-column mean
   double series_timing_tol = 1.0;  // one-sided, p50/p95/p99 series columns
   bool gauge_one_sided = false;  // only increases beyond gauge_tol fail
-  bool series_one_sided = false;  // series fail only on increases
-  bool skip_counters = false;
-  bool skip_gauges = false;
-  bool skip_histograms = false;
-  bool skip_benchmarks = false;
-  bool skip_series = false;
-  bool require_all = false;     // metrics missing from candidate fail
-  std::vector<std::string> ignore;  // name substrings to exclude
-  /// Per-label tolerance tiers: family cells whose name contains the
-  /// substring use this tolerance instead (first match wins).
-  std::vector<std::pair<std::string, double>> label_tiers;
-
-  /// Tolerance for one scalar metric: label tiers, then the family-cell
-  /// override, then the per-kind default.
-  [[nodiscard]] double tol_for(const std::string& name,
-                               double kind_default) const {
-    const bool labeled = name.find('{') != std::string::npos;
-    if (labeled) {
-      for (const auto& [substr, tol] : label_tiers) {
-        if (name.find(substr) != std::string::npos) return tol;
-      }
-      if (label_tol >= 0.0) return label_tol;
-    }
-    return kind_default;
-  }
 };
 
 void print_help() {
   std::printf(
       "usage: obs_diff [flags] <baseline.json> <candidate.json>\n"
       "\n"
-      "Compares two metrics JSON files and fails on out-of-tolerance\n"
-      "differences. Accepted inputs: obs::MetricsSnapshot dumps, committed\n"
-      "bench baselines (objects with \"metrics\"/\"benchmarks\" sections),\n"
-      "and google-benchmark --benchmark_out files.\n"
+      "Compares every row of a baseline (counters, gauges, benchmark cpu\n"
+      "times, time-series column means) against the candidate and fails on\n"
+      "out-of-tolerance differences or on rows the candidate lacks.\n"
+      "Accepted candidates: obs::MetricsSnapshot dumps and google-benchmark\n"
+      "--benchmark_out files.\n"
       "\n"
       "flags:\n"
       "  --section PATH      read the metrics object at this dotted path\n"
       "                      when a file has it (e.g. comm_metrics); files\n"
-      "                      without the path fall back to the default:\n"
-      "                      the document itself, or its \"metrics\" member\n"
+      "                      without the path use the document itself\n"
       "  --counter-tol F     relative tolerance for counters, two-sided\n"
       "                      (default 0.25)\n"
       "  --gauge-tol F       tolerance for gauges: |diff| <= F*max(|base|,1)\n"
@@ -88,32 +58,13 @@ void print_help() {
       "  --gauge-one-sided   gauges fail only on INCREASES beyond the\n"
       "                      tolerance (for timing-style gauges where\n"
       "                      smaller is better)\n"
-      "  --mean-tol F        one-sided tolerance for histogram-mean\n"
-      "                      regressions (default 0.5)\n"
       "  --bench-tol F       one-sided tolerance for benchmark cpu-time\n"
       "                      regressions (default 0.5)\n"
-      "  --label-tol F       tolerance override for labeled family cells\n"
-      "                      (names like \"family{key=\\\"v\\\"}\"); default:\n"
-      "                      inherit the per-kind tolerance\n"
-      "  --label-tier S=F    family cells whose name contains S use\n"
-      "                      tolerance F (repeatable; first match wins;\n"
-      "                      beats --label-tol)\n"
       "  --series-tol F      per-column tolerance for time-series sections,\n"
       "                      compared on the column mean (default 0.25)\n"
       "  --series-timing-tol F\n"
       "                      one-sided tolerance for p50/p95/p99 series\n"
       "                      columns (wall-clock quantiles; default 1.0)\n"
-      "  --series-one-sided  non-timing series columns fail only on\n"
-      "                      INCREASES beyond the tolerance\n"
-      "  --skip-counters     do not compare counters\n"
-      "  --skip-gauges       do not compare gauges\n"
-      "  --skip-histograms   do not compare histogram means\n"
-      "  --skip-benchmarks   do not compare benchmark timings\n"
-      "  --skip-series       do not compare time-series sections\n"
-      "  --ignore SUBSTR     exclude metrics whose name contains SUBSTR\n"
-      "                      (repeatable)\n"
-      "  --require-all       baseline metrics missing from the candidate\n"
-      "                      count as failures (default: skipped)\n"
       "  --help              this text\n");
 }
 
@@ -133,31 +84,22 @@ std::optional<JsonValue> load_json(const std::string& path) {
   }
 }
 
-bool ignored(const Options& opt, const std::string& name) {
-  for (const std::string& s : opt.ignore) {
-    if (name.find(s) != std::string::npos) return true;
+/// The metrics object inside a document: the --section path when that
+/// path exists in this document, else the document itself. The per-file
+/// fallback lets a sectioned baseline be diffed against a bare dump.
+const JsonValue& metrics_of(const JsonValue& doc, const Options& opt) {
+  if (!opt.section.empty()) {
+    if (const JsonValue* v = doc.find_path(opt.section)) return *v;
   }
-  return false;
+  return doc;
 }
 
-/// The metrics object inside a document: the --section path when that
-/// path exists in this document, else the document itself when it already
-/// looks like a snapshot, else its "metrics" member. The per-file fallback
-/// lets a sectioned baseline bundle be diffed against a bare snapshot dump.
-const JsonValue* metrics_of(const JsonValue& doc, const Options& opt) {
-  if (!opt.section.empty()) {
-    if (const JsonValue* v = doc.find_path(opt.section)) return v;
-  }
-  if (doc.find("counters") != nullptr) return &doc;
-  return doc.find("metrics");
-}
+using Values = std::map<std::string, double>;
 
 /// name -> value maps for one snapshot section ("counters"/"gauges").
-std::map<std::string, double> scalar_section(const JsonValue* metrics,
-                                             const char* section) {
-  std::map<std::string, double> out;
-  if (metrics == nullptr) return out;
-  const JsonValue* arr = metrics->find(section);
+Values scalar_section(const JsonValue& metrics, const char* section) {
+  Values out;
+  const JsonValue* arr = metrics.find(section);
   if (arr == nullptr || !arr->is_array()) return out;
   for (const JsonValue& entry : arr->as_array()) {
     const JsonValue* name = entry.find("name");
@@ -170,44 +112,17 @@ std::map<std::string, double> scalar_section(const JsonValue* metrics,
   return out;
 }
 
-/// name -> mean for the histograms section.
-std::map<std::string, double> histogram_means(const JsonValue* metrics) {
-  std::map<std::string, double> out;
-  if (metrics == nullptr) return out;
-  const JsonValue* arr = metrics->find("histograms");
-  if (arr == nullptr || !arr->is_array()) return out;
-  for (const JsonValue& entry : arr->as_array()) {
-    const JsonValue* name = entry.find("name");
-    if (name == nullptr || !name->is_string()) continue;
-    const double count = entry.number_or("count", 0.0);
-    const double sum = entry.number_or("sum", 0.0);
-    out[name->as_string()] = count > 0.0 ? sum / count : 0.0;
+/// "name#kind" -> mean over the column's windows, from the metrics
+/// object's "series" member or from a bare TimeSeriesData dump
+/// (trace_tool --series-out). Window boundaries are sim-time-deterministic,
+/// so the column mean is the stable scalar to regress on.
+Values series_columns(const JsonValue& metrics) {
+  Values out;
+  const JsonValue* series = metrics.find("series");
+  if (series == nullptr && metrics.find("window_end_s") != nullptr) {
+    series = &metrics;
   }
-  return out;
-}
-
-/// The time-series object inside a document: the document itself when it
-/// is a bare TimeSeriesData dump (trace_tool --series-out), else a
-/// "series" member (of the --section object when given, of the document
-/// otherwise — the shape of committed telemetry baseline sections).
-const JsonValue* series_of(const JsonValue& doc, const Options& opt) {
-  if (!opt.section.empty()) {
-    if (const JsonValue* v = doc.find_path(opt.section)) {
-      if (const JsonValue* s = v->find("series")) return s;
-      if (v->find("window_end_s") != nullptr) return v;
-    }
-  }
-  if (doc.find("window_end_s") != nullptr) return &doc;
-  return doc.find("series");
-}
-
-/// "name#kind" -> mean over the column's windows. Window boundaries are
-/// sim-time-deterministic, so the column mean is the stable scalar to
-/// regress on.
-std::map<std::string, double> series_columns(const JsonValue* series) {
-  std::map<std::string, double> out;
-  if (series == nullptr) return out;
-  const JsonValue* cols = series->find("columns");
+  const JsonValue* cols = series != nullptr ? series->find("columns") : nullptr;
   if (cols == nullptr || !cols->is_array()) return out;
   for (const JsonValue& col : cols->as_array()) {
     const JsonValue* values = col.find("values");
@@ -223,9 +138,9 @@ std::map<std::string, double> series_columns(const JsonValue* series) {
 
 /// Benchmark cpu time in ns: committed baselines store cpu_time_ns,
 /// google-benchmark stores cpu_time + time_unit.
-std::map<std::string, double> benchmark_times(const JsonValue& doc) {
-  std::map<std::string, double> out;
-  const JsonValue* arr = doc.find("benchmarks");
+Values benchmark_times(const JsonValue& metrics) {
+  Values out;
+  const JsonValue* arr = metrics.find("benchmarks");
   if (arr == nullptr || !arr->is_array()) return out;
   for (const JsonValue& entry : arr->as_array()) {
     const JsonValue* name = entry.find("name");
@@ -246,65 +161,63 @@ std::map<std::string, double> benchmark_times(const JsonValue& doc) {
   return out;
 }
 
+/// How one row is judged. one_sided: only candidate > baseline counts.
+/// abs_floor: |diff| is allowed tol * max(|base|, 1) (gauges, so near-zero
+/// values such as an availability of 0.0 vs 0.01 do not explode the ratio);
+/// otherwise the relative change is compared against tol.
+struct Rule {
+  double tol;
+  bool one_sided;
+  bool abs_floor = false;
+};
+
 class DiffTable {
  public:
-  explicit DiffTable(const Options& opt) : opt_(opt) {}
-
-  /// one_sided: only candidate > baseline counts as a regression.
-  void compare(const char* kind, const std::string& name, double base,
-               double cand, double tol, bool one_sided) {
-    if (ignored(opt_, name)) return;
-    double delta;
-    if (base == 0.0 && cand == 0.0) {
-      delta = 0.0;
-    } else if (base == 0.0) {
-      delta = std::numeric_limits<double>::infinity();
-    } else {
-      delta = (cand - base) / std::abs(base);
+  /// Compare every baseline row; a row the candidate lacks fails.
+  void compare_all(const char* kind, const Values& base, const Values& cand,
+                   const std::function<Rule(const std::string&)>& rule_of) {
+    for (const auto& [name, value] : base) {
+      const auto it = cand.find(name);
+      if (it == cand.end()) {
+        std::printf("FAIL  %-9s %-36s %14.6g %14s  missing from candidate\n",
+                    kind, name.c_str(), value, "-");
+        ++failures_;
+        ++compared_;
+      } else {
+        compare(kind, name, value, it->second, rule_of(name));
+      }
     }
-    const bool fail = one_sided ? delta > tol : std::abs(delta) > tol;
-    row(kind, name, base, cand, delta, tol, fail);
-  }
-
-  /// Gauges: relative with an absolute floor of 1.0 so near-zero gauges
-  /// (e.g. an availability of 0.0 vs 0.01) do not explode the ratio. With
-  /// --gauge-one-sided only increases count (timing-style gauges).
-  void compare_gauge(const std::string& name, double base, double cand,
-                     double tol) {
-    if (ignored(opt_, name)) return;
-    const double diff = cand - base;
-    const double allowed = tol * std::max(std::abs(base), 1.0);
-    const double delta = base != 0.0 ? diff / std::abs(base) : diff;
-    const bool fail =
-        opt_.gauge_one_sided ? diff > allowed : std::abs(diff) > allowed;
-    row("gauge", name, base, cand, delta, tol, fail);
-  }
-
-  void missing(const char* kind, const std::string& name, double base) {
-    if (ignored(opt_, name)) return;
-    if (!opt_.require_all) return;
-    std::printf("FAIL  %-9s %-36s %14.6g %14s  missing from candidate\n",
-                kind, name.c_str(), base, "-");
-    ++failures_;
-    ++compared_;
   }
 
   [[nodiscard]] int failures() const noexcept { return failures_; }
   [[nodiscard]] int compared() const noexcept { return compared_; }
 
  private:
-  void row(const char* kind, const std::string& name, double base,
-           double cand, double delta, double tol, bool fail) {
+  void compare(const char* kind, const std::string& name, double base,
+               double cand, Rule rule) {
+    const double diff = cand - base;
+    double delta;
+    bool fail;
+    if (rule.abs_floor) {
+      const double allowed = rule.tol * std::max(std::abs(base), 1.0);
+      delta = base != 0.0 ? diff / std::abs(base) : diff;
+      fail = rule.one_sided ? diff > allowed : std::abs(diff) > allowed;
+    } else {
+      if (base == 0.0) {
+        delta = cand == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
+      } else {
+        delta = diff / std::abs(base);
+      }
+      fail = rule.one_sided ? delta > rule.tol : std::abs(delta) > rule.tol;
+    }
     ++compared_;
     if (fail) ++failures_;
-    // Only print failing rows plus a compact OK line per kind? No —
-    // the full table is the point: one glance shows what moved.
+    // The full table is the point: one glance shows what moved.
     std::printf("%s  %-9s %-36s %14.6g %14.6g %+8.1f%% (tol %.0f%%)\n",
                 fail ? "FAIL" : " ok ", kind, name.c_str(), base, cand,
-                delta * 100.0, tol * 100.0);
+                delta * 100.0, rule.tol * 100.0);
   }
 
-  const Options& opt_;
   int failures_ = 0;
   int compared_ = 0;
 };
@@ -313,78 +226,31 @@ class DiffTable {
 
 int main(int argc, char** argv) {
   Options opt;
+  const std::map<std::string, double*> value_flags = {
+      {"--counter-tol", &opt.counter_tol},
+      {"--gauge-tol", &opt.gauge_tol},
+      {"--bench-tol", &opt.bench_tol},
+      {"--series-tol", &opt.series_tol},
+      {"--series-timing-tol", &opt.series_timing_tol},
+  };
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next_value = [&](double* out) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s requires a value\n", arg.c_str());
-        return false;
-      }
-      *out = std::strtod(argv[++i], nullptr);
-      return true;
-    };
+    const auto flag = value_flags.find(arg);
+    const bool takes_value = flag != value_flags.end() || arg == "--section";
+    if (takes_value && i + 1 >= argc) {
+      std::fprintf(stderr, "error: %s requires a value\n", arg.c_str());
+      return 2;
+    }
     if (arg == "--help" || arg == "-h") {
       print_help();
       return 0;
     } else if (arg == "--section") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --section requires a value\n");
-        return 2;
-      }
       opt.section = argv[++i];
-    } else if (arg == "--ignore") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --ignore requires a value\n");
-        return 2;
-      }
-      opt.ignore.emplace_back(argv[++i]);
-    } else if (arg == "--counter-tol") {
-      if (!next_value(&opt.counter_tol)) return 2;
-    } else if (arg == "--gauge-tol") {
-      if (!next_value(&opt.gauge_tol)) return 2;
-    } else if (arg == "--mean-tol") {
-      if (!next_value(&opt.mean_tol)) return 2;
-    } else if (arg == "--bench-tol") {
-      if (!next_value(&opt.bench_tol)) return 2;
-    } else if (arg == "--label-tol") {
-      if (!next_value(&opt.label_tol)) return 2;
-    } else if (arg == "--series-tol") {
-      if (!next_value(&opt.series_tol)) return 2;
-    } else if (arg == "--series-timing-tol") {
-      if (!next_value(&opt.series_timing_tol)) return 2;
-    } else if (arg == "--label-tier") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --label-tier requires SUBSTR=F\n");
-        return 2;
-      }
-      const std::string tier = argv[++i];
-      const std::size_t eq = tier.rfind('=');
-      if (eq == std::string::npos || eq == 0) {
-        std::fprintf(stderr,
-                     "error: --label-tier expects SUBSTR=F, got '%s'\n",
-                     tier.c_str());
-        return 2;
-      }
-      opt.label_tiers.emplace_back(tier.substr(0, eq),
-                                   std::strtod(tier.c_str() + eq + 1,
-                                               nullptr));
+    } else if (flag != value_flags.end()) {
+      *flag->second = std::strtod(argv[++i], nullptr);
     } else if (arg == "--gauge-one-sided") {
       opt.gauge_one_sided = true;
-    } else if (arg == "--series-one-sided") {
-      opt.series_one_sided = true;
-    } else if (arg == "--skip-counters") {
-      opt.skip_counters = true;
-    } else if (arg == "--skip-gauges") {
-      opt.skip_gauges = true;
-    } else if (arg == "--skip-histograms") {
-      opt.skip_histograms = true;
-    } else if (arg == "--skip-benchmarks") {
-      opt.skip_benchmarks = true;
-    } else if (arg == "--skip-series") {
-      opt.skip_series = true;
-    } else if (arg == "--require-all") {
-      opt.require_all = true;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr,
                    "error: unknown flag %s (see obs_diff --help)\n",
@@ -400,11 +266,9 @@ int main(int argc, char** argv) {
                  "(see obs_diff --help)\n");
     return 2;
   }
-  opt.baseline_path = positional[0];
-  opt.candidate_path = positional[1];
 
-  const auto baseline = load_json(opt.baseline_path);
-  const auto candidate = load_json(opt.candidate_path);
+  const auto baseline = load_json(positional[0]);
+  const auto candidate = load_json(positional[1]);
   if (!baseline.has_value() || !candidate.has_value()) return 2;
   if (!opt.section.empty() && baseline->find_path(opt.section) == nullptr &&
       candidate->find_path(opt.section) == nullptr) {
@@ -413,92 +277,37 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::printf("obs_diff: %s vs %s\n", opt.baseline_path.c_str(),
-              opt.candidate_path.c_str());
+  std::printf("obs_diff: %s vs %s\n", positional[0].c_str(),
+              positional[1].c_str());
 
-  DiffTable table(opt);
-  const JsonValue* base_metrics = metrics_of(*baseline, opt);
-  const JsonValue* cand_metrics = metrics_of(*candidate, opt);
-
-  if (!opt.skip_counters) {
-    const auto base = scalar_section(base_metrics, "counters");
-    const auto cand = scalar_section(cand_metrics, "counters");
-    for (const auto& [name, value] : base) {
-      const auto it = cand.find(name);
-      if (it == cand.end()) {
-        table.missing("counter", name, value);
-      } else {
-        table.compare("counter", name, value, it->second,
-                      opt.tol_for(name, opt.counter_tol),
-                      /*one_sided=*/false);
-      }
-    }
-  }
-  if (!opt.skip_gauges) {
-    const auto base = scalar_section(base_metrics, "gauges");
-    const auto cand = scalar_section(cand_metrics, "gauges");
-    for (const auto& [name, value] : base) {
-      const auto it = cand.find(name);
-      if (it == cand.end()) {
-        table.missing("gauge", name, value);
-      } else {
-        table.compare_gauge(name, value, it->second,
-                            opt.tol_for(name, opt.gauge_tol));
-      }
-    }
-  }
-  if (!opt.skip_histograms) {
-    const auto base = histogram_means(base_metrics);
-    const auto cand = histogram_means(cand_metrics);
-    for (const auto& [name, value] : base) {
-      const auto it = cand.find(name);
-      if (it == cand.end()) {
-        table.missing("hist_mean", name, value);
-      } else {
-        table.compare("hist_mean", name, value, it->second,
-                      opt.tol_for(name, opt.mean_tol),
-                      /*one_sided=*/true);
-      }
-    }
-  }
-  if (!opt.skip_benchmarks) {
-    const auto base = benchmark_times(*baseline);
-    const auto cand = benchmark_times(*candidate);
-    for (const auto& [name, value] : base) {
-      const auto it = cand.find(name);
-      if (it == cand.end()) {
-        table.missing("bench_ns", name, value);
-      } else {
-        table.compare("bench_ns", name, value, it->second, opt.bench_tol,
-                      /*one_sided=*/true);
-      }
-    }
-  }
-  if (!opt.skip_series) {
-    const auto base = series_columns(series_of(*baseline, opt));
-    const auto cand = series_columns(series_of(*candidate, opt));
-    for (const auto& [key, value] : base) {
-      // Wall-clock quantile columns regress one-sided against the looser
-      // timing tolerance; sim-time-deterministic kinds (rate, count, last,
-      // staleness) use --series-tol.
-      const std::string kind = key.substr(key.rfind('#') + 1);
-      const bool timing = kind == "p50" || kind == "p95" || kind == "p99";
-      const auto it = cand.find(key);
-      if (it == cand.end()) {
-        table.missing("series", key, value);
-      } else if (timing) {
-        table.compare("series", key, value, it->second, opt.series_timing_tol,
-                      /*one_sided=*/true);
-      } else {
-        table.compare("series", key, value, it->second,
-                      opt.tol_for(key, opt.series_tol), opt.series_one_sided);
-      }
-    }
-  }
+  const JsonValue& base = metrics_of(*baseline, opt);
+  const JsonValue& cand = metrics_of(*candidate, opt);
+  DiffTable table;
+  table.compare_all("counter", scalar_section(base, "counters"),
+                    scalar_section(cand, "counters"), [&](const auto&) {
+                      return Rule{opt.counter_tol, false};
+                    });
+  table.compare_all("gauge", scalar_section(base, "gauges"),
+                    scalar_section(cand, "gauges"), [&](const auto&) {
+                      return Rule{opt.gauge_tol, opt.gauge_one_sided, true};
+                    });
+  table.compare_all("bench_ns", benchmark_times(base), benchmark_times(cand),
+                    [&](const auto&) { return Rule{opt.bench_tol, true}; });
+  // Wall-clock quantile columns regress one-sided against the looser timing
+  // tolerance; sim-time-deterministic kinds (rate, count, last, staleness)
+  // use --series-tol.
+  table.compare_all(
+      "series", series_columns(base), series_columns(cand),
+      [&](const std::string& key) {
+        const std::string kind = key.substr(key.rfind('#') + 1);
+        const bool timing = kind == "p50" || kind == "p95" || kind == "p99";
+        return timing ? Rule{opt.series_timing_tol, true}
+                      : Rule{opt.series_tol, false};
+      });
 
   if (table.compared() == 0) {
     std::fprintf(stderr,
-                 "error: nothing to compare (no overlapping metrics — wrong "
+                 "error: nothing to compare (no baseline rows — wrong "
                  "--section or input shape?)\n");
     return 2;
   }

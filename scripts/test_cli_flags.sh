@@ -3,7 +3,8 @@
 #  - --help exits 0 and documents the modes/flags,
 #  - unknown flags exit 2 and NAME the offending flag,
 #  - obs_diff passes on identical inputs and fails (exit 1) on a
-#    deliberate 2x slowdown fixture — the regression-gate acceptance case.
+#    deliberate 2x slowdown fixture — the regression-gate acceptance case —
+#    and on a candidate missing a baseline row.
 #
 # Usage: test_cli_flags.sh <trace_tool> <obs_diff>
 set -u
@@ -117,9 +118,6 @@ cat > "$work/base.json" <<'JSON'
 {
   "counters": [{"name": "syn.seeks", "value": 100}],
   "gauges": [{"name": "campaign.last_availability", "value": 0.9}],
-  "histograms": [{"name": "syn.seek_us", "count": 10, "sum": 500.0,
-                  "min": 10.0, "max": 90.0,
-                  "bounds": [100.0], "buckets": [10, 0]}],
   "benchmarks": [{"name": "BM_SynSearch", "cpu_time_ns": 1000000.0}]
 }
 JSON
@@ -127,14 +125,11 @@ cp "$work/base.json" "$work/same.json"
 check "obs_diff identical inputs exits 0" 0 \
   "$obs_diff" "$work/base.json" "$work/same.json"
 
-# Deliberate 2x slowdown of every timed stage: must trip the gate.
+# Deliberate 2x slowdown of the timed benchmark: must trip the gate.
 cat > "$work/slow.json" <<'JSON'
 {
   "counters": [{"name": "syn.seeks", "value": 100}],
   "gauges": [{"name": "campaign.last_availability", "value": 0.9}],
-  "histograms": [{"name": "syn.seek_us", "count": 10, "sum": 1000.0,
-                  "min": 20.0, "max": 180.0,
-                  "bounds": [100.0], "buckets": [9, 1]}],
   "benchmarks": [{"name": "BM_SynSearch", "cpu_time_ns": 2000000.0}]
 }
 JSON
@@ -142,11 +137,21 @@ check "obs_diff flags a 2x slowdown (exit 1)" 1 \
   "$obs_diff" "$work/base.json" "$work/slow.json"
 expect_in_output "slowdown verdict is FAIL" "FAIL"
 
-# The same 2x candidate passes when benchmarks/histograms are excluded —
-# the counters did not move.
-check "obs_diff --skip-histograms --skip-benchmarks passes" 0 \
-  "$obs_diff" --skip-histograms --skip-benchmarks \
-  "$work/base.json" "$work/slow.json"
+# Every baseline row is required: a candidate that lacks one fails.
+cat > "$work/missing.json" <<'JSON'
+{
+  "counters": [{"name": "syn.seeks", "value": 100}],
+  "benchmarks": [{"name": "BM_SynSearch", "cpu_time_ns": 1000000.0}]
+}
+JSON
+check "obs_diff fails on a baseline row missing from the candidate (exit 1)" \
+  1 "$obs_diff" "$work/base.json" "$work/missing.json"
+expect_in_output "the missing row is named" "missing from candidate"
+
+# Row selection lives in the baseline, not in flags.
+check "obs_diff removed --skip-histograms is unknown (exit 2)" 2 \
+  "$obs_diff" --skip-histograms "$work/base.json" "$work/same.json"
+expect_in_output "error names the flag" "--skip-histograms"
 
 # --section falls back per file; a bogus section in both inputs errors.
 check "obs_diff bogus --section exits 2" 2 \

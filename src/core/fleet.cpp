@@ -44,6 +44,11 @@ FleetMetrics& fleet_metrics() {
 }  // namespace
 
 FleetEngine::FleetEngine(FleetConfig config) : config_(config) {
+  // SynCache shards (and their seekers) are built lazily inside a batch,
+  // after its counters have moved: reject the config up front instead.
+  if (config_.rups.syn.stride_m == 0) {
+    throw std::invalid_argument("FleetEngine: syn.stride_m must be >= 1");
+  }
   config_.cache.enabled = config_.use_cache;
 }
 

@@ -62,9 +62,7 @@ SynCache::TrackOutcome SynCache::verify_tracked(
   const auto band = [&](std::int64_t pred_m, std::size_t slide_metres)
       -> std::pair<std::size_t, std::size_t> {
     if (slide_metres < p.window) return {0, 0};
-    const auto stride =
-        static_cast<std::int64_t>(std::max<std::size_t>(1,
-            seeker_.config().stride_m));
+    const auto stride = static_cast<std::int64_t>(seeker_.config().stride_m);
     const auto max_pos = static_cast<std::int64_t>(
         (slide_metres - p.window) / static_cast<std::size_t>(stride));
     const auto r = static_cast<std::int64_t>(config_.verify_radius_m);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 #include "core/channel_select.hpp"
 #include "core/turn_detector.hpp"
@@ -51,6 +52,9 @@ SynMetrics& syn_metrics() {
 SynSeeker::SynSeeker(SynConfig config)
     : config_(config),
       identity_rows_(std::max<std::size_t>(config.top_channels, 1)) {
+  if (config_.stride_m == 0) {
+    throw std::invalid_argument("SynSeeker: stride_m must be >= 1");
+  }
   std::iota(identity_rows_.begin(), identity_rows_.end(), std::size_t{0});
 }
 
@@ -159,26 +163,20 @@ SynSeeker::Candidate SynSeeker::best_over_grid(
 
   double scores[kLagBlock];
 
-  // Strided grids (metre_step > 1) never use the FLOAT kernel's
-  // strided-lane nest for big scans: its lane loads are non-contiguous,
-  // the auto-vectorizer gives up, and the 6×kLagBlock live accumulators
-  // then cost more than per-position scoring. Instead:
-  //  - small strides (≤ kCoveringScanMaxStrideM, measured — DESIGN
-  //    §11): score the *contiguous covering metre range* at full block
-  //    width and reduce only the lanes landing on the grid. Scores are
-  //    bit-identical however they are batched, so the extra lanes are
-  //    semantically free, and at batch speed this beats per-position
-  //    scoring up to the measured crossover stride.
-  //  - larger strides: per-position scoring (the covering range would
-  //    spend most lanes between grid points).
-  // The quantized kernel needs neither: its along-window integer pass
-  // scores strided lanes at contiguous cost, so every quantized grid
-  // takes the generic batched loop below.
-  if (metre_step > 1 && pair.precision == KernelPrecision::kFloat32) {
+  // Strided FLOAT grids up to kCoveringScanMaxStrideM (measured — DESIGN
+  // §11) score the *contiguous covering metre range* at full block width
+  // and reduce only the lanes landing on the grid: scores are bit-identical
+  // however they are batched, so the extra lanes are semantically free,
+  // and the contiguous scan beats the strided batched scan up to that
+  // stride. Wider strides, small spans (they end in degenerate
+  // per-position blocks for counts under kLagBlock) and every quantized
+  // grid (its along-window integer pass scores strided lanes at contiguous
+  // cost) take the generic batched loop below.
+  if (metre_step > 1 && metre_step <= kCoveringScanMaxStrideM &&
+      pair.precision == KernelPrecision::kFloat32) {
     const std::size_t m_lo = grid_lo * metre_step;
     const std::size_t m_last = (grid_hi - 1) * metre_step;
-    if (metre_step <= kCoveringScanMaxStrideM &&
-        m_last - m_lo + 1 >= kLagBlock) {
+    if (m_last - m_lo + 1 >= kLagBlock) {
       std::size_t blocks = 0;
       const auto reduce_cover = [&](std::size_t m0) {
         for (std::size_t b = 0; b < kLagBlock; ++b) {
@@ -210,20 +208,6 @@ SynSeeker::Candidate SynSeeker::best_over_grid(
       syn_metrics().kernel_blocks.inc(blocks);
       return best;
     }
-    if (metre_step > kCoveringScanMaxStrideM) {
-      for (std::size_t g = grid_lo; g < grid_hi; ++g) {
-        const double s = packed_correlation(pair.fixed, pair.fixed_start,
-                                            pair.sliding, g * metre_step,
-                                            window, config_.correlation);
-        if (!best.valid || s > best.correlation) {
-          best = {s, g * index_step, true};
-        }
-      }
-      syn_metrics().kernel_blocks.inc(grid_hi - grid_lo);
-      return best;
-    }
-    // Small-span strided grid: fall through — the generic loop below ends
-    // in degenerate per-position blocks for counts under kLagBlock.
   }
 
   std::size_t q = grid_lo;
@@ -263,11 +247,11 @@ SynSeeker::Candidate SynSeeker::slide(const ScanPair& pair,
 
   // Coarse-to-fine: scan every coarse_stride-th position, then refine the
   // neighbourhood of the best coarse hit exhaustively. Only engaged when
-  // the stride is wide enough to beat the exhaustive batched scan: below
-  // the measured covering crossover the cheapest way to score a strided
-  // grid IS the contiguous covering scan (see best_over_grid), which costs
-  // the same as scoring every position — so a sparse pre-pass would only
-  // add its refine pass on top. The quantized kernel scores any stride at
+  // the stride is wide enough to beat the exhaustive batched scan: up to
+  // kCoveringScanMaxStrideM a float strided grid is scored by the
+  // contiguous covering scan (see best_over_grid), which costs the same as
+  // scoring every position — so a sparse pre-pass would only add its
+  // refine pass on top. The quantized kernel scores any stride at
   // batch cost, so it engages coarse-to-fine for every stride > 1.
   const std::size_t coarse_floor =
       pair.precision == KernelPrecision::kFloat32 ? kCoveringScanMaxStrideM

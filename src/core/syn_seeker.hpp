@@ -13,12 +13,12 @@
 
 namespace rups::core {
 
-/// Largest metre-stride at which best_over_grid scores a strided grid by
-/// batching the contiguous COVERING metre range (discarding off-grid
-/// lanes) instead of scoring grid points one by one. Measured crossover,
-/// not the old hardcoded kLagBlock/2 rule: `bench_syn_kernel
-/// --stride-crossover` times both strategies per stride at the paper
-/// point and this constant records where per-position wins (DESIGN §11).
+/// Largest metre-stride at which best_over_grid scores a strided FLOAT
+/// grid by batching the contiguous COVERING metre range (discarding
+/// off-grid lanes) instead of the strided batched scan. It also sets the
+/// float coarse-to-fine floor in slide(), so changing it changes search
+/// results. `bench_syn_kernel --stride-crossover` times both strategies
+/// per stride at the paper point (DESIGN §11).
 inline constexpr std::size_t kCoveringScanMaxStrideM = 6;
 
 /// Parameters of the SYN-point search (paper Secs. IV-D, V-C, VI-B).

@@ -245,6 +245,8 @@ MatcherService::Ticket MatcherService::submit(std::uint64_t ego_id,
 
   ego.pinned_round = rounds_;
   ego.pinned_shard = shard_index;
+  // Until the drain that serves it, the ticket reads "no estimate".
+  clear_result(tickets_[request.ticket]);
   ++round_requests_;
   m_admission_.with(admission_reason(Admission::kAccepted)).inc();
   if (health_ != nullptr) health_->on_admission(true);
@@ -304,19 +306,22 @@ void MatcherService::purge_queued(std::uint32_t slot) {
     for (std::size_t i = 0; i < pending; ++i) {
       if (!shard.queue.pop(request)) break;
       if (request.ego_slot == slot || request.neighbour_slot == slot) {
-        // The ticket was already handed out; resolve it to "no estimate"
-        // (same shape a below-threshold query produces).
-        auto& result = tickets_[request.ticket];
-        result.resize(1);
-        result[0].estimate.reset();
-        result[0].syn_points.clear();
-        result[0].latency_us = 0.0;
+        // The ticket was already handed out; it keeps the "no estimate"
+        // submit() left in its slot.
         obs::Registry::global().counter("service.requests_purged").inc();
         continue;
       }
       (void)shard.queue.push(request);  // cannot fail: one slot just freed
     }
   }
+}
+
+void MatcherService::clear_result(
+    std::vector<core::FleetEngine::NeighbourResult>& slot) {
+  slot.resize(1);
+  slot[0].estimate.reset();
+  slot[0].syn_points.clear();
+  slot[0].latency_us = 0.0;
 }
 
 MatcherService::Ticket MatcherService::subscribe(std::uint64_t ego_id,
@@ -382,10 +387,7 @@ MatcherService::Ticket MatcherService::subscribe(std::uint64_t ego_id,
   sub.neighbour_slot = nb_slot;
   sub.last_end = 0;
   sub.active = true;
-  sub.result.resize(1);
-  sub.result[0].estimate.reset();
-  sub.result[0].syn_points.clear();
-  sub.result[0].latency_us = 0.0;
+  clear_result(sub.result);
   stream_index_.emplace(key, sub_index);
   reg.gauge("service.streams").set(
       static_cast<double>(stream_index_.size()));

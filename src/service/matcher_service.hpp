@@ -137,9 +137,12 @@ class MatcherService {
   void drain(util::ThreadPool* pool = nullptr);
 
   /// Result slot of an accepted ticket, valid until the next begin_round.
+  /// Holds no estimate until the drain() that serves it; a rejected ticket
+  /// always reads no estimate.
   [[nodiscard]] const core::FleetEngine::NeighbourResult& result(
       const Ticket& ticket) const {
-    return tickets_[ticket.index][0];
+    return ticket.index == kInvalidIndex ? kNoEstimate
+                                         : tickets_[ticket.index][0];
   }
 
   // --- Streaming mode -----------------------------------------------------
@@ -163,10 +166,12 @@ class MatcherService {
   void drain_stream(util::ThreadPool* pool = nullptr);
 
   /// Latest streaming result of a subscription ticket. Holds no estimate
-  /// until the first drain_stream() after the ego context grew.
+  /// until the first drain_stream() after the ego context grew; a rejected
+  /// ticket always reads no estimate.
   [[nodiscard]] const core::FleetEngine::NeighbourResult& stream_result(
       const Ticket& ticket) const {
-    return stream_subs_[ticket.index].result[0];
+    return ticket.index == kInvalidIndex ? kNoEstimate
+                                         : stream_subs_[ticket.index].result[0];
   }
   [[nodiscard]] std::size_t stream_count() const noexcept {
     return stream_index_.size();
@@ -261,8 +266,15 @@ class MatcherService {
   void drain_stream_shard(std::size_t shard_index);
   Ticket reject(Admission reason);
   /// Drop queued requests touching `slot` (deregister mid-round); their
-  /// tickets resolve to an empty result instead of a released slot.
+  /// tickets keep reading no estimate instead of a released slot.
   void purge_queued(std::uint32_t slot);
+  /// Resolve a single-element result slot to "no estimate" (the shape a
+  /// below-threshold query produces), keeping its capacity.
+  static void clear_result(
+      std::vector<core::FleetEngine::NeighbourResult>& slot);
+
+  /// What result() and stream_result() read for a rejected ticket.
+  static inline const core::FleetEngine::NeighbourResult kNoEstimate{};
 
   ServiceConfig config_;
   util::FixedPool<VehicleSlot> vehicles_;

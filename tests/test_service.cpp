@@ -272,6 +272,65 @@ TEST(Admission, UnknownVehicleAndSelfQueryAreRejected) {
   EXPECT_EQ(unknown.index, MatcherService::kInvalidIndex);
 }
 
+TEST(Admission, UndrainedAndRejectedTicketsReadNoEstimate) {
+  const std::uint64_t seed = 0xC17FULL;
+  const sim::CityFleetConfig city_cfg = small_city(seed);
+  sim::CityFleet city(city_cfg);
+  MatcherService svc(small_service(city_cfg, 2));
+  for (std::size_t v = 0; v < city.vehicle_count(); ++v) {
+    ASSERT_TRUE(svc.register_vehicle(city.vehicle_id(v), city.position(v)));
+  }
+  const auto play_round = [&] {
+    city.advance_round();
+    svc.begin_round();
+    for (std::size_t v = 0; v < city.vehicle_count(); ++v) {
+      for (const sim::CityFleet::Sample& s : city.samples(v)) {
+        ASSERT_TRUE(
+            svc.observe(city.vehicle_id(v), s.position_m, s.geo, s.power));
+      }
+    }
+  };
+  const auto submit_all = [&] {
+    std::vector<MatcherService::Ticket> tickets;
+    for (const sim::CityFleet::Query& q : city.queries()) {
+      tickets.push_back(
+          svc.submit(city.vehicle_id(q.ego), city.vehicle_id(q.neighbour)));
+      EXPECT_TRUE(tickets.back().accepted());
+      EXPECT_FALSE(svc.result(tickets.back()).estimate.has_value());
+    }
+    return tickets;
+  };
+  for (std::size_t round = 0; round <= kWarmup; ++round) play_round();
+
+  const std::uint64_t ego = city.vehicle_id(0);
+  const auto self = svc.submit(ego, ego);
+  ASSERT_FALSE(self.accepted());
+  EXPECT_FALSE(svc.result(self).estimate.has_value());
+  const auto unknown = svc.subscribe(ego, ~std::uint64_t{0});
+  ASSERT_FALSE(unknown.accepted());
+  EXPECT_FALSE(svc.stream_result(unknown).estimate.has_value());
+
+  // First round: the slots have never been drained. After the drain the
+  // results are exactly what bare per-vehicle engines compute.
+  const auto tickets = submit_all();
+  svc.drain();
+  const Replay reference = run_reference(seed);
+  ASSERT_FALSE(reference.outcomes.empty());
+  ASSERT_EQ(tickets.size(), reference.outcomes[0].size());
+  bool any_estimate = false;
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    const Outcome o = outcome_of(svc.result(tickets[i]));
+    EXPECT_EQ(o, reference.outcomes[0][i]) << "query " << i;
+    any_estimate = any_estimate || o.has_estimate;
+  }
+  EXPECT_TRUE(any_estimate);
+
+  // Next round: a re-used slot reads "no estimate" until its drain, not
+  // the previous round's answer.
+  play_round();
+  (void)submit_all();
+}
+
 TEST(Admission, VehicleArenaExhaustionRejectsAndRecyclesAfterDeregister) {
   ServiceConfig cfg;
   cfg.max_vehicles = 2;

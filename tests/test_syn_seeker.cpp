@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
 
+#include "core/fleet.hpp"
 #include "core/resolver.hpp"
+#include "obs/metrics.hpp"
 #include "support/road_field.hpp"
 
 namespace rups::core {
@@ -136,16 +140,37 @@ TEST(SynSeeker, CoarseToFineMatchesExhaustive) {
   const auto b = drive(12, 90, 400, 30, 1.0, 11);
   SynConfig exhaustive = small_config();
   SynConfig coarse = small_config();
-  coarse.coarse_stride_m = 5;
+  // Above the float coarse-to-fine floor (kCoveringScanMaxStrideM), so the
+  // sparse pre-pass really runs.
+  coarse.coarse_stride_m = 8;
+  const obs::Counter& windows =
+      obs::Registry::global().counter("syn.windows_scanned");
+  [[maybe_unused]] const std::uint64_t w0 = windows.value();
   const auto s1 = SynSeeker(exhaustive).find_one(a, b);
+  [[maybe_unused]] const std::uint64_t w1 = windows.value();
   const auto s2 = SynSeeker(coarse).find_one(a, b);
+  [[maybe_unused]] const std::uint64_t w2 = windows.value();
   ASSERT_TRUE(s1.has_value());
   ASSERT_TRUE(s2.has_value());
+#ifndef RUPS_OBS_DISABLED
+  EXPECT_LT(w2 - w1, w1 - w0);
+#endif
   // The correlation surface peaks sharply at the true offset; coarse-to-
   // fine must land on the same position.
   EXPECT_EQ(s1->index_a, s2->index_a);
   EXPECT_EQ(s1->index_b, s2->index_b);
   EXPECT_DOUBLE_EQ(s1->correlation, s2->correlation);
+}
+
+TEST(SynSeeker, ZeroStrideIsRejectedAtConstruction) {
+  SynConfig cfg = small_config();
+  cfg.stride_m = 0;
+  EXPECT_THROW(SynSeeker{cfg}, std::invalid_argument);
+  // FleetEngine builds its seekers lazily inside a batch, so it rejects
+  // the config up front.
+  FleetConfig fleet;
+  fleet.rups.syn = cfg;
+  EXPECT_THROW(FleetEngine{fleet}, std::invalid_argument);
 }
 
 /// Trajectory that drives road `road1` for `len1` metres, turns 90
