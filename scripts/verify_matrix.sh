@@ -32,13 +32,15 @@
 #     queue arithmetic) run here too, as do the fleet and streaming
 #     tracking suites (V2V rigs sit by value in a growing vector and
 #     borrow their link and channel pointers).
-#  3. tsan — ThreadSanitizer over the shard-concurrency suite, the
-#     thread-pool tests and the pooled streaming-determinism suite:
-#     pooled drains slice shards (and streaming updates slice
+#  3. tsan — ThreadSanitizer over the service and shard-concurrency
+#     suites, the thread-pool tests and the pooled streaming-determinism
+#     suite: pooled drains slice shards (and streaming updates slice
 #     neighbours) across workers every round, so any cross-shard or
 #     cross-neighbour sharing that is not actually private (arena
 #     slots, ticket table, metric handles, queue internals) surfaces
-#     as a data race.
+#     as a data race. test_service's pooled ShardRouting replay has
+#     several shard workers reading the same per-vehicle packs, which
+#     only the serial sync pass before each drain may write.
 #
 # Usage: scripts/verify_matrix.sh [jobs]   (default: 2)
 set -eu
@@ -106,11 +108,12 @@ echo ""
 echo "== tsan: configure + build shard-concurrency surfaces =="
 cmake --preset tsan
 cmake --build --preset tsan -j"$jobs" --target \
-  test_service_concurrency test_thread_pool test_stream_determinism
+  test_service test_service_concurrency test_thread_pool \
+  test_stream_determinism
 
 echo ""
 echo "== tsan: run sanitized binaries =="
-for bin in test_thread_pool test_service_concurrency \
+for bin in test_thread_pool test_service test_service_concurrency \
            test_stream_determinism; do
   echo "-- $bin"
   "build-tsan/tests/$bin"

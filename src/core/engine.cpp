@@ -85,8 +85,12 @@ void RupsEngine::on_rssi(const sensors::RssiMeasurement& measurement) {
 std::vector<SynPoint> RupsEngine::find_syn_points(
     const ContextTrajectory& neighbour) const {
   // The local pack only changes by the metres driven since the last query;
-  // sync extends it incrementally instead of re-extracting per query.
-  context_pack_.sync(context_);
+  // sync extends it incrementally instead of re-extracting per query. The
+  // re-packed suffix must cover the binder's interpolation reach, which
+  // back-fills up to max_interpolation_gap_m metres behind the head.
+  context_pack_.sync(
+      context_, std::max(PackedContext::kDefaultVolatileSuffixM,
+                         config_.binder.max_interpolation_gap_m + 1));
   std::vector<SynPoint> syns;
   seeker_.find_into(context_, neighbour, &context_pack_, nullptr, nullptr,
                     nullptr, seek_scratch_, syns);

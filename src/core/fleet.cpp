@@ -86,9 +86,13 @@ void FleetEngine::estimate_batch_into(
     const ContextTrajectory& ego,
     std::span<const ContextTrajectory* const> neighbours,
     std::span<const std::uint64_t> ids, util::ThreadPool* pool,
-    std::vector<NeighbourResult>& results) {
-  if (neighbours.size() != ids.size()) {
-    throw std::invalid_argument("FleetEngine: neighbours/ids size mismatch");
+    std::vector<NeighbourResult>& results, const PackedContext* ego_pack,
+    std::span<const PackedContext* const> neighbour_packs) {
+  if (neighbours.size() != ids.size() ||
+      (!neighbour_packs.empty() &&
+       neighbour_packs.size() != neighbours.size())) {
+    throw std::invalid_argument(
+        "FleetEngine: neighbours/ids/packs size mismatch");
   }
   // Duplicate ids would race two workers on one shard — reject them before
   // the batch touches any state.
@@ -105,14 +109,18 @@ void FleetEngine::estimate_batch_into(
   m.neighbours.set(static_cast<double>(neighbours.size()));
   obs::ObsTimer timer(&m.batch_us, "fleet.batch");
 
-  // The ego pack is synced once, single-threaded, then read-only for the
-  // whole batch; per-id shards are materialized up front because the map
-  // must not be mutated from worker threads.
-  ego_pack_.sync(ego, config_.cache.volatile_suffix_m);
+  // The ego pack (the caller's when in sync, else ours) is synced once,
+  // single-threaded, then read-only for the whole batch; per-id shards are
+  // materialized up front because the map must not be mutated from worker
+  // threads.
+  if (ego_pack == nullptr || !ego_pack->in_sync_with(ego)) {
+    ego_pack_.sync(ego, config_.cache.volatile_suffix_m);
+    ego_pack = &ego_pack_;
+  }
   const KernelPrecision prec = config_.rups.syn.precision;
   const QuantizedPack* ego_q = nullptr;
   if (prec != KernelPrecision::kFloat32) {
-    ego_qpack_.sync(ego_pack_,
+    ego_qpack_.sync(*ego_pack,
                     prec == KernelPrecision::kInt8 ? QuantBits::kInt8
                                                    : QuantBits::kInt16,
                     config_.cache.volatile_suffix_m);
@@ -139,7 +147,8 @@ void FleetEngine::estimate_batch_into(
     obs::ObsTimer task_timer(&m.task_us, "fleet.task", batch_span);
     SynCache& shard = *shards_.find(ids[i])->second;
     NeighbourResult& r = results[i];
-    shard.find_into(ego, *neighbours[i], &ego_pack_, ego_q, r.syn_points);
+    shard.find_into(ego, *neighbours[i], ego_pack, ego_q, r.syn_points,
+                    neighbour_packs.empty() ? nullptr : neighbour_packs[i]);
     r.estimate = aggregate_estimates(ego, *neighbours[i], r.syn_points,
                                      config_.rups.aggregation);
     task_timer.stop();

@@ -70,11 +70,20 @@ class FleetEngine {
   /// slot's syn_points capacity. With warm caches (and
   /// per_neighbour_latency off) a steady-state batch performs no dynamic
   /// allocation. Identical results to estimate_batch.
-  void estimate_batch_into(const ContextTrajectory& ego,
-                           std::span<const ContextTrajectory* const> neighbours,
-                           std::span<const std::uint64_t> ids,
-                           util::ThreadPool* pool,
-                           std::vector<NeighbourResult>& results);
+  ///
+  /// Callers that own packs of the trajectories (MatcherService packs each
+  /// vehicle once per drain) pass them in: an `ego_pack` in sync with `ego`
+  /// wins over the engine's own copy, and so does a `neighbour_packs[i]`
+  /// (empty, or one entry per neighbour, null allowed) in sync with
+  /// `*neighbours[i]`. A caller pack must hold the trajectory's current
+  /// values, not just its shape. Results are identical either way.
+  void estimate_batch_into(
+      const ContextTrajectory& ego,
+      std::span<const ContextTrajectory* const> neighbours,
+      std::span<const std::uint64_t> ids, util::ThreadPool* pool,
+      std::vector<NeighbourResult>& results,
+      const PackedContext* ego_pack = nullptr,
+      std::span<const PackedContext* const> neighbour_packs = {});
 
   /// Drop the cache shard of one neighbour (e.g. it left radio range).
   void forget(std::uint64_t id);
@@ -89,9 +98,11 @@ class FleetEngine {
 
  private:
   FleetConfig config_;
+  /// Own ego pack, synced only when the caller passes none in sync.
   PackedContext ego_pack_;
-  /// Quantized mirror of ego_pack_, synced once per batch and shared
-  /// read-only by every shard — only when rups.syn.precision != kFloat32.
+  /// Quantized mirror of the batch's ego pack, synced once per batch and
+  /// shared read-only by every shard — only when rups.syn.precision !=
+  /// kFloat32.
   QuantizedPack ego_qpack_;
   std::map<std::uint64_t, std::unique_ptr<SynCache>> shards_;
 };

@@ -1,6 +1,7 @@
 #include "core/syn_cache.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -128,7 +129,18 @@ void SynCache::find_into(const ContextTrajectory& local,
                          const ContextTrajectory& neighbour,
                          const PackedContext* local_pack,
                          const QuantizedPack* local_qpack,
-                         std::vector<SynPoint>& out) {
+                         std::vector<SynPoint>& out,
+                         const PackedContext* neighbour_pack) {
+  const KernelPrecision prec = seeker_.config().precision;
+  const bool quantized = prec != KernelPrecision::kFloat32;
+  const QuantBits bits =
+      prec == KernelPrecision::kInt8 ? QuantBits::kInt8 : QuantBits::kInt16;
+  if (local_pack == nullptr || !local_pack->in_sync_with(local) ||
+      (quantized &&
+       (local_qpack == nullptr || !local_qpack->mirrors(*local_pack, bits)))) {
+    throw std::invalid_argument(
+        "SynCache: the ego pack (and its quantized mirror) must be in sync");
+  }
   out.clear();
   CacheMetrics& m = cache_metrics();
   ++stats_.queries;
@@ -136,32 +148,17 @@ void SynCache::find_into(const ContextTrajectory& local,
   const std::size_t points =
       std::max<std::size_t>(1, seeker_.config().syn_points);
 
-  // Sync packs; a fresh caller-shared ego pack wins over our own copy.
-  const PackedContext* lp = local_pack;
-  if (lp == nullptr || !lp->in_sync_with(local)) {
-    local_pack_.sync(local, config_.volatile_suffix_m);
-    lp = &local_pack_;
+  // A caller-shared neighbour pack in sync wins over our own copy.
+  const PackedContext* np = neighbour_pack;
+  if (np == nullptr || !np->in_sync_with(neighbour)) {
+    neighbour_pack_.sync(neighbour, config_.volatile_suffix_m);
+    np = &neighbour_pack_;
   }
-  neighbour_pack_.sync(neighbour, config_.volatile_suffix_m);
 
-  // Quantized mirrors of whatever packs the scans will read. A fresh
-  // caller-shared ego mirror (FleetEngine's, synced once per batch) wins
-  // over our own copy, same rule as the float pack above.
-  const KernelPrecision prec = seeker_.config().precision;
-  const QuantizedPack* lq = nullptr;
-  const QuantizedPack* nq = nullptr;
-  if (prec != KernelPrecision::kFloat32) {
-    const QuantBits bits = prec == KernelPrecision::kInt8 ? QuantBits::kInt8
-                                                          : QuantBits::kInt16;
-    if (local_qpack != nullptr && local_qpack->mirrors(*lp, bits)) {
-      lq = local_qpack;
-    } else {
-      local_q_.sync(*lp, bits, config_.volatile_suffix_m);
-      lq = &local_q_;
-    }
-    neighbour_q_.sync(neighbour_pack_, bits, config_.volatile_suffix_m);
-    nq = &neighbour_q_;
-  }
+  // Quantized mirror of whichever neighbour pack the scans will read.
+  if (quantized) neighbour_q_.sync(*np, bits, config_.volatile_suffix_m);
+  const QuantizedPack* lq = quantized ? local_qpack : nullptr;
+  const QuantizedPack* nq = quantized ? &neighbour_q_ : nullptr;
 
   if (!config_.enabled || !locked_) {
     // Cold (or tracking disabled): the full multi-offset search, through
@@ -170,14 +167,13 @@ void SynCache::find_into(const ContextTrajectory& local,
     stats_.full_searches += points;
     m.full.inc(points);
     m.resolution.with("full").inc(points);
-    seeker_.find_into(local, neighbour, lp, &neighbour_pack_, lq, nq, scratch_,
-                      out);
+    seeker_.find_into(local, neighbour, local_pack, np, lq, nq, scratch_, out);
     if (config_.enabled) update_lock(local, neighbour, out);
     return;
   }
 
-  const PackedSpan local_span = lp->span();
-  const PackedSpan neighbour_span = neighbour_pack_.span();
+  const PackedSpan local_span = local_pack->span();
+  const PackedSpan neighbour_span = np->span();
   obs::FlightRecorder& recorder = obs::FlightRecorder::global();
   for (std::size_t k = 0; k < points; ++k) {
     const std::size_t offset = k * seeker_.config().syn_segment_spacing_m;
@@ -207,8 +203,8 @@ void SynCache::find_into(const ContextTrajectory& local,
     ++stats_.full_searches;
     m.full.inc();
     obs::ObsTimer timer(&m.full_us, "syncache.full");
-    const auto syn = seeker_.find_one(local, neighbour, offset, lp,
-                                      &neighbour_pack_, lq, nq, &scratch_);
+    const auto syn = seeker_.find_one(local, neighbour, offset, local_pack,
+                                      np, lq, nq, &scratch_);
     if (syn.has_value()) out.push_back(*syn);
   }
   SynSeeker::sort_best_first(out);

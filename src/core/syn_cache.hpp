@@ -51,17 +51,21 @@ class SynCache {
   explicit SynCache(SynConfig syn = {}, SynCacheConfig config = {});
 
   /// Drop-in equivalent of SynSeeker(syn).find(local, neighbour), written
-  /// into `out` (cleared first, capacity retained). A `local_pack` in sync
-  /// with `local` is reused (FleetEngine shares one ego pack across all
-  /// shards), as is `local_qpack` when it mirrors it below kFloat32;
-  /// otherwise the cache maintains its own. Every search plans through the
-  /// cache's scratch, so neither the warm tracking path nor a steady cold
-  /// pair (out of radio range) allocates once the session is warm.
+  /// into `out` (cleared first, capacity retained). The ego side is the
+  /// caller's: `local_pack` must be in sync with `local` and, below
+  /// kFloat32, `local_qpack` must mirror it (FleetEngine shares one of each
+  /// across all shards); otherwise std::invalid_argument, before any state
+  /// changes. A `neighbour_pack` in sync with `neighbour` wins over the
+  /// cache's own copy (MatcherService packs each vehicle once per drain).
+  /// Every search plans through the cache's scratch, so neither the warm
+  /// tracking path nor a steady cold pair (out of radio range) allocates
+  /// once the session is warm.
   void find_into(const ContextTrajectory& local,
                  const ContextTrajectory& neighbour,
                  const PackedContext* local_pack,
                  const QuantizedPack* local_qpack,
-                 std::vector<SynPoint>& out);
+                 std::vector<SynPoint>& out,
+                 const PackedContext* neighbour_pack = nullptr);
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
@@ -90,10 +94,10 @@ class SynCache {
 
   SynCacheConfig config_;
   SynSeeker seeker_;
-  PackedContext local_pack_;
+  /// Own neighbour pack, synced only when the caller passes none in sync.
   PackedContext neighbour_pack_;
-  /// Quantized mirrors, synced only when syn.precision != kFloat32.
-  QuantizedPack local_q_;
+  /// Quantized neighbour mirror, synced only when syn.precision !=
+  /// kFloat32.
   QuantizedPack neighbour_q_;
   bool locked_ = false;
   std::int64_t lock_offset_m_ = 0;

@@ -17,16 +17,20 @@ constexpr std::uint64_t pair_key(std::uint32_t ego,
   return (static_cast<std::uint64_t>(ego) << 32) | neighbour;
 }
 
-/// Shard routing keys must be finite: count and refuse anything else.
-/// The family is registered on the first rejection, so clean runs export
-/// exactly the metrics they did before.
-bool finite_position(double position_m) {
-  if (std::isfinite(position_m)) return true;
+/// Count a refused input and return false. The family is registered on
+/// the first rejection, so clean runs export exactly the metrics they did
+/// before.
+bool reject_input(const char* reason) {
   obs::Registry::global()
       .counter_family("service.rejected_input", "reason")
-      .with("non_finite_position")
+      .with(reason)
       .inc();
   return false;
+}
+
+/// Shard routing keys must be finite: count and refuse anything else.
+bool finite_position(double position_m) {
+  return std::isfinite(position_m) || reject_input("non_finite_position");
 }
 
 }  // namespace
@@ -153,6 +157,9 @@ bool MatcherService::observe(std::uint64_t id, double position_m,
   const auto it = vehicle_index_.find(id);
   if (it == vehicle_index_.end()) return false;
   VehicleSlot& slot = vehicles_[it->second];
+  if (power.channels() != slot.traj.channels()) {
+    return reject_input("width_mismatch");
+  }
   slot.position_m = position_m;
   // Copy into the recycled buffer (equal width: no allocation), then swap
   // it for whatever the bounded trajectory evicts.
@@ -257,21 +264,33 @@ MatcherService::Ticket MatcherService::submit(std::uint64_t ego_id,
   return t;
 }
 
+void MatcherService::sync_packs() {
+  for (const auto& [id, index] : vehicle_index_) {
+    VehicleSlot& v = vehicles_[index];
+    if (!v.pack.in_sync_with(v.traj)) v.pack.sync(v.traj, 0);
+  }
+}
+
+void MatcherService::estimate(VehicleSlot& ego, const VehicleSlot& neighbour,
+                              std::vector<core::FleetEngine::NeighbourResult>&
+                                  result) {
+  const core::ContextTrajectory* nb_traj = &neighbour.traj;
+  const core::PackedContext* nb_pack = &neighbour.pack;
+  ego.engine.estimate_batch_into(
+      ego.traj, std::span<const core::ContextTrajectory* const>(&nb_traj, 1),
+      std::span<const std::uint64_t>(&neighbour.id, 1), nullptr, result,
+      &ego.pack, std::span<const core::PackedContext* const>(&nb_pack, 1));
+}
+
 void MatcherService::drain_shard(std::size_t shard_index) {
   Shard& shard = shards_[shard_index];
   const double start_us = obs::now_us();
 
   QueuedRequest request;
   while (shard.queue.pop(request)) {
-    VehicleSlot& ego = vehicles_[request.ego_slot];
-    VehicleSlot& neighbour = vehicles_[request.neighbour_slot];
-    const core::ContextTrajectory* nb_traj = &neighbour.traj;
-
     const double t0 = obs::now_us();
-    ego.engine.estimate_batch_into(
-        ego.traj, std::span<const core::ContextTrajectory* const>(&nb_traj, 1),
-        std::span<const std::uint64_t>(&neighbour.id, 1), nullptr,
-        tickets_[request.ticket]);
+    estimate(vehicles_[request.ego_slot], vehicles_[request.neighbour_slot],
+             tickets_[request.ticket]);
     const double elapsed = obs::now_us() - t0;
 
     ++sessions_[request.session].queries;
@@ -289,6 +308,7 @@ void MatcherService::drain_shard(std::size_t shard_index) {
 }
 
 void MatcherService::drain(util::ThreadPool* pool) {
+  sync_packs();
   if (pool == nullptr || shards_.size() <= 1) {
     for (std::size_t s = 0; s < shards_.size(); ++s) drain_shard(s);
     return;
@@ -422,13 +442,8 @@ void MatcherService::drain_stream_shard(std::size_t shard_index) {
         traj.empty() ? 0 : traj.first_metre() + traj.size();
     if (end == sub.last_end) continue;  // no new context since last update
 
-    VehicleSlot& neighbour = vehicles_[sub.neighbour_slot];
-    const core::ContextTrajectory* nb_traj = &neighbour.traj;
     const double t0 = obs::now_us();
-    ego.engine.estimate_batch_into(
-        traj, std::span<const core::ContextTrajectory* const>(&nb_traj, 1),
-        std::span<const std::uint64_t>(&neighbour.id, 1), nullptr,
-        sub.result);
+    estimate(ego, vehicles_[sub.neighbour_slot], sub.result);
     m_stream_us_.record(obs::now_us() - t0);
 
     sub.last_end = end;
@@ -439,6 +454,7 @@ void MatcherService::drain_stream_shard(std::size_t shard_index) {
 }
 
 void MatcherService::drain_stream(util::ThreadPool* pool) {
+  sync_packs();
   if (pool == nullptr || shards_.size() <= 1) {
     for (std::size_t s = 0; s < shards_.size(); ++s) drain_stream_shard(s);
     return;

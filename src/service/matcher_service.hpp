@@ -59,7 +59,9 @@ struct ServiceConfig {
   double cell_m = 250.0;
   /// Per-shard request queue capacity (admission backpressure bound).
   std::size_t queue_capacity = 1024;
-  /// Vehicle arena capacity (trajectories + packs + quantized mirrors).
+  /// Vehicle arena capacity. Each vehicle holds its trajectory, one pack
+  /// (read by every query on it, as ego and as neighbour) and its engine,
+  /// whose SynCache shards keep no float pack of their own.
   std::size_t max_vehicles = 1024;
   /// Pair-session arena capacity (one per distinct (ego, neighbour)).
   std::size_t max_sessions = 4096;
@@ -118,8 +120,10 @@ class MatcherService {
   /// Append one context-trajectory metre for `id` and update its road
   /// position (shard routing key). The evicted PowerVector's buffers are
   /// recycled into the next append — steady-state observes do not allocate.
-  /// Returns false for unknown ids, and rejects (counted as in
-  /// register_vehicle) a non-finite position without touching the vehicle.
+  /// Returns false for unknown ids, and rejects without touching the
+  /// vehicle a non-finite position (counted as in register_vehicle) or a
+  /// `power` whose width is not the configured channel count
+  /// (service.rejected_input{reason="width_mismatch"}).
   bool observe(std::uint64_t id, double position_m, core::GeoSample geo,
                const core::PowerVector& power);
 
@@ -221,6 +225,13 @@ class MatcherService {
     /// PowerVector here so the next observe reuses its heap buffers.
     core::PowerVector spare;
     core::FleetEngine engine;
+    /// The vehicle's one pack: synced by sync_packs() at the start of every
+    /// drain() and drain_stream(), then read by every query on the vehicle,
+    /// as ego and as neighbour. It syncs with volatile_suffix_m = 0 because
+    /// service trajectories are append-only — observe() is their only
+    /// writer, through append_evict, and nothing back-fills them — so only
+    /// new columns need packing.
+    core::PackedContext pack;
     /// Shard this ego's requests run on during round `pinned_round`; the
     /// sentinel never equals rounds_, even before the first begin_round.
     std::uint64_t pinned_round = std::numeric_limits<std::uint64_t>::max();
@@ -262,6 +273,12 @@ class MatcherService {
   };
 
   [[nodiscard]] std::uint32_t shard_of_position(double position_m) const;
+  /// Serial pass: bring every vehicle pack whose trajectory moved in sync.
+  void sync_packs();
+  /// One ego-vs-neighbour query through both vehicles' packs.
+  static void estimate(
+      VehicleSlot& ego, const VehicleSlot& neighbour,
+      std::vector<core::FleetEngine::NeighbourResult>& result);
   void drain_shard(std::size_t shard_index);
   void drain_stream_shard(std::size_t shard_index);
   Ticket reject(Admission reason);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 
 #include "util/hash_noise.hpp"
 #include "util/rng.hpp"
@@ -34,19 +35,28 @@ RupsConfig test_config() {
 }
 
 /// Drives an engine over the synthetic road: constant speed, straight
-/// east, scanning all channels every `sweep_s`.
+/// east, scanning all channels every `sweep_s`. A channel for which
+/// `silent(road_m, channel)` holds is not heard; `every_second` runs once
+/// per simulated second.
 void drive(RupsEngine& engine, double start_road_m, double distance_m,
-           double speed_mps, std::uint64_t noise_seed) {
+           double speed_mps, std::uint64_t noise_seed,
+           bool (*silent)(double, std::size_t) = nullptr,
+           const std::function<void()>& every_second = {}) {
   util::Rng rng(noise_seed);
   const double dt = 0.005;
   const double duration = distance_m / speed_mps;
   double next_obd = 0.0;
   double next_dwell = 0.0;
+  double next_second = 1.0;
   std::size_t dwell_channel = 0;
   for (double t = 0.0; t <= duration; t += dt) {
     if (t >= next_obd) {
       engine.on_speed({t, speed_mps});
       next_obd += 2.0;
+    }
+    if (every_second && t >= next_second) {
+      every_second();
+      next_second += 1.0;
     }
     sensors::ImuSample imu;
     imu.time_s = t;
@@ -62,7 +72,9 @@ void drive(RupsEngine& engine, double start_road_m, double distance_m,
           road_rssi(static_cast<std::int64_t>(std::floor(road_pos)),
                     dwell_channel) +
           rng.gaussian(0.0, 0.5);
-      engine.on_rssi(m);
+      if (silent == nullptr || !silent(road_pos, dwell_channel)) {
+        engine.on_rssi(m);
+      }
       dwell_channel = (dwell_channel + 1) % kChannels;
       next_dwell += 0.015;
     }
@@ -152,6 +164,39 @@ TEST(Engine, MultiSynAggregationUsesConfiguredScheme) {
   ASSERT_TRUE(est.has_value());
   EXPECT_GE(est->syn_count, 3u);
   EXPECT_NEAR(est->distance_m, -50.0, 3.0);
+}
+
+TEST(Engine, MaintainedPackFollowsLongInterpolationGaps) {
+  // A binder gap far beyond the pack's default re-pack suffix: the ego's
+  // channels 0-11 fall silent on road metres 100-280, and when they return
+  // the binder back-fills the whole stretch. The neighbour stopped at road
+  // metre 200, so its recent window matches inside that stretch. Every
+  // query through the maintained pack must score exactly like a search
+  // over the unpacked contexts.
+  RupsConfig cfg = test_config();
+  cfg.binder.max_interpolation_gap_m = 200;
+  RupsEngine ego(cfg);
+  RupsEngine neighbour(cfg);
+  drive(neighbour, 0.0, 200.0, 10.0, 12);
+  const SynSeeker reference(cfg.syn);
+  std::size_t compared = 0;
+  drive(
+      ego, 0.0, 400.0, 10.0, 11,
+      [](double road_m, std::size_t ch) {
+        return ch < 12 && road_m >= 100.0 && road_m < 280.0;
+      },
+      [&] {
+        const auto got = ego.find_syn_points(neighbour.context());
+        const auto want = reference.find(ego.context(), neighbour.context());
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].index_a, want[i].index_a);
+          EXPECT_EQ(got[i].index_b, want[i].index_b);
+          EXPECT_EQ(got[i].correlation, want[i].correlation);
+        }
+        compared += got.size();
+      });
+  EXPECT_GT(compared, 10u);
 }
 
 }  // namespace

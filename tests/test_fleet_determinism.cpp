@@ -373,9 +373,34 @@ TEST(FleetEngine, RejectsDuplicateIdsAndSizeMismatch) {
   const std::vector<std::uint64_t> one_id = {5};
   EXPECT_THROW((void)engine.estimate_batch(ego, two, one_id, nullptr),
                std::invalid_argument);
+  const std::vector<std::uint64_t> two_ids = {5, 6};
+  const std::vector<const PackedContext*> one_pack = {nullptr};
+  std::vector<FleetEngine::NeighbourResult> results;
+  EXPECT_THROW(engine.estimate_batch_into(ego, two, two_ids, nullptr, results,
+                                          nullptr, one_pack),
+               std::invalid_argument);
   EXPECT_EQ(engine.shard_count(), 0u);
   EXPECT_EQ(reg.counter("fleet.batches").value(), batches);
   EXPECT_EQ(reg.counter("fleet.queries").value(), queries);
+}
+
+TEST(SynCache, RejectsAnEgoPackOutOfSync) {
+  // The ego pack is always the caller's: a missing or stale one is refused
+  // before the cache counts a query.
+  SynCache cache;
+  ContextTrajectory ego(kChannels, kCapacity);
+  const ContextTrajectory neighbour(kChannels, kCapacity);
+  const VehicleLog log = make_log(1, 0, 41);
+  append_metres(ego, log, 0, 40);
+  PackedContext pack;
+  pack.sync(ego);
+  append_metres(ego, log, 40, 1);
+  std::vector<SynPoint> out;
+  EXPECT_THROW(cache.find_into(ego, neighbour, &pack, nullptr, out),
+               std::invalid_argument);
+  EXPECT_THROW(cache.find_into(ego, neighbour, nullptr, nullptr, out),
+               std::invalid_argument);
+  EXPECT_EQ(cache.stats().queries, 0u);
 }
 
 }  // namespace

@@ -254,6 +254,34 @@ TEST(ShardRouting, HostilePositionsAreRejectedOrRoutedInRange) {
   EXPECT_LT(svc.shard_of(2), svc.shard_count());
 }
 
+TEST(ShardRouting, WrongWidthPowerIsRejectedWithoutTouchingTheVehicle) {
+  // A power vector of the wrong width is refused at the boundary, counted,
+  // and leaves the vehicle's position (and so its shard) where it was.
+  ServiceConfig cfg;
+  cfg.shard_count = 3;
+  cfg.cell_m = 100.0;
+  MatcherService svc(cfg);
+  obs::Counter& rejected = obs::Registry::global()
+                               .counter_family("service.rejected_input",
+                                               "reason")
+                               .with("width_mismatch");
+  [[maybe_unused]] const std::uint64_t before = rejected.value();
+  ASSERT_TRUE(svc.register_vehicle(1, 50.0));
+  const std::uint32_t shard = svc.shard_of(1);
+  const std::size_t width = cfg.fleet.rups.channels;
+  EXPECT_FALSE(svc.observe(1, 250.0, core::GeoSample{},
+                           core::PowerVector(width - 1)));
+  EXPECT_FALSE(svc.observe(1, 250.0, core::GeoSample{},
+                           core::PowerVector(width + 1)));
+  EXPECT_EQ(svc.shard_of(1), shard);
+#ifndef RUPS_OBS_DISABLED
+  EXPECT_EQ(rejected.value() - before, 2u);
+#endif
+  EXPECT_TRUE(
+      svc.observe(1, 250.0, core::GeoSample{}, core::PowerVector(width)));
+  EXPECT_NE(svc.shard_of(1), shard);
+}
+
 TEST(Admission, UnknownVehicleAndSelfQueryAreRejected) {
   MatcherService svc(ServiceConfig{});
   ASSERT_TRUE(svc.register_vehicle(1, 0.0));
