@@ -100,28 +100,26 @@ Scan make_scan(std::size_t window, std::size_t channels, int mask_pct) {
   return s;
 }
 
-/// Quantized mirrors of one Scan's packs plus typed views — what the
+/// Quantized mirrors of one Scan's packs on both grids — what the
 /// SynSeeker quantized path streams through quantized_correlation_batch.
 struct QuantScan {
   core::QuantizedPack fixed16, slide16, fixed8, slide8;
 
   explicit QuantScan(const Scan& s) {
-    fixed16.build(s.fixed_pack.span(), core::QuantBits::kInt16);
-    slide16.build(s.slide_pack.span(), core::QuantBits::kInt16);
-    fixed8.build(s.fixed_pack.span(), core::QuantBits::kInt8);
-    slide8.build(s.slide_pack.span(), core::QuantBits::kInt8);
+    fixed16.build(s.fixed_pack.span(), core::KernelPrecision::kInt16);
+    slide16.build(s.slide_pack.span(), core::KernelPrecision::kInt16);
+    fixed8.build(s.fixed_pack.span(), core::KernelPrecision::kInt8);
+    slide8.build(s.slide_pack.span(), core::KernelPrecision::kInt8);
   }
-  [[nodiscard]] core::QuantView16 fixed_v16(const Scan& s) const {
-    return {fixed16.span16(), s.rows};
-  }
-  [[nodiscard]] core::QuantView16 slide_v16(const Scan& s) const {
-    return {slide16.span16(), s.rows};
-  }
-  [[nodiscard]] core::QuantView8 fixed_v8(const Scan& s) const {
-    return {fixed8.span8(), s.rows};
-  }
-  [[nodiscard]] core::QuantView8 slide_v8(const Scan& s) const {
-    return {slide8.span8(), s.rows};
+
+  /// One full scan of `s` on the int16 (`bits` 16) or int8 (`bits` 8)
+  /// grid; both run the same kernel.
+  void run(const Scan& s, int bits, double* out) const {
+    const bool wide = bits == 16;
+    const core::QuantView fixed{(wide ? fixed16 : fixed8).span(), s.rows};
+    const core::QuantView slide{(wide ? slide16 : slide8).span(), s.rows};
+    core::quantized_correlation_batch(fixed, 0, slide, 0, s.positions,
+                                      s.window, s.config, out);
   }
 };
 
@@ -146,7 +144,7 @@ BENCHMARK(BM_KernelScan)
     ->ArgNames({"w", "k", "B", "maskpct"})
     ->ArgsProduct({{50, 100, 200}, {16, 45, 128}, {1, 4, 8, 16}, {0, 10, 30}});
 
-/// Quantized rows over the same sweep axes; `prec` is the integer width
+/// Quantized rows over the same sweep axes; `prec` is the integer grid
 /// (16 or 8). The quantized kernel has no lane-width knob — its GEMM-shaped
 /// lag pass always runs full kLagBlock blocks — so the B axis is dropped.
 void BM_QuantScan(benchmark::State& state) {
@@ -158,15 +156,7 @@ void BM_QuantScan(benchmark::State& state) {
   const QuantScan q(s);
   std::vector<double> scores(s.positions, 0.0);
   for (auto _ : state) {
-    if (prec == 16) {
-      core::quantized_correlation_batch<std::int16_t>(
-          q.fixed_v16(s), 0, q.slide_v16(s), 0, s.positions, s.window,
-          s.config, scores.data());
-    } else {
-      core::quantized_correlation_batch<std::int8_t>(
-          q.fixed_v8(s), 0, q.slide_v8(s), 0, s.positions, s.window, s.config,
-          scores.data());
-    }
+    q.run(s, prec, scores.data());
     benchmark::DoNotOptimize(scores.data());
     benchmark::ClobberMemory();
   }
@@ -217,22 +207,13 @@ double record_paper_point() {
   return speedup;
 }
 
-/// Wall-time of `reps` full quantized scans at width T, in ns/position.
-template <typename T>
+/// Wall-time of `reps` full quantized scans on grid `bits`, in ns/position.
 double measure_quant_ns_per_position(const Scan& s, const QuantScan& q,
-                                     std::size_t reps) {
+                                     int bits, std::size_t reps) {
   std::vector<double> scores(s.positions, 0.0);
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t r = 0; r < reps; ++r) {
-    if constexpr (sizeof(T) == 2) {
-      core::quantized_correlation_batch<std::int16_t>(
-          q.fixed_v16(s), 0, q.slide_v16(s), 0, s.positions, s.window,
-          s.config, scores.data());
-    } else {
-      core::quantized_correlation_batch<std::int8_t>(
-          q.fixed_v8(s), 0, q.slide_v8(s), 0, s.positions, s.window, s.config,
-          scores.data());
-    }
+    q.run(s, bits, scores.data());
     benchmark::DoNotOptimize(scores.data());
   }
   const double seconds =
@@ -270,14 +251,8 @@ QuantPoint record_quant_point() {
   core::packed_correlation_batch_lanes(core::kLagBlock, s.fixed(), 0,
                                        s.sliding(), 0, s.positions, s.window,
                                        s.config, fscores.data());
-  core::quantized_correlation_batch<std::int16_t>(q.fixed_v16(s), 0,
-                                                  q.slide_v16(s), 0,
-                                                  s.positions, s.window,
-                                                  s.config, s16.data());
-  core::quantized_correlation_batch<std::int8_t>(q.fixed_v8(s), 0,
-                                                 q.slide_v8(s), 0,
-                                                 s.positions, s.window,
-                                                 s.config, s8.data());
+  q.run(s, 16, s16.data());
+  q.run(s, 8, s8.data());
   double maxerr16 = 0.0;
   double maxerr8 = 0.0;
   for (std::size_t i = 0; i < s.positions; ++i) {
@@ -289,12 +264,11 @@ QuantPoint record_quant_point() {
 
   // Warm-up passes keep first-touch and ifunc resolution out of the timing.
   measure_ns_per_position(s, core::kLagBlock, 1);
-  measure_quant_ns_per_position<std::int16_t>(s, q, 1);
-  measure_quant_ns_per_position<std::int8_t>(s, q, 1);
+  measure_quant_ns_per_position(s, q, 16, 1);
+  measure_quant_ns_per_position(s, q, 8, 1);
   const double float_ns = measure_ns_per_position(s, core::kLagBlock, reps);
-  const double i16_ns = measure_quant_ns_per_position<std::int16_t>(s, q,
-                                                                    reps);
-  const double i8_ns = measure_quant_ns_per_position<std::int8_t>(s, q, reps);
+  const double i16_ns = measure_quant_ns_per_position(s, q, 16, reps);
+  const double i8_ns = measure_quant_ns_per_position(s, q, 8, reps);
 
   auto& reg = obs::Registry::global();
   reg.gauge("quant.paper.float_ns_per_pos").set(float_ns);

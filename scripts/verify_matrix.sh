@@ -19,7 +19,9 @@
 #     the quantized-kernel differential suite and its pack-builder fuzz
 #     (random/NaN/±inf/out-of-range dBm through one-shot builds and
 #     eviction-heavy sync cycles must clamp or mask, never UB — the
-#     byte-staggered integer lag passes are prime asan territory),
+#     element-staggered even/odd loads of the integer lag passes read
+#     past the window, and every ISA variant the host supports runs
+#     against the generic pass here, which is prime asan territory),
 #     the fault-injection suites (FaultyChannel truncation/bit-flip paths
 #     and the salvage decoder index arithmetic), the ops-plane surfaces
 #     (sampling profiler seqlock reads, Prometheus exporter socket loop,

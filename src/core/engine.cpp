@@ -1,5 +1,7 @@
 #include "core/engine.hpp"
 
+#include <cmath>
+
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/timer.hpp"
@@ -29,6 +31,15 @@ EngineMetrics& engine_metrics() {
   return m;
 }
 
+/// Count a refused sensor sample. The family is registered on the first
+/// rejection, so clean runs export exactly the metrics they did before.
+void reject_input(const char* reason) {
+  obs::Registry::global()
+      .counter_family("engine.rejected_input", "reason")
+      .with(reason)
+      .inc();
+}
+
 }  // namespace
 
 RupsEngine::RupsEngine(RupsConfig config)
@@ -40,6 +51,11 @@ RupsEngine::RupsEngine(RupsConfig config)
       seeker_(config.syn) {}
 
 void RupsEngine::on_imu(const sensors::ImuSample& imu) {
+  // A non-finite timestamp would poison the IMU clock for good.
+  if (!std::isfinite(imu.time_s)) {
+    reject_input("non_finite_imu_time");
+    return;
+  }
   engine_metrics().imu_samples.inc();
   double dt = 0.0;
   if (have_imu_time_) {
@@ -71,6 +87,16 @@ void RupsEngine::on_imu(const sensors::ImuSample& imu) {
 }
 
 void RupsEngine::on_speed(const sensors::SpeedSample& sample) {
+  // Refused before the speed model sees it: an infinite speed would make
+  // the dead reckoner emit metres forever.
+  if (!std::isfinite(sample.time_s)) {
+    reject_input("non_finite_speed_time");
+    return;
+  }
+  if (!std::isfinite(sample.speed_mps)) {
+    reject_input("non_finite_speed");
+    return;
+  }
   engine_metrics().speed_samples.inc();
   speed_.add_sample(sample);
 }

@@ -45,10 +45,13 @@ class RupsEngine {
   explicit RupsEngine(RupsConfig config = {});
 
   /// Feed one inertial sample (drives calibration, heading, and the
-  /// per-metre trajectory emission).
+  /// per-metre trajectory emission). A non-finite time_s is refused
+  /// before any state changes and counted in engine.rejected_input.
   void on_imu(const sensors::ImuSample& imu);
 
-  /// Feed one OBD speed report.
+  /// Feed one OBD speed report. A non-finite time_s or speed_mps is
+  /// refused before any state changes and counted in
+  /// engine.rejected_input.
   void on_speed(const sensors::SpeedSample& sample);
 
   /// Feed one completed GSM dwell.

@@ -46,9 +46,7 @@ FleetMetrics& fleet_metrics() {
 FleetEngine::FleetEngine(FleetConfig config) : config_(config) {
   // SynCache shards (and their seekers) are built lazily inside a batch,
   // after its counters have moved: reject the config up front instead.
-  if (config_.rups.syn.stride_m == 0) {
-    throw std::invalid_argument("FleetEngine: syn.stride_m must be >= 1");
-  }
+  validate(config_.rups.syn);
   config_.cache.enabled = config_.use_cache;
 }
 
@@ -120,10 +118,7 @@ void FleetEngine::estimate_batch_into(
   const KernelPrecision prec = config_.rups.syn.precision;
   const QuantizedPack* ego_q = nullptr;
   if (prec != KernelPrecision::kFloat32) {
-    ego_qpack_.sync(*ego_pack,
-                    prec == KernelPrecision::kInt8 ? QuantBits::kInt8
-                                                   : QuantBits::kInt16,
-                    config_.cache.volatile_suffix_m);
+    ego_qpack_.sync(*ego_pack, prec, config_.cache.volatile_suffix_m);
     ego_q = &ego_qpack_;
   }
   for (std::size_t i = 0; i < ids.size(); ++i) {

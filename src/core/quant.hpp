@@ -1,11 +1,11 @@
 #pragma once
 
-// Quantized (int16 / int8) companion of the packed float correlation
-// kernel. RSSI is dBm in a narrow physical range, and the paper's eq. (2)
-// score is built from Pearson correlations — which are invariant under
-// positive affine maps of either operand. So each pack can be quantized
-// with one affine (offset, step) pair, q = round((x - offset) / step), and
-// the kernel can run on small integers: the integer moment sums it needs
+// Quantized companion of the packed float correlation kernel. RSSI is dBm
+// in a narrow physical range, and the paper's eq. (2) score is built from
+// Pearson correlations — which are invariant under positive affine maps of
+// either operand. So each pack can be quantized with one affine
+// (offset, step) pair, q = round((x - offset) / step), and the kernel can
+// run on small integers: the integer moment sums it needs
 // (n, Σx, Σy, Σx², Σy², Σxy) are then EXACT, which buys two things the
 // float kernel can never have:
 //   * the reduction over window metres is freely reassociable — the
@@ -18,10 +18,13 @@
 //     (the only FP arithmetic is the per-channel epilogue, identical in
 //     structure to the float kernel's and compiled with the same strict
 //     flags).
-// The cost is a bounded score perturbation from rounding; DESIGN.md §15
-// derives the bound and tests/test_quant_kernel.cpp asserts it
-// differentially against the float path. The float path itself is
-// untouched (packed.{hpp,cpp}) and remains the strict default.
+// There is one storage width (int16) and one kernel. kInt16 and kInt8 are
+// two grids on it: kInt8 only caps |q| at kQuantMax8 instead of
+// kQuantMax16, so its exact sums — and scores — are the ones a dedicated
+// 8-bit kernel would produce. The cost is a bounded score perturbation from
+// rounding; DESIGN.md §15 derives the bound and tests/test_quant_kernel.cpp
+// asserts it differentially against the float path. The float path itself
+// is untouched (packed.{hpp,cpp}) and remains the strict default.
 
 #include <cstddef>
 #include <cstdint>
@@ -34,17 +37,17 @@
 namespace rups::core {
 
 /// Kernel precision knob (SynConfig::precision). kFloat32 is the strict
-/// bit-identical reference path; the integer paths trade a bounded score
+/// bit-identical reference path; the integer grids trade a bounded score
 /// error (see DESIGN §15) for ~2.2-2.5x kernel throughput over the float
 /// batch kernel (measured at the paper point on the reference container).
+/// kInt16 and kInt8 run the same int16 kernel; kInt8 is the coarser grid.
 enum class KernelPrecision : std::uint8_t { kFloat32, kInt16, kInt8 };
 
-enum class QuantBits : std::uint8_t { kInt16, kInt8 };
-
-/// Quantized magnitude caps. int16 uses ±1023 (not ±32767) so that every
-/// per-window integer moment sum fits int32 even at the maximum supported
-/// window — which lets the SIMD kernels accumulate and reduce entirely in
-/// 32-bit lanes: |Σ q_a·q_b| <= kQuantMaxWindowM * 1023² < 2³¹.
+/// Quantized magnitude caps, one per integer grid. int16 uses ±1023 (not
+/// ±32767) so that every per-window integer moment sum fits int32 even at
+/// the maximum supported window — which lets the SIMD kernels accumulate
+/// and reduce entirely in 32-bit lanes: |Σ q_a·q_b| <= kQuantMaxWindowM *
+/// 1023² < 2³¹.
 inline constexpr int kQuantMax16 = 1023;
 inline constexpr int kQuantMax8 = 127;
 /// Largest window (metres) the quantized kernels accept (int32 overflow
@@ -62,26 +65,20 @@ struct QuantParams {
 /// Borrowed view of a quantized pack region: channel-major rows of
 /// pre-masked quantized values (0 where unusable) and 0/1 validity, plus
 /// the pack's affine map. Mirrors PackedSpan column-for-column.
-template <typename T>
-struct QuantSpanT {
-  const T* q = nullptr;
-  const T* v = nullptr;
+struct QuantSpan {
+  const std::int16_t* q = nullptr;
+  const std::int16_t* v = nullptr;
   std::size_t stride = 0;
   std::size_t metres = 0;
   std::size_t channels = 0;
   QuantParams params{};
 };
-using QuantSpan16 = QuantSpanT<std::int16_t>;
-using QuantSpan8 = QuantSpanT<std::int8_t>;
 
 /// Span plus row map, the quantized analogue of PackedView.
-template <typename T>
-struct QuantViewT {
-  QuantSpanT<T> span{};
+struct QuantView {
+  QuantSpan span{};
   std::span<const std::size_t> rows{};
 };
-using QuantView16 = QuantViewT<std::int16_t>;
-using QuantView8 = QuantViewT<std::int8_t>;
 
 /// Owning quantized mirror of a pack. Either built one-shot from any
 /// PackedSpan (SubsetPack fallbacks, tests) or maintained incrementally
@@ -90,41 +87,40 @@ using QuantView8 = QuantViewT<std::int8_t>;
 /// pack — EXCEPT when new data leaves the quantization grid, which forces
 /// a full requantize with fresh params. The grid is built with ~25%
 /// range headroom so steady-state appends essentially never trigger that.
+/// `precision` picks the grid (kInt16 or kInt8); kFloat32 has no mirror
+/// and is rejected with std::invalid_argument.
 class QuantizedPack {
  public:
   QuantizedPack() = default;
 
-  /// Full one-shot (re)quantization of `s` at the given width. Non-finite
+  /// Full one-shot (re)quantization of `s` on the given grid. Non-finite
   /// values (fuzzed NaN/±inf inputs) are masked invalid; everything else
   /// is clamped onto the grid.
-  void build(const PackedSpan& s, QuantBits bits);
+  void build(const PackedSpan& s, KernelPrecision precision);
 
   /// Mirror `pack`'s current span incrementally; returns the number of
   /// columns (re)quantized (everything on a full rebuild). Pass the same
   /// volatile_suffix_m the float pack is synced with.
-  std::size_t sync(const PackedContext& pack, QuantBits bits,
+  std::size_t sync(const PackedContext& pack, KernelPrecision precision,
                    std::size_t volatile_suffix_m =
                        PackedContext::kDefaultVolatileSuffixM);
 
-  /// True when this mirror matches `pack`'s shape at the given width —
+  /// True when this mirror matches `pack`'s shape on the given grid —
   /// i.e. it was sync()ed against the pack's current state.
   [[nodiscard]] bool mirrors(const PackedContext& pack,
-                             QuantBits bits) const noexcept;
+                             KernelPrecision precision) const noexcept;
 
-  [[nodiscard]] QuantBits bits() const noexcept { return bits_; }
+  [[nodiscard]] KernelPrecision precision() const noexcept {
+    return precision_;
+  }
   [[nodiscard]] const QuantParams& params() const noexcept { return params_; }
   [[nodiscard]] bool empty() const noexcept { return metres_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return metres_; }
   [[nodiscard]] std::size_t channels() const noexcept { return channels_; }
 
-  /// Views; only the width matching bits() has data.
-  [[nodiscard]] QuantSpan16 span16() const noexcept {
-    return {q16_.data() + base_, v16_.data() + base_, stride_,
-            metres_,             channels_,           params_};
-  }
-  [[nodiscard]] QuantSpan8 span8() const noexcept {
-    return {q8_.data() + base_, v8_.data() + base_, stride_,
-            metres_,            channels_,          params_};
+  [[nodiscard]] QuantSpan span() const noexcept {
+    return {q_.data() + base_, v_.data() + base_, stride_,
+            metres_,           channels_,         params_};
   }
 
   void clear() noexcept {
@@ -133,18 +129,16 @@ class QuantizedPack {
   }
 
  private:
-  template <typename T>
-  void quantize_column(const PackedSpan& s, std::size_t col, int qmax,
-                       std::vector<T>& q, std::vector<T>& v);
-  void rebuild(const PackedSpan& s, std::uint64_t first_metre, QuantBits bits,
-               std::size_t slack);
+  void quantize_column(const PackedSpan& s, std::size_t col, int qmax);
+  void rebuild(const PackedSpan& s, std::uint64_t first_metre,
+               KernelPrecision precision, std::size_t slack);
   void compact() noexcept;
   /// True when every finite valid value in columns [from, to) of `s` lands
   /// inside the current grid without clamping.
   [[nodiscard]] bool tail_in_range(const PackedSpan& s, std::size_t from,
                                    std::size_t to) const noexcept;
 
-  QuantBits bits_ = QuantBits::kInt16;
+  KernelPrecision precision_ = KernelPrecision::kInt16;
   /// Set by sync(), cleared by build(): only a sync()ed pack may report
   /// mirrors() == true (a one-shot build has no trajectory identity).
   bool synced_shape_ = false;
@@ -154,8 +148,7 @@ class QuantizedPack {
   std::uint64_t first_metre_ = 0;
   std::size_t base_ = 0;
   std::size_t metres_ = 0;
-  std::vector<std::int16_t> q16_, v16_;
-  std::vector<std::int8_t> q8_, v8_;
+  std::vector<std::int16_t> q_, v_;
 };
 
 /// Quantized trajectory correlation: same windowing, row-map, overlap and
@@ -165,10 +158,9 @@ class QuantizedPack {
 /// overlap/min_channels decisions are exact integer counts — identical to
 /// the float path's decisions on the same mask data. Requires
 /// window <= kQuantMaxWindowM.
-template <typename T>
 [[nodiscard]] double quantized_correlation(
-    const QuantViewT<T>& fixed, std::size_t fixed_start,
-    const QuantViewT<T>& sliding, std::size_t pos, std::size_t window,
+    const QuantView& fixed, std::size_t fixed_start, const QuantView& sliding,
+    std::size_t pos, std::size_t window,
     const TrajectoryCorrelationConfig& config);
 
 /// Batched quantized scan: scores pos_lo + q*pos_stride_m for q in
@@ -178,39 +170,67 @@ template <typename T>
 /// per-position quantized_correlation() calls — strided grids cost the
 /// same per position as contiguous ones. Caller guarantees every window
 /// fits: pos_lo + (pos_count-1)*pos_stride_m + window <= span metres.
-template <typename T>
-void quantized_correlation_batch(const QuantViewT<T>& fixed,
+void quantized_correlation_batch(const QuantView& fixed,
                                  std::size_t fixed_start,
-                                 const QuantViewT<T>& sliding,
-                                 std::size_t pos_lo, std::size_t pos_count,
-                                 std::size_t window,
+                                 const QuantView& sliding, std::size_t pos_lo,
+                                 std::size_t pos_count, std::size_t window,
                                  const TrajectoryCorrelationConfig& config,
                                  double* out_scores,
                                  std::size_t pos_stride_m = 1);
 
 /// One fixed/sliding operand pair at the precision a seek runs at. The
 /// float views are always populated (they carry the authoritative shapes
-/// and serve the strict default); the quantized views of the matching
-/// width are populated iff precision != kFloat32. SynSeeker::scan_pair
-/// builds every one — for the full search's two passes and for SynCache's
-/// re-verification band — so one seek switches precision in exactly one
-/// place.
+/// and serve the strict default); the quantized views are populated iff
+/// precision != kFloat32. SynSeeker::scan_pair builds every one — for the
+/// full search's two passes and for SynCache's re-verification band — so
+/// one seek switches precision in exactly one place.
 struct ScanPair {
   KernelPrecision precision = KernelPrecision::kFloat32;
   PackedView fixed{};
   std::size_t fixed_start = 0;
   PackedView sliding{};
-  QuantView16 qfixed16{};
-  QuantView16 qsliding16{};
-  QuantView8 qfixed8{};
-  QuantView8 qsliding8{};
+  QuantView qfixed{};
+  QuantView qsliding{};
 };
 
 /// Precision-dispatching scan: packed_correlation_batch at kFloat32,
-/// quantized_correlation_batch<T> otherwise.
+/// quantized_correlation_batch otherwise.
 void scan_correlation_batch(const ScanPair& pair, std::size_t pos_lo,
                             std::size_t pos_count, std::size_t window,
                             const TrajectoryCorrelationConfig& config,
                             double* out_scores, std::size_t pos_stride_m = 1);
+
+namespace detail {
+
+/// Six exact moment sums (n, sx, sy, sxx, syy, sxy) per lag, written
+/// sum-major into sums[j * kLagBlock + b]. The along-window pass scores
+/// `count` <= kLagBlock lags at lag stride `step`; the GEMM-shaped pass
+/// scores kLagBlock consecutive lags.
+using QuantChannelPassFn = void (*)(const std::int16_t* fq,
+                                    const std::int16_t* fv,
+                                    const std::int16_t* sq0,
+                                    const std::int16_t* sv0, std::size_t step,
+                                    std::size_t count, std::size_t window,
+                                    std::int32_t* sums);
+using QuantLagPassFn = void (*)(const std::int16_t* fq, const std::int16_t* fv,
+                                const std::int16_t* sq0,
+                                const std::int16_t* sv0, std::size_t window,
+                                std::int32_t* sums);
+
+/// One ISA build of the integer window kernel.
+struct QuantKernelVariant {
+  const char* name;
+  bool (*supported)();
+  QuantChannelPassFn channel_pass;
+  QuantLagPassFn lag_pass;
+};
+
+/// Every variant compiled in, widest ISA first; the last entry is the
+/// portable generic pass and is always supported. The kernel runs the
+/// first supported entry. All entries produce identical integer sums, so
+/// the table is exposed only for tests that run each of them.
+[[nodiscard]] std::span<const QuantKernelVariant> quant_kernel_variants();
+
+}  // namespace detail
 
 }  // namespace rups::core

@@ -133,11 +133,9 @@ void SynCache::find_into(const ContextTrajectory& local,
                          const PackedContext* neighbour_pack) {
   const KernelPrecision prec = seeker_.config().precision;
   const bool quantized = prec != KernelPrecision::kFloat32;
-  const QuantBits bits =
-      prec == KernelPrecision::kInt8 ? QuantBits::kInt8 : QuantBits::kInt16;
   if (local_pack == nullptr || !local_pack->in_sync_with(local) ||
       (quantized &&
-       (local_qpack == nullptr || !local_qpack->mirrors(*local_pack, bits)))) {
+       (local_qpack == nullptr || !local_qpack->mirrors(*local_pack, prec)))) {
     throw std::invalid_argument(
         "SynCache: the ego pack (and its quantized mirror) must be in sync");
   }
@@ -156,7 +154,7 @@ void SynCache::find_into(const ContextTrajectory& local,
   }
 
   // Quantized mirror of whichever neighbour pack the scans will read.
-  if (quantized) neighbour_q_.sync(*np, bits, config_.volatile_suffix_m);
+  if (quantized) neighbour_q_.sync(*np, prec, config_.volatile_suffix_m);
   const QuantizedPack* lq = quantized ? local_qpack : nullptr;
   const QuantizedPack* nq = quantized ? &neighbour_q_ : nullptr;
 

@@ -49,12 +49,21 @@ SynMetrics& syn_metrics() {
 
 }  // namespace
 
+void validate(const SynConfig& config) {
+  if (config.stride_m == 0) {
+    throw std::invalid_argument("SynConfig: stride_m must be >= 1");
+  }
+  if (config.precision != KernelPrecision::kFloat32 &&
+      config.window_m > kQuantMaxWindowM) {
+    throw std::invalid_argument(
+        "SynConfig: quantized precision needs window_m <= kQuantMaxWindowM");
+  }
+}
+
 SynSeeker::SynSeeker(SynConfig config)
     : config_(config),
       identity_rows_(std::max<std::size_t>(config.top_channels, 1)) {
-  if (config_.stride_m == 0) {
-    throw std::invalid_argument("SynSeeker: stride_m must be >= 1");
-  }
+  validate(config_);
   std::iota(identity_rows_.begin(), identity_rows_.end(), std::size_t{0});
 }
 
@@ -284,13 +293,10 @@ ScanPair SynSeeker::scan_pair(const PackedView& fixed,
                               const PackedView& sliding,
                               const QuantizedPack* qfixed,
                               const QuantizedPack* qsliding) const {
-  ScanPair pair{config_.precision, fixed, fixed_start, sliding, {}, {}, {}, {}};
-  if (config_.precision == KernelPrecision::kInt16) {
-    pair.qfixed16 = {qfixed->span16(), fixed.rows};
-    pair.qsliding16 = {qsliding->span16(), sliding.rows};
-  } else if (config_.precision == KernelPrecision::kInt8) {
-    pair.qfixed8 = {qfixed->span8(), fixed.rows};
-    pair.qsliding8 = {qsliding->span8(), sliding.rows};
+  ScanPair pair{config_.precision, fixed, fixed_start, sliding, {}, {}};
+  if (config_.precision != KernelPrecision::kFloat32) {
+    pair.qfixed = {qfixed->span(), fixed.rows};
+    pair.qsliding = {qsliding->span(), sliding.rows};
   }
   return pair;
 }
@@ -358,21 +364,19 @@ std::optional<SynPoint> SynSeeker::find_one(
   // both roles from the caller's mirror when it mirrors the SAME pack
   // state; otherwise, and for every SubsetPack operand, the scanned span is
   // quantized one-shot into q_scratch, which outlives the scans.
-  const bool quantized = config_.precision != KernelPrecision::kFloat32;
-  const QuantBits bits = config_.precision == KernelPrecision::kInt8
-                             ? QuantBits::kInt8
-                             : QuantBits::kInt16;
+  const KernelPrecision prec = config_.precision;
+  const bool quantized = prec != KernelPrecision::kFloat32;
   QuantizedPack q_scratch[4];
   std::size_t q_used = 0;
   const auto mirror_of = [&](const PackedSpan& span, const PackedContext* pack,
                              const QuantizedPack* mirror)
       -> const QuantizedPack* {
     if (!quantized) return nullptr;
-    if (pack != nullptr && mirror != nullptr && mirror->mirrors(*pack, bits)) {
+    if (pack != nullptr && mirror != nullptr && mirror->mirrors(*pack, prec)) {
       return mirror;
     }
     QuantizedPack& q = q_scratch[q_used++];
-    q.build(span, bits);
+    q.build(span, prec);
     return &q;
   };
 

@@ -56,13 +56,21 @@ struct SynConfig {
   /// to 1.0 at window_m). "Combined with a smaller threshold" — Sec. V-C.
   double adaptive_threshold_floor = 0.75;
   /// Kernel precision for every correlation scan this seeker issues.
-  /// kFloat32 (default) is the strict bit-identical path; kInt16 / kInt8
-  /// run the quantized GEMM-shaped kernel (bounded score error, DESIGN
-  /// §15). Accept/reject plumbing (plan, thresholds, tie-breaks) is shared,
-  /// so precision only changes scores, never search structure.
+  /// kFloat32 (default) is the strict bit-identical path; kInt16 and kInt8
+  /// are two quantization grids (|q| <= 1023 and <= 127) on the one int16
+  /// GEMM-shaped kernel (bounded score error, DESIGN §15), and need
+  /// window_m <= kQuantMaxWindowM. Accept/reject plumbing (plan,
+  /// thresholds, tie-breaks) is shared, so precision only changes scores,
+  /// never search structure.
   KernelPrecision precision = KernelPrecision::kFloat32;
   TrajectoryCorrelationConfig correlation{};
 };
+
+/// Rejects a SynConfig no seek could run with std::invalid_argument:
+/// stride_m == 0, or a quantized precision with window_m past
+/// kQuantMaxWindowM. SynSeeker and FleetEngine call it at construction so
+/// a bad config fails before any state changes.
+void validate(const SynConfig& config);
 
 /// One matched overlap between two context trajectories. Indices are the
 /// START entries of the matched windows; the SYN location is the window

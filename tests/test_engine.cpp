@@ -8,7 +8,9 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
 
+#include "obs/metrics.hpp"
 #include "util/hash_noise.hpp"
 #include "util/rng.hpp"
 
@@ -197,6 +199,67 @@ TEST(Engine, MaintainedPackFollowsLongInterpolationGaps) {
         compared += got.size();
       });
   EXPECT_GT(compared, 10u);
+}
+
+/// engine.rejected_input{reason}, registered on first use like the
+/// engine registers it.
+obs::Counter& rejected_input(const char* reason) {
+  return obs::Registry::global()
+      .counter_family("engine.rejected_input", "reason")
+      .with(reason);
+}
+
+TEST(Engine, NonFiniteImuTimeIsRejected) {
+  // One NaN timestamp used to poison the IMU clock: every later dt was NaN,
+  // the trajectory froze and the odometer read NaN.
+  RupsEngine clean(test_config());
+  drive(clean, 0.0, 100.0, 10.0, 13);
+  obs::Counter& rejected = rejected_input("non_finite_imu_time");
+  [[maybe_unused]] const std::uint64_t before = rejected.value();
+  RupsEngine engine(test_config());
+  std::uint64_t injected = 0;
+  drive(engine, 0.0, 100.0, 10.0, 13, nullptr, [&] {
+    sensors::ImuSample bad;
+    bad.time_s = std::numeric_limits<double>::quiet_NaN();
+    engine.on_imu(bad);
+    ++injected;
+  });
+  ASSERT_GT(injected, 0u);
+  EXPECT_TRUE(std::isfinite(engine.odometer_m()));
+  EXPECT_EQ(engine.odometer_m(), clean.odometer_m());
+  EXPECT_EQ(engine.context().size(), clean.context().size());
+#ifndef RUPS_OBS_DISABLED
+  EXPECT_EQ(rejected.value() - before, injected);
+#endif
+}
+
+TEST(Engine, NonFiniteSpeedSampleIsRejected) {
+  // One +inf OBD speed used to make the next on_imu loop forever in the
+  // dead reckoner.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  RupsEngine clean(test_config());
+  drive(clean, 0.0, 100.0, 10.0, 14);
+  obs::Counter& bad_speed = rejected_input("non_finite_speed");
+  obs::Counter& bad_time = rejected_input("non_finite_speed_time");
+  [[maybe_unused]] const std::uint64_t before_speed = bad_speed.value();
+  [[maybe_unused]] const std::uint64_t before_time = bad_time.value();
+  RupsEngine engine(test_config());
+  double second = 0.0;
+  drive(engine, 0.0, 100.0, 10.0, 14, nullptr, [&] {
+    second += 1.0;
+    if (second == 5.0) engine.on_speed({second, inf});
+  });
+  ASSERT_GE(second, 5.0);
+  EXPECT_EQ(engine.odometer_m(), clean.odometer_m());
+  EXPECT_EQ(engine.context().size(), clean.context().size());
+  // NaN speeds and report times are refused the same way.
+  engine.on_speed({second + 1.0, nan});
+  engine.on_speed({nan, 10.0});
+#ifndef RUPS_OBS_DISABLED
+  EXPECT_EQ(bad_speed.value() - before_speed, 2u);
+  EXPECT_EQ(bad_time.value() - before_time, 1u);
+#endif
 }
 
 }  // namespace

@@ -48,8 +48,7 @@ ContextTrajectory fuzz_context(util::Rng& rng, std::size_t metres,
   return t;
 }
 
-template <typename Span>
-void check_invariants(const Span& s, int qmax, const char* what) {
+void check_invariants(const QuantSpan& s, int qmax, const char* what) {
   EXPECT_TRUE(std::isfinite(s.params.offset)) << what;
   EXPECT_TRUE(std::isfinite(s.params.step)) << what;
   EXPECT_GT(s.params.step, 0.0) << what;
@@ -78,14 +77,14 @@ TEST(QuantFuzz, OneShotBuildsNeverProduceGarbage) {
     std::iota(ids.begin(), ids.end(), std::size_t{0});
     const SubsetPack pack(t, ids, 0, metres);
     QuantizedPack q16, q8;
-    q16.build(pack.span(), QuantBits::kInt16);
-    q8.build(pack.span(), QuantBits::kInt8);
-    check_invariants(q16.span16(), kQuantMax16, "int16 build");
-    check_invariants(q8.span8(), kQuantMax8, "int8 build");
+    q16.build(pack.span(), KernelPrecision::kInt16);
+    q8.build(pack.span(), KernelPrecision::kInt8);
+    check_invariants(q16.span(), kQuantMax16, "int16 build");
+    check_invariants(q8.span(), kQuantMax8, "int8 build");
     // Non-finite inputs must be masked invalid even where the float pack
     // kept the entry usable.
     const PackedSpan fs = pack.span();
-    const QuantSpan16 qs = q16.span16();
+    const QuantSpan qs = q16.span();
     for (std::size_t c = 0; c < channels; ++c) {
       for (std::size_t i = 0; i < metres; ++i) {
         if (!std::isfinite(fs.x[c * fs.stride + i])) {
@@ -119,12 +118,12 @@ TEST(QuantFuzz, SyncCyclesStayOnGrid) {
         ++metres;
       }
       pack.sync(t);
-      q16.sync(pack, QuantBits::kInt16);
-      q8.sync(pack, QuantBits::kInt8);
-      ASSERT_TRUE(q16.mirrors(pack, QuantBits::kInt16));
-      ASSERT_TRUE(q8.mirrors(pack, QuantBits::kInt8));
-      check_invariants(q16.span16(), kQuantMax16, "int16 sync");
-      check_invariants(q8.span8(), kQuantMax8, "int8 sync");
+      q16.sync(pack, KernelPrecision::kInt16);
+      q8.sync(pack, KernelPrecision::kInt8);
+      ASSERT_TRUE(q16.mirrors(pack, KernelPrecision::kInt16));
+      ASSERT_TRUE(q8.mirrors(pack, KernelPrecision::kInt8));
+      check_invariants(q16.span(), kQuantMax16, "int16 sync");
+      check_invariants(q8.span(), kQuantMax8, "int8 sync");
     }
   }
 }
@@ -144,14 +143,14 @@ TEST(QuantFuzz, FuzzedCorrelationsFiniteOrSentinel) {
     const SubsetPack fpack(ft, ids, 0, window);
     const SubsetPack spack(st, ids, 0, metres);
     QuantizedPack qf, qs;
-    qf.build(fpack.span(), QuantBits::kInt16);
-    qs.build(spack.span(), QuantBits::kInt16);
-    const QuantView16 fv{qf.span16(), ids};
-    const QuantView16 sv{qs.span16(), ids};
+    qf.build(fpack.span(), KernelPrecision::kInt16);
+    qs.build(spack.span(), KernelPrecision::kInt16);
+    const QuantView fv{qf.span(), ids};
+    const QuantView sv{qs.span(), ids};
     const std::size_t pos_count = metres - window + 1;
     std::vector<double> scores(pos_count);
-    quantized_correlation_batch<std::int16_t>(fv, 0, sv, 0, pos_count, window,
-                                              config, scores.data());
+    quantized_correlation_batch(fv, 0, sv, 0, pos_count, window, config,
+                                scores.data());
     for (std::size_t q = 0; q < pos_count; ++q) {
       EXPECT_TRUE(std::isfinite(scores[q])) << "pos " << q;
       // The profile Pearson term is not clamped, so allow an ulp of

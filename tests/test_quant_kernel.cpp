@@ -14,13 +14,15 @@
 #include "util/rng.hpp"
 
 // The quantized kernel's correctness harness (DESIGN §15):
-//   * differential sweep — randomized windows/strides/masks/k at both
-//     integer widths against the float kernel, with the score-error bound
+//   * differential sweep — randomized windows/strides/masks/k on both
+//     integer grids against the float kernel, with the score-error bound
 //     asserted and the integer accept/reject decisions (overlap,
 //     min_channels) required to match EXACTLY;
 //   * determinism — quantized batch/multi calls are memcmp-bit-identical
 //     to per-position quantized_correlation at any batch shape or stride
-//     (the quant analogue of test_packed_batch's float contract);
+//     (the quant analogue of test_packed_batch's float contract), and
+//     every ISA variant the host supports produces the generic pass's
+//     integer sums;
 //   * property suite — quantization round-trip within step/2, exact score
 //     invariance under a dBm offset of the whole fleet, and argmax
 //     stability under sub-LSB input perturbation;
@@ -62,7 +64,7 @@ std::vector<std::size_t> identity_rows(std::size_t k) {
   return rows;
 }
 
-/// Float + both quantized widths of one trajectory stretch.
+/// Float + both quantized grids of one trajectory stretch.
 struct Operand {
   SubsetPack pack;
   QuantizedPack q16;
@@ -75,13 +77,13 @@ struct Operand {
     std::vector<std::size_t> ids(channels);
     std::iota(ids.begin(), ids.end(), std::size_t{0});
     pack = SubsetPack(t, ids, from, len);
-    q16.build(pack.span(), QuantBits::kInt16);
-    q8.build(pack.span(), QuantBits::kInt8);
+    q16.build(pack.span(), KernelPrecision::kInt16);
+    q8.build(pack.span(), KernelPrecision::kInt8);
   }
 
   [[nodiscard]] PackedView fview() const { return {pack.span(), rows}; }
-  [[nodiscard]] QuantView16 v16() const { return {q16.span16(), rows}; }
-  [[nodiscard]] QuantView8 v8() const { return {q8.span8(), rows}; }
+  [[nodiscard]] QuantView v16() const { return {q16.span(), rows}; }
+  [[nodiscard]] QuantView v8() const { return {q8.span(), rows}; }
 };
 
 void expect_bit_equal(double want, double got, const char* what,
@@ -111,12 +113,10 @@ TEST(QuantKernel, DifferentialSweepVsFloat) {
     std::vector<double> f(pos_count), s16(pos_count), s8(pos_count);
     packed_correlation_batch(fixed.fview(), 0, slide.fview(), 0, pos_count,
                              window, config, f.data(), stride);
-    quantized_correlation_batch<std::int16_t>(fixed.v16(), 0, slide.v16(), 0,
-                                              pos_count, window, config,
-                                              s16.data(), stride);
-    quantized_correlation_batch<std::int8_t>(fixed.v8(), 0, slide.v8(), 0,
-                                             pos_count, window, config,
-                                             s8.data(), stride);
+    quantized_correlation_batch(fixed.v16(), 0, slide.v16(), 0, pos_count,
+                                window, config, s16.data(), stride);
+    quantized_correlation_batch(fixed.v8(), 0, slide.v8(), 0, pos_count,
+                                window, config, s8.data(), stride);
     for (std::size_t q = 0; q < pos_count; ++q) {
       // Overlap and min_channels decisions are exact integer counts on the
       // shared masks — the "no score" sentinel must agree exactly.
@@ -131,18 +131,17 @@ TEST(QuantKernel, DifferentialSweepVsFloat) {
   }
 }
 
-template <typename T>
-void expect_batch_matches_scalar(const QuantViewT<T>& fixed,
-                                 const QuantViewT<T>& sliding,
+void expect_batch_matches_scalar(const QuantView& fixed,
+                                 const QuantView& sliding,
                                  std::size_t pos_lo, std::size_t pos_count,
                                  std::size_t window, std::size_t stride,
                                  const TrajectoryCorrelationConfig& config,
                                  const char* what) {
   std::vector<double> got(pos_count, 0.0);
-  quantized_correlation_batch<T>(fixed, 0, sliding, pos_lo, pos_count, window,
-                                 config, got.data(), stride);
+  quantized_correlation_batch(fixed, 0, sliding, pos_lo, pos_count, window,
+                              config, got.data(), stride);
   for (std::size_t q = 0; q < pos_count; ++q) {
-    const double want = quantized_correlation<T>(
+    const double want = quantized_correlation(
         fixed, 0, sliding, pos_lo + q * stride, window, config);
     expect_bit_equal(want, got[q], what, q);
   }
@@ -175,12 +174,10 @@ TEST(QuantKernel, BatchMatchesPerPositionBitExact) {
     const auto slide_t = random_context(rng, metres, channels, usable);
     const Operand fixed(fixed_t, channels, 0, window);
     const Operand slide(slide_t, channels, 0, metres);
-    expect_batch_matches_scalar<std::int16_t>(fixed.v16(), slide.v16(),
-                                              pos_lo, pos_count, window,
-                                              stride, config, "int16");
-    expect_batch_matches_scalar<std::int8_t>(fixed.v8(), slide.v8(), pos_lo,
-                                             pos_count, window, stride,
-                                             config, "int8");
+    expect_batch_matches_scalar(fixed.v16(), slide.v16(), pos_lo, pos_count,
+                                window, stride, config, "int16");
+    expect_batch_matches_scalar(fixed.v8(), slide.v8(), pos_lo, pos_count,
+                                window, stride, config, "int8");
   }
 }
 
@@ -191,23 +188,18 @@ TEST(QuantKernel, RoundTripWithinHalfStep) {
   const auto t = random_context(rng, metres, channels, 0.8);
   const Operand op(t, channels, 0, metres);
   const PackedSpan fs = op.pack.span();
-  for (auto [bits, qmax] :
-       {std::pair{QuantBits::kInt16, kQuantMax16},
-        std::pair{QuantBits::kInt8, kQuantMax8}}) {
-    const bool wide = bits == QuantBits::kInt16;
-    const QuantParams& params = wide ? op.q16.params() : op.q8.params();
+  for (auto [qpack, qmax] :
+       {std::pair{&op.q16, kQuantMax16}, std::pair{&op.q8, kQuantMax8}}) {
+    const QuantParams& params = qpack->params();
+    const QuantSpan qs = qpack->span();
     ASSERT_TRUE(std::isfinite(params.offset));
     ASSERT_GT(params.step, 0.0);
     for (std::size_t c = 0; c < channels; ++c) {
       for (std::size_t i = 0; i < metres; ++i) {
         const float x = fs.x[c * fs.stride + i];
         const float fv = fs.v[c * fs.stride + i];
-        const std::size_t qstride =
-            wide ? op.q16.span16().stride : op.q8.span8().stride;
-        const int q = wide ? op.q16.span16().q[c * qstride + i]
-                           : op.q8.span8().q[c * qstride + i];
-        const int v = wide ? op.q16.span16().v[c * qstride + i]
-                           : op.q8.span8().v[c * qstride + i];
+        const int q = qs.q[c * qs.stride + i];
+        const int v = qs.v[c * qs.stride + i];
         EXPECT_EQ(v, fv != 0.0f ? 1 : 0);
         EXPECT_LE(std::abs(q), qmax);
         if (fv == 0.0f) {
@@ -261,19 +253,17 @@ TEST(QuantKernel, DbmOffsetInvarianceExact) {
   const TrajectoryCorrelationConfig config{};
   const std::size_t pos_count = metres - window + 1;
   std::vector<double> a(pos_count), b(pos_count);
-  quantized_correlation_batch<std::int16_t>(f0.v16(), 0, s0.v16(), 0,
-                                            pos_count, window, config,
-                                            a.data());
-  quantized_correlation_batch<std::int16_t>(f1.v16(), 0, s1.v16(), 0,
-                                            pos_count, window, config,
-                                            b.data());
+  quantized_correlation_batch(f0.v16(), 0, s0.v16(), 0, pos_count, window,
+                              config, a.data());
+  quantized_correlation_batch(f1.v16(), 0, s1.v16(), 0, pos_count, window,
+                              config, b.data());
   for (std::size_t q = 0; q < pos_count; ++q) {
     expect_bit_equal(a[q], b[q], "dbm-offset int16", q);
   }
-  quantized_correlation_batch<std::int8_t>(f0.v8(), 0, s0.v8(), 0, pos_count,
-                                           window, config, a.data());
-  quantized_correlation_batch<std::int8_t>(f1.v8(), 0, s1.v8(), 0, pos_count,
-                                           window, config, b.data());
+  quantized_correlation_batch(f0.v8(), 0, s0.v8(), 0, pos_count, window,
+                              config, a.data());
+  quantized_correlation_batch(f1.v8(), 0, s1.v8(), 0, pos_count, window,
+                              config, b.data());
   for (std::size_t q = 0; q < pos_count; ++q) {
     expect_bit_equal(a[q], b[q], "dbm-offset int8", q);
   }
@@ -313,9 +303,8 @@ TEST(QuantKernel, ArgmaxStableUnderSubLsbPerturbation) {
     return best;
   };
 
-  quantized_correlation_batch<std::int16_t>(fixed.v16(), 0, slide.v16(), 0,
-                                            pos_count, window, config,
-                                            scores.data());
+  quantized_correlation_batch(fixed.v16(), 0, slide.v16(), 0, pos_count,
+                              window, config, scores.data());
   ASSERT_EQ(argmax(scores), true_pos);
 
   for (int rep = 0; rep < 5; ++rep) {
@@ -331,9 +320,8 @@ TEST(QuantKernel, ArgmaxStableUnderSubLsbPerturbation) {
       noisy.append(GeoSample{}, std::move(pv));
     }
     const Operand noisy_f(noisy, channels, 0, window);
-    quantized_correlation_batch<std::int16_t>(noisy_f.v16(), 0, slide.v16(),
-                                              0, pos_count, window, config,
-                                              scores.data());
+    quantized_correlation_batch(noisy_f.v16(), 0, slide.v16(), 0, pos_count,
+                                window, config, scores.data());
     EXPECT_EQ(argmax(scores), true_pos) << "rep " << rep;
   }
 }
@@ -346,10 +334,90 @@ TEST(QuantKernel, WindowCapEnforced) {
   const Operand op(t, channels, 0, metres);
   const TrajectoryCorrelationConfig config{};
   double out = 0.0;
-  EXPECT_THROW(quantized_correlation_batch<std::int16_t>(
+  EXPECT_THROW(quantized_correlation_batch(
                    op.v16(), 0, op.v16(), 0, 1, kQuantMaxWindowM + 1, config,
                    &out),
                std::invalid_argument);
+}
+
+TEST(QuantKernel, Float32HasNoGrid) {
+  util::Rng rng(13);
+  const auto t = random_context(rng, 40, 4, 1.0);
+  const Operand op(t, 4, 0, 40);
+  PackedContext pack;
+  pack.sync(t);
+  QuantizedPack q;
+  EXPECT_THROW(q.build(op.pack.span(), KernelPrecision::kFloat32),
+               std::invalid_argument);
+  EXPECT_THROW(q.sync(pack, KernelPrecision::kFloat32),
+               std::invalid_argument);
+  q.sync(pack, KernelPrecision::kInt8);
+  EXPECT_TRUE(q.mirrors(pack, KernelPrecision::kInt8));
+  EXPECT_FALSE(q.mirrors(pack, KernelPrecision::kInt16));
+  EXPECT_FALSE(q.mirrors(pack, KernelPrecision::kFloat32));
+}
+
+TEST(QuantKernel, EveryIsaVariantMatchesGenericSums) {
+  // The dispatcher runs one variant per host, so this runs every variant
+  // the host supports against the portable pass: both kernel families,
+  // lag strides 1-5, odd windows (vector tails), full and partial blocks.
+  const auto variants = detail::quant_kernel_variants();
+  ASSERT_FALSE(variants.empty());
+  const detail::QuantKernelVariant& generic = variants.back();
+  ASSERT_STREQ(generic.name, "generic");
+  util::Rng rng(2718);
+  std::size_t compared = 0;
+  for (const std::size_t window : {std::size_t{7}, std::size_t{33},
+                                   std::size_t{101}}) {
+    const std::size_t metres = window + 5 * kLagBlock + 16;
+    std::vector<std::int16_t> fq(window), fv(window), sq(metres), sv(metres);
+    const auto fill = [&](std::vector<std::int16_t>& q,
+                          std::vector<std::int16_t>& v) {
+      for (std::size_t i = 0; i < q.size(); ++i) {
+        v[i] = rng.uniform() < 0.8 ? 1 : 0;
+        q[i] = v[i] != 0 ? static_cast<std::int16_t>(rng.uniform_int(
+                               -kQuantMax16, kQuantMax16))
+                         : std::int16_t{0};
+      }
+    };
+    fill(fq, fv);
+    fill(sq, sv);
+    for (std::size_t step = 1; step <= 5; ++step) {
+      for (const std::size_t count : {std::size_t{5}, kLagBlock}) {
+        std::int32_t want[6 * kLagBlock] = {};
+        generic.channel_pass(fq.data(), fv.data(), sq.data(), sv.data(), step,
+                             count, window, want);
+        for (const detail::QuantKernelVariant& v : variants) {
+          if (!v.supported()) continue;
+          std::int32_t got[6 * kLagBlock] = {};
+          v.channel_pass(fq.data(), fv.data(), sq.data(), sv.data(), step,
+                         count, window, got);
+          for (std::size_t j = 0; j < 6; ++j) {
+            for (std::size_t b = 0; b < count; ++b) {
+              EXPECT_EQ(got[j * kLagBlock + b], want[j * kLagBlock + b])
+                  << v.name << " channel pass w=" << window
+                  << " step=" << step << " sum " << j << " lag " << b;
+            }
+          }
+          ++compared;
+        }
+      }
+    }
+    std::int32_t want[6 * kLagBlock] = {};
+    generic.lag_pass(fq.data(), fv.data(), sq.data(), sv.data(), window,
+                     want);
+    for (const detail::QuantKernelVariant& v : variants) {
+      if (!v.supported()) continue;
+      std::int32_t got[6 * kLagBlock] = {};
+      v.lag_pass(fq.data(), fv.data(), sq.data(), sv.data(), window, got);
+      for (std::size_t j = 0; j < 6 * kLagBlock; ++j) {
+        EXPECT_EQ(got[j], want[j]) << v.name << " lag pass w=" << window
+                                   << " slot " << j;
+      }
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 0u);
 }
 
 using test::drive;
@@ -407,8 +475,8 @@ TEST(QuantKernel, SeekerPackedAndFallbackPathsAgree) {
   pa.sync(a);
   pb.sync(b);
   QuantizedPack qa, qb;
-  qa.sync(pa, QuantBits::kInt16);
-  qb.sync(pb, QuantBits::kInt16);
+  qa.sync(pa, KernelPrecision::kInt16);
+  qb.sync(pb, KernelPrecision::kInt16);
 
   const auto mirrored = seeker.find_one(a, b, 0, &pa, &pb, &qa, &qb);
   const auto packed_only = seeker.find_one(a, b, 0, &pa, &pb);

@@ -163,14 +163,23 @@ TEST(SynSeeker, CoarseToFineMatchesExhaustive) {
 }
 
 TEST(SynSeeker, ZeroStrideIsRejectedAtConstruction) {
-  SynConfig cfg = small_config();
-  cfg.stride_m = 0;
-  EXPECT_THROW(SynSeeker{cfg}, std::invalid_argument);
-  // FleetEngine builds its seekers lazily inside a batch, so it rejects
-  // the config up front.
-  FleetConfig fleet;
-  fleet.rups.syn = cfg;
-  EXPECT_THROW(FleetEngine{fleet}, std::invalid_argument);
+  // Also a quantized window past the int32 sum bound, which the kernel
+  // would otherwise only refuse in the middle of a batch.
+  SynConfig zero_stride = small_config();
+  zero_stride.stride_m = 0;
+  SynConfig wide_quantized = small_config();
+  wide_quantized.precision = KernelPrecision::kInt16;
+  wide_quantized.window_m = kQuantMaxWindowM + 53;
+  for (const SynConfig& cfg : {zero_stride, wide_quantized}) {
+    EXPECT_THROW(SynSeeker{cfg}, std::invalid_argument);
+    // FleetEngine builds its seekers lazily inside a batch, so it rejects
+    // the config up front.
+    FleetConfig fleet;
+    fleet.rups.syn = cfg;
+    EXPECT_THROW(FleetEngine{fleet}, std::invalid_argument);
+  }
+  wide_quantized.precision = KernelPrecision::kFloat32;
+  EXPECT_NO_THROW(SynSeeker{wide_quantized});
 }
 
 /// Trajectory that drives road `road1` for `len1` metres, turns 90
