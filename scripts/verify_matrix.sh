@@ -10,12 +10,15 @@
 #     lock, windowed series collection, cross-thread span/flow parenting,
 #     recorder ring concurrency, JSON parser),
 #     the codec fuzz tests (decoder fed random/truncated/bit-flipped
-#     buffers must fail by exception, never by out-of-bounds reads),
-#     the lag-batched kernel bit-identity tests (overlapped tail blocks
-#     and strided lanes are exactly the kind of indexing asan vets),
+#     buffers must fail by exception, never by out-of-bounds reads; the
+#     encoder fed NaN/±inf readings, headings and times must never
+#     convert one to an integer, which UBSan reports),
+#     the lag-batched kernel bit-identity tests (overlapped tail blocks,
+#     strided lanes and the usable-row loop's read-range check are
+#     exactly the kind of indexing asan vets),
 #     the SYN seek suites (the one seek core's pass wiring, the
-#     SubsetPack fallback's index arithmetic, pack reuse and the
-#     engine's query path),
+#     SubsetPack fallback's index arithmetic, pack reuse, the engine's
+#     query path and its ingest rejections),
 #     the quantized-kernel differential suite and its pack-builder fuzz
 #     (random/NaN/±inf/out-of-range dBm through one-shot builds and
 #     eviction-heavy sync cycles must clamp or mask, never UB — the

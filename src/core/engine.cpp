@@ -97,11 +97,27 @@ void RupsEngine::on_speed(const sensors::SpeedSample& sample) {
     reject_input("non_finite_speed");
     return;
   }
+  // A finite but absurd report would make the next IMU step emit
+  // thousands of fabricated metres and evict the whole context.
+  if (sample.speed_mps > kMaxPlausibleSpeedMps) {
+    reject_input("implausible_speed");
+    return;
+  }
   engine_metrics().speed_samples.inc();
   speed_.add_sample(sample);
 }
 
 void RupsEngine::on_rssi(const sensors::RssiMeasurement& measurement) {
+  // A NaN level would be bound (and interpolated) into usable slots; a
+  // non-finite time has no odometer position.
+  if (!std::isfinite(measurement.time_s)) {
+    reject_input("non_finite_rssi_time");
+    return;
+  }
+  if (!std::isfinite(measurement.rssi_dbm)) {
+    reject_input("non_finite_rssi");
+    return;
+  }
   engine_metrics().rssi_measurements.inc();
   const double distance = reckoner_.odometer_at(measurement.time_s);
   binder_.add_measurement(measurement.channel_index, distance,

@@ -15,6 +15,10 @@
 
 namespace rups::core {
 
+/// Fastest OBD speed RupsEngine accepts (360 km/h): no road vehicle the
+/// paper targets moves faster, so a larger report is a sensor fault.
+inline constexpr double kMaxPlausibleSpeedMps = 100.0;
+
 /// End-to-end RUPS configuration. Defaults follow the paper's evaluation
 /// setup: 1000 m journey context, 85 m x top-45-channel checking window,
 /// coherency threshold 1.2, selective average over 5 SYN points.
@@ -49,12 +53,14 @@ class RupsEngine {
   /// before any state changes and counted in engine.rejected_input.
   void on_imu(const sensors::ImuSample& imu);
 
-  /// Feed one OBD speed report. A non-finite time_s or speed_mps is
-  /// refused before any state changes and counted in
-  /// engine.rejected_input.
+  /// Feed one OBD speed report. A non-finite time_s or speed_mps, or a
+  /// speed above kMaxPlausibleSpeedMps, is refused before any state
+  /// changes and counted in engine.rejected_input.
   void on_speed(const sensors::SpeedSample& sample);
 
-  /// Feed one completed GSM dwell.
+  /// Feed one completed GSM dwell. A non-finite time_s or rssi_dbm is
+  /// refused before any state changes and counted in
+  /// engine.rejected_input.
   void on_rssi(const sensors::RssiMeasurement& measurement);
 
   /// The local context-aware trajectory (what a neighbour would receive).

@@ -122,6 +122,52 @@ SubsetPack::SubsetPack(const ContextTrajectory& t,
 
 namespace {
 
+/// One checking channel's fixed-row moments over the fixed window, and the
+/// per-channel epilogue terms the masked loop derives from them. In a block
+/// whose sliding row is usable at every metre each mask product
+/// `m = fvi * sv[j]` equals `fvi` exactly, so every lane's n, Σx and Σx²
+/// (and from them dn, vx and the fixed mean ma) are these values: computed
+/// at most once per batch call, with the same operations in the same order.
+struct FixedRow {
+  bool ready;  ///< computed in this batch call
+  bool use;    ///< n >= min_channel_overlap
+  double dn;
+  double vx;
+  double sx;
+  double ma;
+};
+
+/// Rows past this many checking channels keep the masked loop (a stack
+/// bound; production plans carry top_channels = 45).
+constexpr std::size_t kMaxFixedRows = 64;
+
+/// Out of line and not cloned, so the block kernels' masked epilogue keeps
+/// its own scalar division count.
+[[gnu::noinline]] void hoist_fixed_row(const float* fx, const float* fx2,
+                                       const float* fv, std::size_t window,
+                                       float min_overlap, FixedRow& f) {
+  float n = 0.0f, sx = 0.0f, sxx = 0.0f;
+  for (std::size_t i = 0; i < window; ++i) {
+    n += fv[i];
+    sx += fv[i] * fx[i];
+    sxx += fv[i] * fx2[i];
+  }
+  f.ready = true;
+  f.use = n >= min_overlap;
+  f.dn = f.use ? static_cast<double>(n) : 1.0;
+  f.vx = static_cast<double>(sxx) - static_cast<double>(sx) * sx / f.dn;
+  f.sx = sx;
+  f.ma = sx / f.dn;
+}
+
+/// True when all `n` sliding slots are 1.0. A count with no early exit,
+/// so it compiles to a few vector compares.
+[[gnu::always_inline]] inline bool row_usable(const float* sv, std::size_t n) {
+  unsigned masked = 0;
+  for (std::size_t j = 0; j < n; ++j) masked += sv[j] != 1.0f;
+  return masked == 0;
+}
+
 // ---------------------------------------------------------------------------
 // Lane kernel. lag_block_body<B> scores the B sliding positions
 //   pos0, pos0 + step, ..., pos0 + (B-1)*step     (in metres)
@@ -136,7 +182,7 @@ namespace {
 //
 // step == 0 is the degenerate single-position block (all lanes score pos0;
 // lane 0 is the answer) — packed_correlation() routes through it so there
-// is exactly ONE compiled accumulation loop in the whole system.
+// is exactly ONE masked accumulation loop in the whole system.
 //
 // The per-channel epilogue is branchless on purpose: every lane computes
 // the variance/covariance reduction with a safe denominator (dn = 1 when
@@ -147,12 +193,21 @@ namespace {
 // excluded lane's sums stay bit-equal to the scalar path that skipped the
 // channel with `continue`. A lane whose guard fails may compute NaN/Inf in
 // `r`; the select discards it before it can touch an accumulator.
+//
+// Usable-row lane loop: in step == 1 blocks of a batch call (`rows`
+// non-empty), a channel whose sliding row is 1.0 across the block's whole
+// read range [pos0, pos0 + window + B - 1) takes a lean loop of three sums
+// (sy += fvi*y, syy += fvi*y2, sxy += (fvi*fxi)*y — the masked loop's own
+// products with m == fvi) and a vectorized epilogue over the channel's
+// FixedRow, hoisted on first use. A channel whose fixed row is below
+// min_channel_overlap is skipped there: its lanes would only add +0.
 // ---------------------------------------------------------------------------
 template <int B>
 [[gnu::always_inline]] inline void lag_block_body(
     const PackedView& fixed, std::size_t fixed_start, const PackedView& sliding,
     std::size_t pos0, std::size_t step, std::size_t window,
-    const TrajectoryCorrelationConfig& config, double* out) {
+    const TrajectoryCorrelationConfig& config, FixedRow* rows,
+    std::size_t row_count, double* out) {
   double channel_corr_sum[B] = {};
   std::size_t channels_used[B] = {};
   double pn[B] = {}, psx[B] = {}, psy[B] = {}, psxx[B] = {}, psyy[B] = {},
@@ -172,6 +227,49 @@ template <int B>
     const float* sx_ = sliding.span.x + sc * sliding.span.stride + pos0;
     const float* sx2_ = sliding.span.x2 + sc * sliding.span.stride + pos0;
     const float* sv_ = sliding.span.v + sc * sliding.span.stride + pos0;
+
+    if constexpr (B > 1) {
+      if (step == 1 && kk < row_count && row_usable(sv_, window + B - 1)) {
+        FixedRow& f = rows[kk];
+        if (!f.ready) hoist_fixed_row(fx, fx2, fv, window, min_overlap, f);
+        if (!f.use) continue;
+        float sy[B] = {}, syy[B] = {}, sxy[B] = {};
+        for (std::size_t i = 0; i < window; ++i) {
+          const float fvi = fv[i];
+          const float fxi = fvi * fx[i];
+#pragma omp simd
+          for (int b = 0; b < B; ++b) {
+            const std::size_t j = i + static_cast<std::size_t>(b);
+            sy[b] += fvi * sx_[j];
+            syy[b] += fvi * sx2_[j];
+            sxy[b] += fxi * sx_[j];
+          }
+        }
+        const bool vx_ok = f.vx > 1e-2;
+        const double ma2 = f.ma * f.ma;
+#pragma omp simd
+        for (int b = 0; b < B; ++b) {
+          const double vy = static_cast<double>(syy[b]) -
+                            static_cast<double>(sy[b]) * sy[b] / f.dn;
+          const double cov =
+              static_cast<double>(sxy[b]) - f.sx * sy[b] / f.dn;
+          const bool informative = vx_ok & (vy > 1e-2);
+          double r = cov / std::sqrt(f.vx * vy);
+          r = r < -1.0 ? -1.0 : r;
+          r = 1.0 < r ? 1.0 : r;
+          channel_corr_sum[b] += informative ? r : 0.0;
+          channels_used[b] += 1;
+          const double mb = sy[b] / f.dn;
+          pn[b] += 1.0;
+          psx[b] += f.ma;
+          psy[b] += mb;
+          psxx[b] += ma2;
+          psyy[b] += mb * mb;
+          psxy[b] += f.ma * mb;
+        }
+        continue;
+      }
+    }
 
     float n[B] = {}, sx[B] = {}, sy[B] = {}, sxx[B] = {}, syy[B] = {},
           sxy[B] = {};
@@ -278,9 +376,9 @@ template <int B>
       const PackedView& fixed, std::size_t fixed_start,                   \
       const PackedView& sliding, std::size_t pos0, std::size_t step,      \
       std::size_t window, const TrajectoryCorrelationConfig& config,      \
-      double* out) {                                                      \
+      FixedRow* rows, std::size_t row_count, double* out) {               \
     lag_block_body<B>(fixed, fixed_start, sliding, pos0, step, window,    \
-                      config, out);                                       \
+                      config, rows, row_count, out);                      \
   }
 
 RUPS_DEFINE_LAG_BLOCK(1)
@@ -293,26 +391,32 @@ RUPS_DEFINE_LAG_BLOCK(16)
 /// Full blocks of B ascending positions, then either an overlapped tail
 /// block (recomputes up to B-1 already-scored positions on the same stride
 /// grid — bit-identical, so harmless) or, when the whole batch is smaller
-/// than B, degenerate single-position blocks.
+/// than B, degenerate single-position blocks. Contiguous batches of at
+/// least one block hoist the fixed-row terms once for all their blocks.
 template <int B>
 void batch_blocks(const PackedView& fixed, std::size_t fixed_start,
                   const PackedView& sliding, std::size_t pos_lo,
                   std::size_t pos_count, std::size_t window,
                   const TrajectoryCorrelationConfig& config,
                   double* out_scores, std::size_t pos_stride) {
+  constexpr auto kB = static_cast<std::size_t>(B);
+  FixedRow rows[kMaxFixedRows]{};
+  const std::size_t row_count =
+      pos_stride == 1 && pos_count >= kB
+          ? std::min(fixed.rows.size(), kMaxFixedRows)
+          : 0;
   const auto block = [&](std::size_t pos0, std::size_t step, double* out) {
     if constexpr (B == 4) {
       lag_block_4(fixed, fixed_start, sliding, pos0, step, window, config,
-                  out);
+                  rows, row_count, out);
     } else if constexpr (B == 8) {
       lag_block_8(fixed, fixed_start, sliding, pos0, step, window, config,
-                  out);
+                  rows, row_count, out);
     } else {
       lag_block_16(fixed, fixed_start, sliding, pos0, step, window, config,
-                   out);
+                   rows, row_count, out);
     }
   };
-  constexpr auto kB = static_cast<std::size_t>(B);
   std::size_t q = 0;
   for (; q + kB <= pos_count; q += kB) {
     block(pos_lo + q * pos_stride, pos_stride, out_scores + q);
@@ -332,7 +436,7 @@ void batch_blocks(const PackedView& fixed, std::size_t fixed_start,
     // every lane — B× redundant work through the slow generic nest.
     for (; q < pos_count; ++q) {
       lag_block_1(fixed, fixed_start, sliding, pos_lo + q * pos_stride, 0,
-                  window, config, tmp);
+                  window, config, nullptr, 0, tmp);
       out_scores[q] = tmp[0];
     }
   }
@@ -345,7 +449,8 @@ double packed_correlation(const PackedView& fixed, std::size_t fixed_start,
                           std::size_t window,
                           const TrajectoryCorrelationConfig& config) {
   double out[1];
-  lag_block_1(fixed, fixed_start, sliding, pos, 0, window, config, out);
+  lag_block_1(fixed, fixed_start, sliding, pos, 0, window, config, nullptr, 0,
+              out);
   return out[0];
 }
 

@@ -47,6 +47,10 @@ SynMetrics& syn_metrics() {
   return m;
 }
 
+/// Slide positions per kernel call: a multiple of kLagBlock that covers a
+/// full 1000 m context's range in one call, on the stack.
+constexpr std::size_t kScanChunk = 64 * kLagBlock;
+
 }  // namespace
 
 void validate(const SynConfig& config) {
@@ -160,91 +164,59 @@ SynSeeker::Candidate SynSeeker::best_over_grid(
     std::size_t index_step) const {
   Candidate best;
   if (grid_lo >= grid_hi) return best;
-  const auto reduce = [&best, index_step](const double* scores,
-                                          std::size_t first,
-                                          std::size_t count) {
-    for (std::size_t b = 0; b < count; ++b) {
-      if (!best.valid || scores[b] > best.correlation) {
-        best = {scores[b], (first + b) * index_step, true};
-      }
-    }
-  };
-
-  double scores[kLagBlock];
 
   // Strided FLOAT grids up to kCoveringScanMaxStrideM (measured — DESIGN
-  // §11) score the *contiguous covering metre range* at full block width
-  // and reduce only the lanes landing on the grid: scores are bit-identical
-  // however they are batched, so the extra lanes are semantically free,
-  // and the contiguous scan beats the strided batched scan up to that
-  // stride. Wider strides, small spans (they end in degenerate
-  // per-position blocks for counts under kLagBlock) and every quantized
-  // grid (its along-window integer pass scores strided lanes at contiguous
-  // cost) take the generic batched loop below.
-  if (metre_step > 1 && metre_step <= kCoveringScanMaxStrideM &&
-      pair.precision == KernelPrecision::kFloat32) {
-    const std::size_t m_lo = grid_lo * metre_step;
-    const std::size_t m_last = (grid_hi - 1) * metre_step;
-    if (m_last - m_lo + 1 >= kLagBlock) {
-      std::size_t blocks = 0;
-      const auto reduce_cover = [&](std::size_t m0) {
-        for (std::size_t b = 0; b < kLagBlock; ++b) {
-          const std::size_t m = m0 + b;
-          if (m > m_last || m % metre_step != 0) continue;
-          if (!best.valid || scores[b] > best.correlation) {
-            best = {scores[b], (m / metre_step) * index_step, true};
-          }
-        }
-      };
-      std::size_t m = m_lo;
-      for (; m + kLagBlock <= m_last + 1; m += kLagBlock) {
-        packed_correlation_batch(pair.fixed, pair.fixed_start, pair.sliding,
-                                 m, kLagBlock, window, config_.correlation,
-                                 scores);
-        reduce_cover(m);
-        ++blocks;
-      }
-      if (m <= m_last) {
-        // Overlapped tail on the metre axis (same argument as below: a
-        // re-scored lane is bit-identical and cannot displace `best`).
-        const std::size_t start = m_last + 1 - kLagBlock;
-        packed_correlation_batch(pair.fixed, pair.fixed_start, pair.sliding,
-                                 start, kLagBlock, window,
-                                 config_.correlation, scores);
-        reduce_cover(start);
-        ++blocks;
-      }
-      syn_metrics().kernel_blocks.inc(blocks);
-      return best;
-    }
+  // §11) score the *contiguous covering metre range* and reduce only the
+  // lanes landing on the grid: scores are bit-identical however they are
+  // batched, so the extra lanes are semantically free, and the contiguous
+  // scan beats the strided batched scan up to that stride. Wider strides,
+  // small spans (they end in degenerate per-position blocks for counts
+  // under kLagBlock) and every quantized grid (its along-window integer
+  // pass scores strided lanes at contiguous cost) scan the grid itself.
+  // Either way the scan runs over `count` units from `lo`, unit u scoring
+  // slide metre u * step.
+  std::size_t lo = grid_lo;
+  std::size_t count = grid_hi - grid_lo;
+  std::size_t step = metre_step;
+  const bool covering = metre_step > 1 &&
+                        metre_step <= kCoveringScanMaxStrideM &&
+                        pair.precision == KernelPrecision::kFloat32 &&
+                        (count - 1) * metre_step + 1 >= kLagBlock;
+  if (covering) {
+    lo = grid_lo * metre_step;
+    count = (count - 1) * metre_step + 1;
+    step = 1;
   }
 
-  std::size_t q = grid_lo;
-  for (; q + kLagBlock <= grid_hi; q += kLagBlock) {
-    scan_correlation_batch(pair, q * metre_step, kLagBlock, window,
-                           config_.correlation, scores, metre_step);
-    reduce(scores, q, kLagBlock);
-  }
-  std::size_t blocks = (q - grid_lo) / kLagBlock;
-  if (q < grid_hi) {
-    if (grid_hi - grid_lo >= kLagBlock) {
-      // Overlapped tail: rescore the last kLagBlock grid points. The
-      // re-seen lanes are bit-identical to their full-block scores, and an
-      // equal score can never displace `best` (strict >), so the
-      // lowest-position tie-break is untouched.
-      const std::size_t start = grid_hi - kLagBlock;
-      scan_correlation_batch(pair, start * metre_step, kLagBlock, window,
-                             config_.correlation, scores, metre_step);
-      reduce(scores, start, kLagBlock);
-      blocks += 1;
-    } else {
-      scan_correlation_batch(pair, q * metre_step, grid_hi - q, window,
-                             config_.correlation, scores, metre_step);
-      reduce(scores, q, grid_hi - q);
-      blocks += grid_hi - q;  // degenerate single-position blocks
+  // One kernel call per chunk, so the kernel hoists its fixed-row terms
+  // once per range; the kernel itself does the overlapped and sub-block
+  // tails. A final chunk shorter than a block is re-anchored to end at the
+  // last unit: its re-seen lanes are bit-identical to their first scores,
+  // and an equal score can never displace `best` (strict >), so the
+  // lowest-position tie-break is untouched.
+  double scores[kScanChunk];
+  for (std::size_t done = 0; done < count;) {
+    std::size_t first = lo + done;
+    std::size_t n = std::min(kScanChunk, count - done);
+    if (n < kLagBlock && count >= kLagBlock) {
+      first = lo + count - kLagBlock;
+      n = kLagBlock;
     }
+    scan_correlation_batch(pair, first * step, n, window, config_.correlation,
+                           scores, step);
+    for (std::size_t b = 0; b < n; ++b) {
+      const std::size_t u = first + b;
+      if (covering && u % metre_step != 0) continue;
+      if (!best.valid || scores[b] > best.correlation) {
+        best = {scores[b], (covering ? u / metre_step : u) * index_step, true};
+      }
+    }
+    done = first + n - lo;
   }
-  syn_metrics().kernel_blocks.inc(blocks);
+  // Full blocks plus one overlapped tail block, or one degenerate block per
+  // position when the range is shorter than a block.
+  syn_metrics().kernel_blocks.inc(
+      count >= kLagBlock ? (count + kLagBlock - 1) / kLagBlock : count);
   return best;
 }
 

@@ -204,11 +204,10 @@ class SynSeeker {
   /// index_step = stride_m (position in metres); the coarse scan uses
   /// metre_step = coarse*stride_m with index_step = coarse (position as a
   /// fine-grid INDEX, which is what the refinement stage consumes).
-  /// Ascending blocks of kLagBlock positions through
-  /// scan_correlation_batch; the trailing partial block is rescored as an
-  /// overlapped full block — recomputed lanes are bit-identical and an
-  /// equal score can never displace an earlier (lower) position, so the
-  /// lowest-position tie-break survives.
+  /// One scan_correlation_batch call per ascending chunk of positions
+  /// (the kernel does the overlapped and sub-block tails); recomputed
+  /// lanes are bit-identical and an equal score can never displace an
+  /// earlier (lower) position, so the lowest-position tie-break survives.
   [[nodiscard]] Candidate best_over_grid(const ScanPair& pair,
                                          std::size_t window,
                                          std::size_t grid_lo,

@@ -64,6 +64,9 @@ class Reader {
 
 std::size_t state_bytes(std::size_t channels) { return (channels + 3) / 4; }
 
+/// Largest timestamp the u32 centisecond field carries.
+constexpr double kMaxCentis = 4294967295.0;
+
 }  // namespace
 
 std::size_t TrajectoryCodec::encoded_size(std::size_t metres,
@@ -99,26 +102,37 @@ std::vector<std::uint8_t> TrajectoryCodec::encode_tail(
   for (std::size_t i = start_index; i < trajectory.size(); ++i) {
     const core::GeoSample& geo = trajectory.geo(i);
     const core::PowerVector& pv = trajectory.power(i);
-    const double wrapped = util::wrap_pi(geo.heading_rad);
+    // No non-finite value is ever converted to an integer: a non-finite
+    // heading goes as 0, a time outside the u32 centisecond range is
+    // clamped into it (NaN as 0), and a non-finite reading goes as missing.
+    const double wrapped =
+        std::isfinite(geo.heading_rad) ? util::wrap_pi(geo.heading_rad) : 0.0;
     const auto heading =
         static_cast<std::int16_t>(std::lround(wrapped * kHeadingScale));
     put_u16(out, static_cast<std::uint16_t>(heading));
-    put_u32(out, static_cast<std::uint32_t>(
-                     std::lround(std::max(0.0, geo.time_s) * 100.0)));
+    const double centis = geo.time_s * 100.0;
+    put_u32(out, static_cast<std::uint32_t>(std::lround(
+                     centis > 0.0 ? std::min(centis, kMaxCentis) : 0.0)));
 
+    const auto sendable = [&pv](std::size_t c) {
+      return pv.usable(c) && std::isfinite(pv.at(c));
+    };
     // 2-bit channel states, 4 per byte.
     for (std::size_t base = 0; base < channels; base += 4) {
       std::uint8_t packed = 0;
       for (std::size_t k = 0; k < 4 && base + k < channels; ++k) {
+        const auto state = sendable(base + k)
+                               ? pv.state(base + k)
+                               : core::ChannelState::kMissing;
         packed |= static_cast<std::uint8_t>(
-                      static_cast<std::uint8_t>(pv.state(base + k)) & 0x3)
+                      static_cast<std::uint8_t>(state) & 0x3)
                   << (2 * k);
       }
       out.push_back(packed);
     }
     // RSSI bytes: dBm + 128, clamped into [0, 255].
     for (std::size_t c = 0; c < channels; ++c) {
-      if (pv.usable(c)) {
+      if (sendable(c)) {
         const double shifted = std::clamp(
             std::round(static_cast<double>(pv.at(c)) + 128.0), 0.0, 255.0);
         out.push_back(static_cast<std::uint8_t>(shifted));

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -103,6 +104,49 @@ TEST(CodecRoundTrip, TailEncodingDecodesToTheTail) {
       if (pa.usable(c)) ASSERT_EQ(pa.at(c), pb.at(c));
     }
   }
+}
+
+TEST(CodecRoundTrip, NonFiniteValuesNeverReachAnIntegerConversion) {
+  // A usable NaN reading used to be converted to the u8 RSSI byte, which
+  // is undefined behaviour (UBSan: "nan is outside the range of
+  // representable values of type 'unsigned char'"). Non-finite readings
+  // now go as missing, a non-finite heading as 0, and a time outside the
+  // u32 centisecond field is clamped into it.
+  const float nanf = std::numeric_limits<float>::quiet_NaN();
+  const float inff = std::numeric_limits<float>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const float readings[] = {nanf, inff, -inff, nanf};
+  const double times[] = {1.5, inf, nan, 1e12};
+  const double headings[] = {0.5, nan, inf, -inf};
+  core::ContextTrajectory t(6, 4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    core::PowerVector pv(6);
+    pv.set(0, -70.0f);
+    pv.set(1, readings[i]);
+    pv.set(2, readings[i], core::ChannelState::kInterpolated);
+    pv.set(3, -61.0f, core::ChannelState::kInterpolated);
+    t.append(core::GeoSample{headings[i], times[i]}, std::move(pv));
+  }
+  const auto back = TrajectoryCodec::decode(TrajectoryCodec::encode(t));
+  ASSERT_EQ(back.size(), 4u);
+  const double max_time_s = 4294967295.0 / 100.0;
+  const double want_times[] = {1.5, max_time_s, 0.0, max_time_s};
+  for (std::size_t i = 0; i < 4; ++i) {
+    const core::PowerVector& pv = back.power(i);
+    EXPECT_EQ(pv.state(0), core::ChannelState::kMeasured) << i;
+    EXPECT_EQ(pv.at(0), -70.0f) << i;
+    EXPECT_FALSE(pv.usable(1)) << i;
+    EXPECT_FALSE(pv.usable(2)) << i;
+    EXPECT_EQ(pv.state(3), core::ChannelState::kInterpolated) << i;
+    EXPECT_EQ(pv.at(3), -61.0f) << i;
+    EXPECT_FALSE(pv.usable(4)) << i;
+    EXPECT_EQ(back.geo(i).time_s, want_times[i]) << i;
+    if (i > 0) {
+      EXPECT_EQ(back.geo(i).heading_rad, 0.0) << i;
+    }
+  }
+  EXPECT_NEAR(back.geo(0).heading_rad, 0.5, 1e-3);
 }
 
 /// Decoder survival: decode() must either return or throw

@@ -262,5 +262,72 @@ TEST(Engine, NonFiniteSpeedSampleIsRejected) {
 #endif
 }
 
+TEST(Engine, NonFiniteRssiIsRejected) {
+  // One NaN level used to be bound into a usable slot and interpolated
+  // into two more, which the codec then converted to an integer.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  RupsEngine clean(test_config());
+  drive(clean, 0.0, 100.0, 10.0, 15);
+  obs::Counter& bad_level = rejected_input("non_finite_rssi");
+  obs::Counter& bad_time = rejected_input("non_finite_rssi_time");
+  [[maybe_unused]] const std::uint64_t before_level = bad_level.value();
+  [[maybe_unused]] const std::uint64_t before_time = bad_time.value();
+  RupsEngine engine(test_config());
+  double second = 0.0;
+  drive(engine, 0.0, 100.0, 10.0, 15, nullptr, [&] {
+    second += 1.0;
+    engine.on_rssi({second, second == 5.0 ? 3u : 7u, nan, 0});
+  });
+  ASSERT_GE(second, 5.0);
+  engine.on_rssi({nan, 2, -80.0, 0});
+  const ContextTrajectory& ctx = engine.context();
+  ASSERT_EQ(ctx.size(), clean.context().size());
+  for (std::size_t i = 0; i < ctx.size(); ++i) {
+    for (std::size_t c = 0; c < ctx.channels(); ++c) {
+      if (ctx.power(i).usable(c)) {
+        EXPECT_TRUE(std::isfinite(ctx.power(i).at(c))) << i << "/" << c;
+      }
+    }
+  }
+#ifndef RUPS_OBS_DISABLED
+  EXPECT_EQ(bad_level.value() - before_level, static_cast<std::uint64_t>(second));
+  EXPECT_EQ(bad_time.value() - before_time, 1u);
+#endif
+}
+
+TEST(Engine, ImplausibleSpeedIsRejected) {
+  // One 1e6 m/s OBD report used to make the next 5 ms IMU step emit
+  // thousands of fabricated metres, evicting the whole context.
+  RupsEngine clean(test_config());
+  RupsEngine engine(test_config());
+  drive(clean, 0.0, 100.0, 10.0, 16);
+  drive(engine, 0.0, 100.0, 10.0, 16);
+  obs::Counter& implausible = rejected_input("implausible_speed");
+  [[maybe_unused]] const std::uint64_t before = implausible.value();
+  sensors::ImuSample imu;
+  imu.accel_mps2 = {0.0, 0.0, 9.80665};
+  imu.mag_ut = {-30.0, 0.0, -35.0};
+  imu.time_s = 10.5;
+  clean.on_imu(imu);
+  engine.on_imu(imu);
+  engine.on_speed({10.5, 1e6});
+  // Checked before the next IMU step, which would otherwise integrate it.
+#ifndef RUPS_OBS_DISABLED
+  ASSERT_EQ(implausible.value() - before, 1u);
+#endif
+  // A fast but plausible report is kept.
+  RupsEngine fast(test_config());
+  fast.on_speed({0.0, 90.0});
+#ifndef RUPS_OBS_DISABLED
+  EXPECT_EQ(implausible.value() - before, 1u);
+#endif
+  imu.time_s = 10.505;
+  clean.on_imu(imu);
+  engine.on_imu(imu);
+  EXPECT_EQ(engine.odometer_m(), clean.odometer_m());
+  EXPECT_EQ(engine.context().size(), clean.context().size());
+  EXPECT_EQ(engine.context().first_metre(), clean.context().first_metre());
+}
+
 }  // namespace
 }  // namespace rups::core

@@ -4,10 +4,14 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "core/fleet.hpp"
+#include "core/packed.hpp"
 #include "core/resolver.hpp"
+#include "core/syn_cache.hpp"
 #include "obs/metrics.hpp"
 #include "support/road_field.hpp"
 
@@ -160,6 +164,96 @@ TEST(SynSeeker, CoarseToFineMatchesExhaustive) {
   EXPECT_EQ(s1->index_a, s2->index_a);
   EXPECT_EQ(s1->index_b, s2->index_b);
   EXPECT_DOUBLE_EQ(s1->correlation, s2->correlation);
+}
+
+/// First-best over every slide position of one pass, scored one position
+/// at a time by the scalar kernel.
+SynSeeker::Candidate per_position_best(const PackedView& fixed,
+                                       std::size_t fixed_start,
+                                       const PackedView& sliding,
+                                       std::size_t window,
+                                       const TrajectoryCorrelationConfig& cc) {
+  SynSeeker::Candidate best;
+  for (std::size_t pos = 0; pos + window <= sliding.span.metres; ++pos) {
+    const double r =
+        packed_correlation(fixed, fixed_start, sliding, pos, window, cc);
+    if (!best.valid || r > best.correlation) best = {r, pos, true};
+  }
+  return best;
+}
+
+/// What find() must return, from per-position scoring of every pass.
+std::vector<SynPoint> per_position_find(const SynSeeker& seeker,
+                                        const ContextTrajectory& a,
+                                        const ContextTrajectory& b) {
+  PackedContext pa;
+  PackedContext pb;
+  pa.sync(a);
+  pb.sync(b);
+  const SynConfig& cfg = seeker.config();
+  std::vector<SynPoint> out;
+  SynSeeker::SeekScratch ws;
+  for (std::size_t k = 0; k < cfg.syn_points; ++k) {
+    seeker.plan_into(a, b, k * cfg.syn_segment_spacing_m, ws);
+    const SynSeeker::SeekPlan& p = ws.plan;
+    if (p.reject != nullptr) continue;
+    const auto on_b =
+        per_position_best({pa.span(), p.channels_a}, p.a_start,
+                          {pb.span(), p.channels_a}, p.window, cfg.correlation);
+    const auto on_a =
+        per_position_best({pb.span(), p.channels_b}, p.b_start,
+                          {pa.span(), p.channels_b}, p.window, cfg.correlation);
+    if (const auto syn = SynSeeker::accept(p, on_b, on_a)) out.push_back(*syn);
+  }
+  SynSeeker::sort_best_first(out);
+  return out;
+}
+
+void expect_same_points(const std::vector<SynPoint>& want,
+                        const std::vector<SynPoint>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].index_a, got[i].index_a) << i;
+    EXPECT_EQ(want[i].index_b, got[i].index_b) << i;
+    EXPECT_EQ(want[i].window_m, got[i].window_m) << i;
+    EXPECT_EQ(std::memcmp(&want[i].correlation, &got[i].correlation,
+                          sizeof(double)),
+              0)
+        << i << ": want " << want[i].correlation << " got "
+        << got[i].correlation;
+  }
+}
+
+TEST(SynSeeker, FullyUsableContextsMatchPerPositionScoring) {
+  // Fully usable contexts run the kernel's usable-row loop in every block:
+  // find() (with and without caller packs) and a SynCache tracking band
+  // must still pick the per-position scan's points, bit for bit.
+  SynConfig cfg = small_config();
+  cfg.syn_points = 3;
+  const SynSeeker seeker(cfg);
+  const auto a = drive(5, 0, 300, 30, 0.5, 20);
+  const auto b = drive(5, 70, 300, 30, 0.5, 21);
+  PackedContext pa;
+  PackedContext pb;
+  pa.sync(a);
+  pb.sync(b);
+  const auto want = per_position_find(seeker, a, b);
+  ASSERT_EQ(want.size(), cfg.syn_points);
+  expect_same_points(want, seeker.find(a, b, &pa, &pb));
+  expect_same_points(want, seeker.find(a, b));
+
+  // Both cars drive on 6 m: the cache re-verifies its ±12 m bands.
+  SynCache cache(cfg);
+  std::vector<SynPoint> got;
+  cache.find_into(a, b, &pa, nullptr, got);
+  expect_same_points(want, got);
+  const auto a2 = drive(5, 0, 306, 30, 0.5, 20);
+  const auto b2 = drive(5, 70, 306, 30, 0.5, 21);
+  PackedContext pa2;
+  pa2.sync(a2);
+  cache.find_into(a2, b2, &pa2, nullptr, got);
+  EXPECT_EQ(cache.stats().tracking_hits, cfg.syn_points);
+  expect_same_points(per_position_find(seeker, a2, b2), got);
 }
 
 TEST(SynSeeker, ZeroStrideIsRejectedAtConstruction) {
