@@ -102,18 +102,6 @@ void BM_SynSearch_PaperReference(benchmark::State& state) {
 }
 BENCHMARK(BM_SynSearch_PaperReference);
 
-// Coarse-to-fine search: same result (tested), ~stride x cheaper sweep.
-void BM_SynSearch_CoarseToFine(benchmark::State& state) {
-  const auto pair = make_pair(1000, 115);
-  core::SynConfig cfg = config_for(100, 45);
-  cfg.coarse_stride_m = static_cast<std::size_t>(state.range(0));
-  const core::SynSeeker seeker(cfg);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(seeker.find_one(pair.a, pair.b));
-  }
-}
-BENCHMARK(BM_SynSearch_CoarseToFine)->Arg(0)->Arg(4)->Arg(8);
-
 void BM_MultiSynQuery(benchmark::State& state) {
   const auto pair = make_pair(1000, 115);
   core::SynConfig cfg = config_for(85, 45);

@@ -294,60 +294,6 @@ QuantPoint record_quant_point() {
   return {float_ns / i16_ns, maxerr16, argmax16 && argmax8};
 }
 
-/// Per-stride covering-scan vs strided-batch measurement behind the float
-/// path's strided-grid route (DESIGN §11): for each stride the contiguous
-/// covering scan pays for every metre at unit-stride block speed, the
-/// strided batched scan pays only for grid points but with strided lane
-/// loads. The crossover is the largest stride where covering still wins;
-/// core::kCoveringScanMaxStrideM also sets the float coarse-to-fine floor,
-/// so it is compared here but re-pinned only with a search-result change.
-void measure_stride_crossover() {
-  const Scan s = make_scan(kPaperWindow, kPaperChannels, kPaperMaskPct);
-  const std::size_t reps = bench::scaled(10);
-  std::vector<double> scores(s.positions, 0.0);
-  // Warm-up.
-  measure_ns_per_position(s, core::kLagBlock, 1);
-  // Covering scan cost is stride-independent: every metre is scored at
-  // block width regardless of which lanes land on the grid.
-  const double covering_total =
-      measure_ns_per_position(s, core::kLagBlock, reps) *
-      static_cast<double>(s.positions);
-
-  std::printf(
-      "stride crossover at paper point m=%zu w=%zu k=%zu mask=%d%% "
-      "(ns per GRID position):\n", kContextMetres, kPaperWindow,
-      kPaperChannels, kPaperMaskPct);
-  std::printf("  %-8s %14s %14s %10s\n", "stride", "covering", "strided",
-              "winner");
-  std::size_t crossover = 1;
-  bool covering_streak = true;
-  for (std::size_t stride = 2; stride <= 8; ++stride) {
-    const std::size_t grid_count = (s.positions - 1) / stride + 1;
-    const double covering_per_grid =
-        covering_total / static_cast<double>(grid_count);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < reps; ++r) {
-      core::packed_correlation_batch(s.fixed(), 0, s.sliding(), 0,
-                                     grid_count, s.window, s.config,
-                                     scores.data(), stride);
-      benchmark::DoNotOptimize(scores.data());
-    }
-    const double strided_per_grid =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count() *
-        1e9 / static_cast<double>(reps) / static_cast<double>(grid_count);
-    const bool covering_wins = covering_per_grid < strided_per_grid;
-    if (covering_streak && covering_wins) crossover = stride;
-    if (!covering_wins) covering_streak = false;
-    std::printf("  %-8zu %14.0f %14.0f %10s\n", stride, covering_per_grid,
-                strided_per_grid, covering_wins ? "covering" : "strided");
-  }
-  std::printf(
-      "measured covering-scan crossover: stride <= %zu (compiled "
-      "kCoveringScanMaxStrideM = %zu)\n",
-      crossover, core::kCoveringScanMaxStrideM);
-}
-
 /// Sweep-shape counters: functions of the registered benchmark grid only,
 /// so the committed baseline pins them exactly (a 2% counter diff catches
 /// accidental sweep edits; timings never reach these).
@@ -397,7 +343,6 @@ int main(int argc, char** argv) {
   bool selfcheck = false;
   bool quant_selfcheck = false;
   bool quant_report = false;
-  bool stride_crossover = false;
   for (int i = 1; i < argc;) {
     const auto take = [&](bool* flag) {
       *flag = true;
@@ -410,8 +355,6 @@ int main(int argc, char** argv) {
       take(&quant_selfcheck);
     } else if (std::strcmp(argv[i], "--quant-report") == 0) {
       take(&quant_report);
-    } else if (std::strcmp(argv[i], "--stride-crossover") == 0) {
-      take(&stride_crossover);
     } else {
       ++i;
     }
@@ -447,10 +390,6 @@ int main(int argc, char** argv) {
     record_quant_point();
     const auto path = rups::bench::write_metrics_json("syn_quant");
     std::printf("  metrics json: %s\n", path.c_str());
-    return 0;
-  }
-  if (stride_crossover) {
-    measure_stride_crossover();
     return 0;
   }
 

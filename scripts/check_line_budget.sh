@@ -8,7 +8,7 @@
 #   scripts/check_line_budget.sh <repo-root>
 set -euo pipefail
 
-readonly CEILING=31385
+readonly CEILING=31254
 
 root="${1:?usage: check_line_budget.sh <repo-root>}"
 count=$(find "$root/src" "$root/tests" -type f \

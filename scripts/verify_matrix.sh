@@ -14,11 +14,12 @@
 #     encoder fed NaN/±inf readings, headings and times must never
 #     convert one to an integer, which UBSan reports),
 #     the lag-batched kernel bit-identity tests (overlapped tail blocks,
-#     strided lanes and the usable-row loop's read-range check are
-#     exactly the kind of indexing asan vets),
+#     sub-block remainders and the usable-row loop's read-range check
+#     are exactly the kind of indexing asan vets),
 #     the SYN seek suites (the one seek core's pass wiring, the
-#     SubsetPack fallback's index arithmetic, pack reuse, the engine's
-#     query path and its ingest rejections),
+#     SubsetPack fallback's index arithmetic, SynCache's lock arithmetic
+#     on any u64 first metre, pack reuse, the engine's query path and its
+#     ingest rejections),
 #     the quantized-kernel differential suite and its pack-builder fuzz
 #     (random/NaN/±inf/out-of-range dBm through one-shot builds and
 #     eviction-heavy sync cycles must clamp or mask, never UB — the
@@ -77,6 +78,10 @@ cmake --build --preset asan-ubsan -j"$jobs" --target \
 
 echo ""
 echo "== asan-ubsan: run sanitized binaries =="
+# UBSan prints a report and carries on by default; halting makes any
+# report (signed overflow, a non-finite float-to-int conversion) fail
+# the lane.
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 # test_alloc self-skips here: alloc accounting is compiled out under ASAN
 # (with a logged reason), and the test asserts the inert surface instead.
 for bin in test_obs test_obs_disabled test_obs_recorder test_obs_health \

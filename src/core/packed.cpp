@@ -170,19 +170,19 @@ constexpr std::size_t kMaxFixedRows = 64;
 
 // ---------------------------------------------------------------------------
 // Lane kernel. lag_block_body<B> scores the B sliding positions
-//   pos0, pos0 + step, ..., pos0 + (B-1)*step     (in metres)
+//   pos0, pos0 + 1, ..., pos0 + B - 1     (in metres)
 // in one traversal of the checking window. The outer loop runs over window
 // metres i; fixed-row values fv[i]/fx[i]/fx2[i] are loaded once per metre
-// and broadcast; the B sliding-side loads sx_[i + b*step] are contiguous
-// across the block when step == 1 (SIMD lanes across lags). Each lane's six
-// float moment sums accumulate over i in source order, which is the SAME
-// order the historical per-position kernel used — so every lane is
-// bit-identical to a single-position call regardless of B, step, or target
-// ISA (the TU is compiled without value-changing FP options).
+// and broadcast; the B sliding-side loads sx_[i + b] are contiguous across
+// the block (SIMD lanes across lags). Each lane's six float moment sums
+// accumulate over i in source order, which is the SAME order the
+// historical per-position kernel used — so every lane is bit-identical to a
+// single-position call regardless of B or target ISA (the TU is compiled
+// without value-changing FP options).
 //
-// step == 0 is the degenerate single-position block (all lanes score pos0;
-// lane 0 is the answer) — packed_correlation() routes through it so there
-// is exactly ONE masked accumulation loop in the whole system.
+// B == 1 is the single-position block — packed_correlation() routes
+// through it so there is exactly ONE masked accumulation loop in the whole
+// system.
 //
 // The per-channel epilogue is branchless on purpose: every lane computes
 // the variance/covariance reduction with a safe denominator (dn = 1 when
@@ -194,10 +194,10 @@ constexpr std::size_t kMaxFixedRows = 64;
 // channel with `continue`. A lane whose guard fails may compute NaN/Inf in
 // `r`; the select discards it before it can touch an accumulator.
 //
-// Usable-row lane loop: in step == 1 blocks of a batch call (`rows`
-// non-empty), a channel whose sliding row is 1.0 across the block's whole
-// read range [pos0, pos0 + window + B - 1) takes a lean loop of three sums
-// (sy += fvi*y, syy += fvi*y2, sxy += (fvi*fxi)*y — the masked loop's own
+// Usable-row lane loop: in the blocks of a batch call (`rows` non-empty),
+// a channel whose sliding row is 1.0 across the block's whole read range
+// [pos0, pos0 + window + B - 1) takes a lean loop of three sums (sy +=
+// fvi*y, syy += fvi*y2, sxy += (fvi*fxi)*y — the masked loop's own
 // products with m == fvi) and a vectorized epilogue over the channel's
 // FixedRow, hoisted on first use. A channel whose fixed row is below
 // min_channel_overlap is skipped there: its lanes would only add +0.
@@ -205,7 +205,7 @@ constexpr std::size_t kMaxFixedRows = 64;
 template <int B>
 [[gnu::always_inline]] inline void lag_block_body(
     const PackedView& fixed, std::size_t fixed_start, const PackedView& sliding,
-    std::size_t pos0, std::size_t step, std::size_t window,
+    std::size_t pos0, std::size_t window,
     const TrajectoryCorrelationConfig& config, FixedRow* rows,
     std::size_t row_count, double* out) {
   double channel_corr_sum[B] = {};
@@ -229,7 +229,7 @@ template <int B>
     const float* sv_ = sliding.span.v + sc * sliding.span.stride + pos0;
 
     if constexpr (B > 1) {
-      if (step == 1 && kk < row_count && row_usable(sv_, window + B - 1)) {
+      if (kk < row_count && row_usable(sv_, window + B - 1)) {
         FixedRow& f = rows[kk];
         if (!f.ready) hoist_fixed_row(fx, fx2, fv, window, min_overlap, f);
         if (!f.use) continue;
@@ -273,41 +273,21 @@ template <int B>
 
     float n[B] = {}, sx[B] = {}, sy[B] = {}, sxx[B] = {}, syy[B] = {},
           sxy[B] = {};
-    if (step == 1) {
-      // Contiguous lanes: per metre i the block reads sliding columns
-      // [i, i+B) — one unaligned vector load per stream.
-      for (std::size_t i = 0; i < window; ++i) {
-        const float fvi = fv[i];
-        const float fxi = fx[i];
-        const float fx2i = fx2[i];
-        for (int b = 0; b < B; ++b) {
-          const std::size_t j = i + static_cast<std::size_t>(b);
-          const float m = fvi * sv_[j];
-          n[b] += m;
-          sx[b] += m * fxi;
-          sy[b] += m * sx_[j];
-          sxx[b] += m * fx2i;
-          syy[b] += m * sx2_[j];
-          sxy[b] += m * fxi * sx_[j];
-        }
-      }
-    } else {
-      // Strided (coarse-scan) or degenerate (step == 0) lanes: gathered
-      // loads, same per-lane arithmetic and order.
-      for (std::size_t i = 0; i < window; ++i) {
-        const float fvi = fv[i];
-        const float fxi = fx[i];
-        const float fx2i = fx2[i];
-        for (int b = 0; b < B; ++b) {
-          const std::size_t j = i + static_cast<std::size_t>(b) * step;
-          const float m = fvi * sv_[j];
-          n[b] += m;
-          sx[b] += m * fxi;
-          sy[b] += m * sx_[j];
-          sxx[b] += m * fx2i;
-          syy[b] += m * sx2_[j];
-          sxy[b] += m * fxi * sx_[j];
-        }
+    // Per metre i the block reads sliding columns [i, i+B) — one unaligned
+    // vector load per stream.
+    for (std::size_t i = 0; i < window; ++i) {
+      const float fvi = fv[i];
+      const float fxi = fx[i];
+      const float fx2i = fx2[i];
+      for (int b = 0; b < B; ++b) {
+        const std::size_t j = i + static_cast<std::size_t>(b);
+        const float m = fvi * sv_[j];
+        n[b] += m;
+        sx[b] += m * fxi;
+        sy[b] += m * sx_[j];
+        sxx[b] += m * fx2i;
+        syy[b] += m * sx2_[j];
+        sxy[b] += m * fxi * sx_[j];
       }
     }
     for (int b = 0; b < B; ++b) {
@@ -374,11 +354,11 @@ template <int B>
 #define RUPS_DEFINE_LAG_BLOCK(B)                                          \
   RUPS_KERNEL_CLONES __attribute__((noinline)) void lag_block_##B(        \
       const PackedView& fixed, std::size_t fixed_start,                   \
-      const PackedView& sliding, std::size_t pos0, std::size_t step,      \
-      std::size_t window, const TrajectoryCorrelationConfig& config,      \
-      FixedRow* rows, std::size_t row_count, double* out) {               \
-    lag_block_body<B>(fixed, fixed_start, sliding, pos0, step, window,    \
-                      config, rows, row_count, out);                      \
+      const PackedView& sliding, std::size_t pos0, std::size_t window,    \
+      const TrajectoryCorrelationConfig& config, FixedRow* rows,          \
+      std::size_t row_count, double* out) {                               \
+    lag_block_body<B>(fixed, fixed_start, sliding, pos0, window, config,  \
+                      rows, row_count, out);                              \
   }
 
 RUPS_DEFINE_LAG_BLOCK(1)
@@ -389,54 +369,48 @@ RUPS_DEFINE_LAG_BLOCK(16)
 #undef RUPS_KERNEL_CLONES
 
 /// Full blocks of B ascending positions, then either an overlapped tail
-/// block (recomputes up to B-1 already-scored positions on the same stride
-/// grid — bit-identical, so harmless) or, when the whole batch is smaller
-/// than B, degenerate single-position blocks. Contiguous batches of at
-/// least one block hoist the fixed-row terms once for all their blocks.
+/// block (recomputes up to B-1 already-scored positions — bit-identical, so
+/// harmless) or, when the whole batch is smaller than B, single-position
+/// blocks. Batches of at least one block hoist the fixed-row terms once for
+/// all their blocks.
 template <int B>
 void batch_blocks(const PackedView& fixed, std::size_t fixed_start,
                   const PackedView& sliding, std::size_t pos_lo,
                   std::size_t pos_count, std::size_t window,
                   const TrajectoryCorrelationConfig& config,
-                  double* out_scores, std::size_t pos_stride) {
+                  double* out_scores) {
   constexpr auto kB = static_cast<std::size_t>(B);
   FixedRow rows[kMaxFixedRows]{};
   const std::size_t row_count =
-      pos_stride == 1 && pos_count >= kB
-          ? std::min(fixed.rows.size(), kMaxFixedRows)
-          : 0;
-  const auto block = [&](std::size_t pos0, std::size_t step, double* out) {
+      pos_count >= kB ? std::min(fixed.rows.size(), kMaxFixedRows) : 0;
+  const auto block = [&](std::size_t pos0, double* out) {
     if constexpr (B == 4) {
-      lag_block_4(fixed, fixed_start, sliding, pos0, step, window, config,
-                  rows, row_count, out);
+      lag_block_4(fixed, fixed_start, sliding, pos0, window, config, rows,
+                  row_count, out);
     } else if constexpr (B == 8) {
-      lag_block_8(fixed, fixed_start, sliding, pos0, step, window, config,
-                  rows, row_count, out);
+      lag_block_8(fixed, fixed_start, sliding, pos0, window, config, rows,
+                  row_count, out);
     } else {
-      lag_block_16(fixed, fixed_start, sliding, pos0, step, window, config,
-                   rows, row_count, out);
+      lag_block_16(fixed, fixed_start, sliding, pos0, window, config, rows,
+                   row_count, out);
     }
   };
   std::size_t q = 0;
-  for (; q + kB <= pos_count; q += kB) {
-    block(pos_lo + q * pos_stride, pos_stride, out_scores + q);
-  }
+  for (; q + kB <= pos_count; q += kB) block(pos_lo + q, out_scores + q);
   if (q == pos_count) return;
   double tmp[kB];
   if (pos_count >= kB) {
     const std::size_t start = pos_count - kB;
-    block(pos_lo + start * pos_stride, pos_stride, tmp);
+    block(pos_lo + start, tmp);
     for (std::size_t b = q - start; b < kB; ++b) {
       out_scores[start + b] = tmp[b];
     }
   } else {
     // Fewer positions than lanes: score one at a time through the B=1
-    // block (identical per-lane arithmetic, so still bit-exact). Running
-    // the wide block at step 0 instead would compute the same position in
-    // every lane — B× redundant work through the slow generic nest.
+    // block (identical per-lane arithmetic, so still bit-exact).
     for (; q < pos_count; ++q) {
-      lag_block_1(fixed, fixed_start, sliding, pos_lo + q * pos_stride, 0,
-                  window, config, nullptr, 0, tmp);
+      lag_block_1(fixed, fixed_start, sliding, pos_lo + q, window, config,
+                  nullptr, 0, tmp);
       out_scores[q] = tmp[0];
     }
   }
@@ -449,7 +423,7 @@ double packed_correlation(const PackedView& fixed, std::size_t fixed_start,
                           std::size_t window,
                           const TrajectoryCorrelationConfig& config) {
   double out[1];
-  lag_block_1(fixed, fixed_start, sliding, pos, 0, window, config, nullptr, 0,
+  lag_block_1(fixed, fixed_start, sliding, pos, window, config, nullptr, 0,
               out);
   return out[0];
 }
@@ -458,35 +432,34 @@ void packed_correlation_batch(const PackedView& fixed, std::size_t fixed_start,
                               const PackedView& sliding, std::size_t pos_lo,
                               std::size_t pos_count, std::size_t window,
                               const TrajectoryCorrelationConfig& config,
-                              double* out_scores, std::size_t pos_stride_m) {
+                              double* out_scores) {
   batch_blocks<16>(fixed, fixed_start, sliding, pos_lo, pos_count, window,
-                   config, out_scores, pos_stride_m);
+                   config, out_scores);
 }
 
 void packed_correlation_batch_lanes(
     std::size_t lanes, const PackedView& fixed, std::size_t fixed_start,
     const PackedView& sliding, std::size_t pos_lo, std::size_t pos_count,
     std::size_t window, const TrajectoryCorrelationConfig& config,
-    double* out_scores, std::size_t pos_stride_m) {
+    double* out_scores) {
   switch (lanes) {
     case 1:
       for (std::size_t q = 0; q < pos_count; ++q) {
-        out_scores[q] = packed_correlation(
-            fixed, fixed_start, sliding, pos_lo + q * pos_stride_m, window,
-            config);
+        out_scores[q] = packed_correlation(fixed, fixed_start, sliding,
+                                           pos_lo + q, window, config);
       }
       break;
     case 4:
       batch_blocks<4>(fixed, fixed_start, sliding, pos_lo, pos_count, window,
-                      config, out_scores, pos_stride_m);
+                      config, out_scores);
       break;
     case 8:
       batch_blocks<8>(fixed, fixed_start, sliding, pos_lo, pos_count, window,
-                      config, out_scores, pos_stride_m);
+                      config, out_scores);
       break;
     default:
       batch_blocks<16>(fixed, fixed_start, sliding, pos_lo, pos_count, window,
-                       config, out_scores, pos_stride_m);
+                       config, out_scores);
       break;
   }
 }

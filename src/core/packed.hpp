@@ -162,26 +162,23 @@ inline constexpr std::size_t kLagBlock = 16;
     std::size_t pos, std::size_t window,
     const TrajectoryCorrelationConfig& config);
 
-/// Lag-batched correlation: scores `pos_count` sliding positions
-///   pos_lo + q * pos_stride_m   for q in [0, pos_count)
-/// into out_scores[q], each exactly equal (bit-identical) to the
-/// corresponding packed_correlation() call. One traversal of the checking
-/// window scores kLagBlock positions at a time: fixed-row values are loaded
-/// once and broadcast, the B sliding-side loads per metre are contiguous
-/// across the block (stride 1) or strided by pos_stride_m — SIMD lanes
-/// across lags instead of across metres, which is why no value-changing FP
-/// flags are needed to vectorize. A trailing partial block is rescored as
-/// an overlapped full block ending at the last position (same stride grid,
-/// so recomputed lanes reproduce the same bits); when pos_count < kLagBlock
-/// each position runs as a degenerate single-position block.
-/// Caller must guarantee every scored window fits: pos_lo +
-/// (pos_count-1)*pos_stride_m + window <= sliding.span.metres.
+/// Lag-batched correlation: scores the `pos_count` consecutive sliding
+/// positions pos_lo, pos_lo + 1, ... into out_scores[q], each exactly equal
+/// (bit-identical) to the corresponding packed_correlation() call. One
+/// traversal of the checking window scores kLagBlock positions at a time:
+/// fixed-row values are loaded once and broadcast, the B sliding-side loads
+/// per metre are contiguous across the block — SIMD lanes across lags
+/// instead of across metres, which is why no value-changing FP flags are
+/// needed to vectorize. A trailing partial block is rescored as an
+/// overlapped full block ending at the last position (recomputed lanes
+/// reproduce the same bits); when pos_count < kLagBlock each position runs
+/// as a single-position block. Caller must guarantee every scored window
+/// fits: pos_lo + pos_count - 1 + window <= sliding.span.metres.
 void packed_correlation_batch(const PackedView& fixed, std::size_t fixed_start,
                               const PackedView& sliding, std::size_t pos_lo,
                               std::size_t pos_count, std::size_t window,
                               const TrajectoryCorrelationConfig& config,
-                              double* out_scores,
-                              std::size_t pos_stride_m = 1);
+                              double* out_scores);
 
 /// Tuning/bench surface: packed_correlation_batch with an explicit lane
 /// width. lanes must be 1, 4, 8 or 16 (1 = per-position scalar path, the
@@ -192,6 +189,6 @@ void packed_correlation_batch_lanes(
     std::size_t lanes, const PackedView& fixed, std::size_t fixed_start,
     const PackedView& sliding, std::size_t pos_lo, std::size_t pos_count,
     std::size_t window, const TrajectoryCorrelationConfig& config,
-    double* out_scores, std::size_t pos_stride_m = 1);
+    double* out_scores);
 
 }  // namespace rups::core

@@ -216,9 +216,9 @@ std::size_t QuantizedPack::sync(const PackedContext& pack,
 //     lag's running sum, and the pass ends with plain (deinterleaving)
 //     stores instead of six horizontal reductions per lag. This is where
 //     the quantized speedup over the float kernel comes from.
-//   * channel_pass_*: the along-window path for strided grids (lag step
-//     > 1, where adjacent lags share no elements) and short remainders; it
-//     vectorizes one lag's window reduction and reduces horizontally.
+//   * channel_pass_*: the along-window path for remainders shorter than a
+//     block; it vectorizes one lag's window reduction and reduces
+//     horizontally.
 //
 // Every variant accumulates identical integers: with window <=
 // kQuantMaxWindowM and |q| <= kQuantMax16 every sum fits int32
@@ -228,15 +228,15 @@ std::size_t QuantizedPack::sync(const PackedContext& pack,
 
 namespace {
 
-/// Six sums for `count` lags at lag stride `step`, written sum-major:
+/// Six sums for `count` consecutive lags, written sum-major:
 /// sums[j * kLagBlock + b] for j in (n, sx, sy, sxx, syy, sxy).
 void channel_pass_generic(const std::int16_t* fq, const std::int16_t* fv,
                           const std::int16_t* sq0, const std::int16_t* sv0,
-                          std::size_t step, std::size_t count,
-                          std::size_t window, std::int32_t* sums) {
+                          std::size_t count, std::size_t window,
+                          std::int32_t* sums) {
   for (std::size_t b = 0; b < count; ++b) {
-    const std::int16_t* sq = sq0 + b * step;
-    const std::int16_t* sv = sv0 + b * step;
+    const std::int16_t* sq = sq0 + b;
+    const std::int16_t* sv = sv0 + b;
     std::int32_t n = 0, sx = 0, sy = 0, sxx = 0, syy = 0, sxy = 0;
     for (std::size_t i = 0; i < window; ++i) {
       const std::int32_t mf = static_cast<std::int32_t>(fq[i]) * sv[i];
@@ -261,7 +261,7 @@ void channel_pass_generic(const std::int16_t* fq, const std::int16_t* fv,
 void lag_pass_generic(const std::int16_t* fq, const std::int16_t* fv,
                       const std::int16_t* sq0, const std::int16_t* sv0,
                       std::size_t window, std::int32_t* sums) {
-  channel_pass_generic(fq, fv, sq0, sv0, 1, kLagBlock, window, sums);
+  channel_pass_generic(fq, fv, sq0, sv0, kLagBlock, window, sums);
 }
 
 bool always_supported() { return true; }
@@ -355,11 +355,11 @@ __attribute__((target("avx2"))) inline std::int32_t hsum_epi32(__m256i v) {
 
 __attribute__((target("avx2"), noinline)) void channel_pass_avx2(
     const std::int16_t* fq, const std::int16_t* fv, const std::int16_t* sq0,
-    const std::int16_t* sv0, std::size_t step, std::size_t count,
-    std::size_t window, std::int32_t* sums) {
+    const std::int16_t* sv0, std::size_t count, std::size_t window,
+    std::int32_t* sums) {
   for (std::size_t b = 0; b < count; ++b) {
-    const std::int16_t* sq = sq0 + b * step;
-    const std::int16_t* sv = sv0 + b * step;
+    const std::int16_t* sq = sq0 + b;
+    const std::int16_t* sv = sv0 + b;
     __m256i an = _mm256_setzero_si256(), asx = an, asy = an, asxx = an,
             asyy = an, asxy = an;
     std::size_t i = 0;
@@ -452,11 +452,11 @@ void lag_pass_avx2(const std::int16_t* fq, const std::int16_t* fv,
 
 __attribute__((target("avx512bw"), noinline)) void channel_pass_512(
     const std::int16_t* fq, const std::int16_t* fv, const std::int16_t* sq0,
-    const std::int16_t* sv0, std::size_t step, std::size_t count,
-    std::size_t window, std::int32_t* sums) {
+    const std::int16_t* sv0, std::size_t count, std::size_t window,
+    std::int32_t* sums) {
   for (std::size_t b = 0; b < count; ++b) {
-    const std::int16_t* sq = sq0 + b * step;
-    const std::int16_t* sv = sv0 + b * step;
+    const std::int16_t* sq = sq0 + b;
+    const std::int16_t* sv = sv0 + b;
     __m512i an = _mm512_setzero_si512(), asx = an, asy = an, asxx = an,
             asyy = an, asxy = an;
     std::size_t i = 0;
@@ -647,7 +647,7 @@ RUPS_QUANT_CLONES __attribute__((noinline)) void quant_lane_accum(
 /// sums), so overlapping or splitting blocks is always safe.
 void quant_chunk(const QuantView& fixed, std::size_t fixed_start,
                  const QuantView& sliding, std::size_t pos0,
-                 std::size_t step, std::size_t count, std::size_t window,
+                 std::size_t count, std::size_t window,
                  const TrajectoryCorrelationConfig& config, double* out) {
   QuantLaneAcc acc{};
   const auto min_overlap =
@@ -655,10 +655,10 @@ void quant_chunk(const QuantView& fixed, std::size_t fixed_start,
   const double sf = fixed.span.params.step;
   const double ss = sliding.span.params.step;
   std::int32_t sums[6 * kLagBlock];
-  // Full stride-1 blocks take the GEMM-shaped lag pass; strided grids and
-  // short remainders take the along-window pass. Both produce identical
-  // integer sums, so the route is timing-only.
-  const bool contiguous = step == 1 && count == kLagBlock;
+  // Full blocks take the GEMM-shaped lag pass; short remainders take the
+  // along-window pass. Both produce identical integer sums, so the route
+  // is timing-only.
+  const bool full_block = count == kLagBlock;
   const detail::QuantKernelVariant& kernel = quant_kernel();
 
   const std::size_t k = std::min(fixed.rows.size(), sliding.rows.size());
@@ -672,10 +672,10 @@ void quant_chunk(const QuantView& fixed, std::size_t fixed_start,
         fixed.span.v + fc * fixed.span.stride + fixed_start;
     const std::int16_t* sqp = sliding.span.q + sc * sliding.span.stride + pos0;
     const std::int16_t* svp = sliding.span.v + sc * sliding.span.stride + pos0;
-    if (contiguous) {
+    if (full_block) {
       kernel.lag_pass(fqp, fvp, sqp, svp, window, sums);
     } else {
-      kernel.channel_pass(fqp, fvp, sqp, svp, step, count, window, sums);
+      kernel.channel_pass(fqp, fvp, sqp, svp, count, window, sums);
     }
     quant_lane_accum(sums, count, min_overlap, sf, ss, acc);
   }
@@ -713,33 +713,29 @@ void quantized_correlation_batch(const QuantView& fixed,
                                  const QuantView& sliding, std::size_t pos_lo,
                                  std::size_t pos_count, std::size_t window,
                                  const TrajectoryCorrelationConfig& config,
-                                 double* out_scores,
-                                 std::size_t pos_stride_m) {
+                                 double* out_scores) {
   if (window > kQuantMaxWindowM) {
     throw std::invalid_argument(
         "quantized_correlation: window exceeds kQuantMaxWindowM");
   }
-  if (pos_stride_m == 1 && pos_count >= kLagBlock) {
-    // Keep every chunk a full block so the GEMM-shaped lag pass runs
-    // throughout: the last chunk overlaps backwards instead of shrinking.
-    // Recomputed lags are bit-identical (exact integer sums), so overlap
-    // is free of the float kernel's lane-shape concerns.
-    std::size_t q = 0;
-    for (; q + kLagBlock <= pos_count; q += kLagBlock) {
-      quant_chunk(fixed, fixed_start, sliding, pos_lo + q, 1, kLagBlock,
-                  window, config, out_scores + q);
-    }
-    if (q < pos_count) {
-      const std::size_t q0 = pos_count - kLagBlock;
-      quant_chunk(fixed, fixed_start, sliding, pos_lo + q0, 1, kLagBlock,
-                  window, config, out_scores + q0);
-    }
+  if (pos_count < kLagBlock) {
+    quant_chunk(fixed, fixed_start, sliding, pos_lo, pos_count, window,
+                config, out_scores);
     return;
   }
-  for (std::size_t q = 0; q < pos_count; q += kLagBlock) {
-    const std::size_t n = std::min(kLagBlock, pos_count - q);
-    quant_chunk(fixed, fixed_start, sliding, pos_lo + q * pos_stride_m,
-                pos_stride_m, n, window, config, out_scores + q);
+  // Keep every chunk a full block so the GEMM-shaped lag pass runs
+  // throughout: the last chunk overlaps backwards instead of shrinking.
+  // Recomputed lags are bit-identical (exact integer sums), so overlap is
+  // free of the float kernel's lane-shape concerns.
+  std::size_t q = 0;
+  for (; q + kLagBlock <= pos_count; q += kLagBlock) {
+    quant_chunk(fixed, fixed_start, sliding, pos_lo + q, kLagBlock, window,
+                config, out_scores + q);
+  }
+  if (q < pos_count) {
+    const std::size_t q0 = pos_count - kLagBlock;
+    quant_chunk(fixed, fixed_start, sliding, pos_lo + q0, kLagBlock, window,
+                config, out_scores + q0);
   }
 }
 
@@ -749,23 +745,21 @@ double quantized_correlation(const QuantView& fixed, std::size_t fixed_start,
                              const TrajectoryCorrelationConfig& config) {
   double out;
   quantized_correlation_batch(fixed, fixed_start, sliding, pos, 1, window,
-                              config, &out, 1);
+                              config, &out);
   return out;
 }
 
 void scan_correlation_batch(const ScanPair& pair, std::size_t pos_lo,
                             std::size_t pos_count, std::size_t window,
                             const TrajectoryCorrelationConfig& config,
-                            double* out_scores, std::size_t pos_stride_m) {
+                            double* out_scores) {
   if (pair.precision != KernelPrecision::kFloat32) {
     quantized_correlation_batch(pair.qfixed, pair.fixed_start, pair.qsliding,
-                                pos_lo, pos_count, window, config, out_scores,
-                                pos_stride_m);
+                                pos_lo, pos_count, window, config, out_scores);
     return;
   }
   packed_correlation_batch(pair.fixed, pair.fixed_start, pair.sliding, pos_lo,
-                           pos_count, window, config, out_scores,
-                           pos_stride_m);
+                           pos_count, window, config, out_scores);
 }
 
 }  // namespace rups::core

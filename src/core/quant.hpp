@@ -13,7 +13,7 @@
 //     dot products) instead of across lags, so each slide position is an
 //     independent small-GEMM row C[b] = A · B[b..b+w) over the implicit
 //     Toeplitz operand of the sliding pack;
-//   * any batch shape, stride, chunking or ISA produces bit-identical
+//   * any batch shape, chunking or ISA produces bit-identical
 //     integer sums, so the quantized path is deterministic by construction
 //     (the only FP arithmetic is the per-channel epilogue, identical in
 //     structure to the float kernel's and compiled with the same strict
@@ -163,20 +163,18 @@ class QuantizedPack {
     std::size_t pos, std::size_t window,
     const TrajectoryCorrelationConfig& config);
 
-/// Batched quantized scan: scores pos_lo + q*pos_stride_m for q in
-/// [0, pos_count) into out_scores[q]. Unlike the float kernel there is no
+/// Batched quantized scan: scores the `pos_count` consecutive positions
+/// from pos_lo into out_scores[q]. Unlike the float kernel there is no
 /// lane-shape caveat: every position is an independent exact-integer dot
-/// along the window, so any batch/stride/chunk shape is bit-identical to
-/// per-position quantized_correlation() calls — strided grids cost the
-/// same per position as contiguous ones. Caller guarantees every window
-/// fits: pos_lo + (pos_count-1)*pos_stride_m + window <= span metres.
+/// along the window, so any batch or chunk shape is bit-identical to
+/// per-position quantized_correlation() calls. Caller guarantees every
+/// window fits: pos_lo + pos_count - 1 + window <= span metres.
 void quantized_correlation_batch(const QuantView& fixed,
                                  std::size_t fixed_start,
                                  const QuantView& sliding, std::size_t pos_lo,
                                  std::size_t pos_count, std::size_t window,
                                  const TrajectoryCorrelationConfig& config,
-                                 double* out_scores,
-                                 std::size_t pos_stride_m = 1);
+                                 double* out_scores);
 
 /// One fixed/sliding operand pair at the precision a seek runs at. The
 /// float views are always populated (they carry the authoritative shapes
@@ -198,20 +196,19 @@ struct ScanPair {
 void scan_correlation_batch(const ScanPair& pair, std::size_t pos_lo,
                             std::size_t pos_count, std::size_t window,
                             const TrajectoryCorrelationConfig& config,
-                            double* out_scores, std::size_t pos_stride_m = 1);
+                            double* out_scores);
 
 namespace detail {
 
 /// Six exact moment sums (n, sx, sy, sxx, syy, sxy) per lag, written
 /// sum-major into sums[j * kLagBlock + b]. The along-window pass scores
-/// `count` <= kLagBlock lags at lag stride `step`; the GEMM-shaped pass
-/// scores kLagBlock consecutive lags.
+/// `count` <= kLagBlock consecutive lags (a sub-block remainder); the
+/// GEMM-shaped pass scores a full block of kLagBlock.
 using QuantChannelPassFn = void (*)(const std::int16_t* fq,
                                     const std::int16_t* fv,
                                     const std::int16_t* sq0,
-                                    const std::int16_t* sv0, std::size_t step,
-                                    std::size_t count, std::size_t window,
-                                    std::int32_t* sums);
+                                    const std::int16_t* sv0, std::size_t count,
+                                    std::size_t window, std::int32_t* sums);
 using QuantLagPassFn = void (*)(const std::int16_t* fq, const std::int16_t* fv,
                                 const std::int16_t* sq0,
                                 const std::int16_t* sv0, std::size_t window,

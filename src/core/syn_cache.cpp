@@ -40,6 +40,27 @@ CacheMetrics& cache_metrics() {
   return m;
 }
 
+/// Slide positions [lo, hi) within `radius` metres of `pred`, clamped to
+/// the positions a `window` fits in `slide_metres`. `pred` is a wrapped u64
+/// difference read as signed; every step is unsigned and guarded, so no
+/// prediction can overflow.
+std::pair<std::size_t, std::size_t> tracking_band(std::uint64_t pred,
+                                                  std::size_t slide_metres,
+                                                  std::size_t window,
+                                                  std::uint64_t radius) {
+  if (slide_metres < window) return {0, 0};
+  const std::uint64_t last = slide_metres - window;
+  const bool below = static_cast<std::int64_t>(pred) < 0;
+  // Distance from pred to [0, last]; past the radius the band is empty.
+  const std::uint64_t gap = below ? 0 - pred : pred > last ? pred - last : 0;
+  if (gap > radius) return {0, 0};
+  if (below) return {0, std::min(radius - gap, last) + 1};
+  const std::uint64_t lo = pred > radius ? pred - radius : 0;
+  const std::uint64_t hi =
+      pred < last && last - pred > radius ? pred + radius : last;
+  return {lo, hi + 1};
+}
+
 }  // namespace
 
 SynCache::SynCache(SynConfig syn, SynCacheConfig config)
@@ -58,47 +79,33 @@ SynCache::TrackOutcome SynCache::verify_tracked(
     return {true, std::nullopt};
   }
 
-  // Band of slide positions around the locked alignment, on the same
-  // stride grid the full search scans.
-  const auto band = [&](std::int64_t pred_m, std::size_t slide_metres)
-      -> std::pair<std::size_t, std::size_t> {
-    if (slide_metres < p.window) return {0, 0};
-    const auto stride = static_cast<std::int64_t>(seeker_.config().stride_m);
-    const auto max_pos = static_cast<std::int64_t>(
-        (slide_metres - p.window) / static_cast<std::size_t>(stride));
-    const auto r = static_cast<std::int64_t>(config_.verify_radius_m);
-    const std::int64_t lo_m = pred_m - r;
-    const std::int64_t hi_m = pred_m + r;
-    if (hi_m < 0) return {0, 0};
-    const std::int64_t lo =
-        lo_m <= 0 ? 0 : (lo_m + stride - 1) / stride;  // ceil, lo_m > 0
-    const std::int64_t hi = std::min(hi_m / stride, max_pos);
-    if (lo > hi) return {0, 0};
-    return {static_cast<std::size_t>(lo), static_cast<std::size_t>(hi) + 1};
-  };
-
-  const auto l_first = static_cast<std::int64_t>(local.first_metre());
-  const auto n_first = static_cast<std::int64_t>(neighbour.first_metre());
+  // Predicted slide positions of each pass's fixed window, from the
+  // locked odometer offset. first_metre() is any u64 (a V2V header sets
+  // it), so the predictions are wrapped u64 differences: they equal the
+  // signed position whenever that fits int64, and stay defined otherwise.
+  const std::uint64_t l_first = local.first_metre();
+  const std::uint64_t n_first = neighbour.first_metre();
   // Pass 1: where the local fixed window should land in the neighbour.
-  const std::int64_t pred_b =
-      l_first + static_cast<std::int64_t>(p.a_start) - lock_offset_m_ -
-      n_first;
+  const std::uint64_t pred_b = l_first + p.a_start - lock_offset_m_ - n_first;
   // Pass 2: where the neighbour fixed window should land locally.
-  const std::int64_t pred_a =
-      n_first + static_cast<std::int64_t>(p.b_start) + lock_offset_m_ -
-      l_first;
+  const std::uint64_t pred_a = n_first + p.b_start + lock_offset_m_ - l_first;
 
   // The full search's own pass wiring, kernel and precision, over a band.
   SynSeeker::Candidate on_b;
   SynSeeker::Candidate on_a;
-  if (const auto [lo, hi] = band(pred_b, neighbour_span.metres); lo < hi) {
+  const std::uint64_t radius = config_.verify_radius_m;
+  if (const auto [lo, hi] =
+          tracking_band(pred_b, neighbour_span.metres, p.window, radius);
+      lo < hi) {
     on_b = seeker_.best_over_positions(
         seeker_.scan_pair({local_span, p.channels_a}, p.a_start,
                           {neighbour_span, p.channels_a}, local_q,
                           neighbour_q),
         p.window, lo, hi);
   }
-  if (const auto [lo, hi] = band(pred_a, local_span.metres); lo < hi) {
+  if (const auto [lo, hi] =
+          tracking_band(pred_a, local_span.metres, p.window, radius);
+      lo < hi) {
     on_a = seeker_.best_over_positions(
         seeker_.scan_pair({neighbour_span, p.channels_b}, p.b_start,
                           {local_span, p.channels_b}, neighbour_q, local_q),
@@ -115,9 +122,8 @@ void SynCache::update_lock(const ContextTrajectory& local,
   if (!syns.empty()) {
     const SynPoint& s = syns.front();  // best correlation after the sort
     locked_ = true;
-    lock_offset_m_ =
-        static_cast<std::int64_t>(local.first_metre() + s.index_a) -
-        static_cast<std::int64_t>(neighbour.first_metre() + s.index_b);
+    lock_offset_m_ = (local.first_metre() + s.index_a) -
+                     (neighbour.first_metre() + s.index_b);
   } else if (locked_) {
     locked_ = false;
     ++stats_.invalidations;

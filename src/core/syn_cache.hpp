@@ -100,7 +100,9 @@ class SynCache {
   /// kFloat32.
   QuantizedPack neighbour_q_;
   bool locked_ = false;
-  std::int64_t lock_offset_m_ = 0;
+  /// (local − neighbour) odometer metre of the last accepted SYN point,
+  /// wrapped mod 2^64 so any pair of first_metre() values is defined.
+  std::uint64_t lock_offset_m_ = 0;
   Stats stats_;
   /// Planning workspace shared by the band and every full search.
   SynSeeker::SeekScratch scratch_;

@@ -54,8 +54,13 @@ constexpr std::size_t kScanChunk = 64 * kLagBlock;
 }  // namespace
 
 void validate(const SynConfig& config) {
-  if (config.stride_m == 0) {
-    throw std::invalid_argument("SynConfig: stride_m must be >= 1");
+  // Every seek scans every metre; the grid fields are pinned (see
+  // SynConfig) and a config asking for another grid has no search to run.
+  if (config.stride_m != 1) {
+    throw std::invalid_argument("SynConfig: stride_m must be 1");
+  }
+  if (config.coarse_stride_m > 1) {
+    throw std::invalid_argument("SynConfig: coarse_stride_m must be 0 or 1");
   }
   if (config.precision != KernelPrecision::kFloat32 &&
       config.window_m > kQuantMaxWindowM) {
@@ -150,114 +155,38 @@ SynSeeker::Candidate SynSeeker::best_over_positions(
     std::size_t pos_hi) const {
   Candidate best;
   if (pair.sliding.span.metres < window) return best;
-  const std::size_t positions =
-      (pair.sliding.span.metres - window) / config_.stride_m + 1;
-  pos_hi = std::min(pos_hi, positions);
+  pos_hi = std::min(pos_hi, pair.sliding.span.metres - window + 1);
   if (pos_lo >= pos_hi) return best;
-  return best_over_grid(pair, window, pos_lo, pos_hi, config_.stride_m,
-                        config_.stride_m);
-}
-
-SynSeeker::Candidate SynSeeker::best_over_grid(
-    const ScanPair& pair, std::size_t window, std::size_t grid_lo,
-    std::size_t grid_hi, std::size_t metre_step,
-    std::size_t index_step) const {
-  Candidate best;
-  if (grid_lo >= grid_hi) return best;
-
-  // Strided FLOAT grids up to kCoveringScanMaxStrideM (measured — DESIGN
-  // §11) score the *contiguous covering metre range* and reduce only the
-  // lanes landing on the grid: scores are bit-identical however they are
-  // batched, so the extra lanes are semantically free, and the contiguous
-  // scan beats the strided batched scan up to that stride. Wider strides,
-  // small spans (they end in degenerate per-position blocks for counts
-  // under kLagBlock) and every quantized grid (its along-window integer
-  // pass scores strided lanes at contiguous cost) scan the grid itself.
-  // Either way the scan runs over `count` units from `lo`, unit u scoring
-  // slide metre u * step.
-  std::size_t lo = grid_lo;
-  std::size_t count = grid_hi - grid_lo;
-  std::size_t step = metre_step;
-  const bool covering = metre_step > 1 &&
-                        metre_step <= kCoveringScanMaxStrideM &&
-                        pair.precision == KernelPrecision::kFloat32 &&
-                        (count - 1) * metre_step + 1 >= kLagBlock;
-  if (covering) {
-    lo = grid_lo * metre_step;
-    count = (count - 1) * metre_step + 1;
-    step = 1;
-  }
+  const std::size_t count = pos_hi - pos_lo;
 
   // One kernel call per chunk, so the kernel hoists its fixed-row terms
   // once per range; the kernel itself does the overlapped and sub-block
-  // tails. A final chunk shorter than a block is re-anchored to end at the
-  // last unit: its re-seen lanes are bit-identical to their first scores,
-  // and an equal score can never displace `best` (strict >), so the
+  // tails. A final chunk shorter than a block is re-anchored to end at
+  // pos_hi: its re-seen lanes are bit-identical to their first scores, and
+  // an equal score can never displace `best` (strict >), so the
   // lowest-position tie-break is untouched.
   double scores[kScanChunk];
   for (std::size_t done = 0; done < count;) {
-    std::size_t first = lo + done;
+    std::size_t first = pos_lo + done;
     std::size_t n = std::min(kScanChunk, count - done);
     if (n < kLagBlock && count >= kLagBlock) {
-      first = lo + count - kLagBlock;
+      first = pos_hi - kLagBlock;
       n = kLagBlock;
     }
-    scan_correlation_batch(pair, first * step, n, window, config_.correlation,
-                           scores, step);
+    scan_correlation_batch(pair, first, n, window, config_.correlation,
+                           scores);
     for (std::size_t b = 0; b < n; ++b) {
-      const std::size_t u = first + b;
-      if (covering && u % metre_step != 0) continue;
       if (!best.valid || scores[b] > best.correlation) {
-        best = {scores[b], (covering ? u / metre_step : u) * index_step, true};
+        best = {scores[b], first + b, true};
       }
     }
-    done = first + n - lo;
+    done = first + n - pos_lo;
   }
-  // Full blocks plus one overlapped tail block, or one degenerate block per
-  // position when the range is shorter than a block.
+  // Full blocks plus one overlapped tail block, or one single-position
+  // block per position when the range is shorter than a block.
   syn_metrics().kernel_blocks.inc(
       count >= kLagBlock ? (count + kLagBlock - 1) / kLagBlock : count);
   return best;
-}
-
-SynSeeker::Candidate SynSeeker::slide(const ScanPair& pair,
-                                      std::size_t window) const {
-  if (pair.sliding.span.metres < window) return {};
-  const std::size_t positions =
-      (pair.sliding.span.metres - window) / config_.stride_m + 1;
-
-  // Coarse-to-fine: scan every coarse_stride-th position, then refine the
-  // neighbourhood of the best coarse hit exhaustively. Only engaged when
-  // the stride is wide enough to beat the exhaustive batched scan: up to
-  // kCoveringScanMaxStrideM a float strided grid is scored by the
-  // contiguous covering scan (see best_over_grid), which costs the same as
-  // scoring every position — so a sparse pre-pass would only add its
-  // refine pass on top. The quantized kernel scores any stride at
-  // batch cost, so it engages coarse-to-fine for every stride > 1.
-  const std::size_t coarse_floor =
-      pair.precision == KernelPrecision::kFloat32 ? kCoveringScanMaxStrideM
-                                                  : 1;
-  if (config_.coarse_stride_m > 1 &&
-      config_.coarse_stride_m * config_.stride_m > coarse_floor &&
-      positions > 4 * config_.coarse_stride_m) {
-    const std::size_t coarse = config_.coarse_stride_m;
-    const std::size_t coarse_count = (positions + coarse - 1) / coarse;
-    syn_metrics().windows.inc(coarse_count);
-    const std::size_t metre_step = coarse * config_.stride_m;
-    // Candidate::position is a fine-grid index here, not metres.
-    const Candidate coarse_best =
-        best_over_grid(pair, window, 0, coarse_count, metre_step, coarse);
-    if (!coarse_best.valid) return {};
-    const std::size_t lo =
-        coarse_best.position > coarse ? coarse_best.position - coarse : 0;
-    const std::size_t hi =
-        std::min(positions, coarse_best.position + coarse + 1);
-    syn_metrics().windows.inc(hi - lo);
-    return best_over_positions(pair, window, lo, hi);
-  }
-
-  syn_metrics().windows.inc(positions);
-  return best_over_positions(pair, window, 0, positions);
 }
 
 ScanPair SynSeeker::scan_pair(const PackedView& fixed,
@@ -386,13 +315,20 @@ std::optional<SynPoint> SynSeeker::find_one(
   const ScanPair pass1 = scan_pair(f1, f1_start, s1, qf1, qs1);
   const ScanPair pass2 = scan_pair(f2, f2_start, s2, qf2, qs2);
 
+  // The fixed window slides over every metre of the other context.
+  const auto slide = [&](const ScanPair& pair) {
+    if (pair.sliding.span.metres < p.window) return Candidate{};
+    const std::size_t positions = pair.sliding.span.metres - p.window + 1;
+    metrics.windows.inc(positions);
+    return best_over_positions(pair, p.window, 0, positions);
+  };
   // Both correlation-scan passes share one kernel span: the child of
   // "syn.seek" that shows up in the paper's Fig. 10-12 cost breakdowns.
   obs::ObsTimer kernel_timer(&metrics.kernel_us, "syn.kernel");
   // Pass 1 (Fig 7 left): recent segment of A slides over B.
-  const Candidate on_b = slide(pass1, p.window);
+  const Candidate on_b = slide(pass1);
   // Pass 2 (Fig 7 right): recent segment of B slides over A.
-  const Candidate on_a = slide(pass2, p.window);
+  const Candidate on_a = slide(pass2);
   kernel_timer.stop();
 
   for (const Candidate& c : {on_b, on_a}) {

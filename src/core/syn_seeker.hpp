@@ -13,14 +13,6 @@
 
 namespace rups::core {
 
-/// Largest metre-stride at which best_over_grid scores a strided FLOAT
-/// grid by batching the contiguous COVERING metre range (discarding
-/// off-grid lanes) instead of the strided batched scan. It also sets the
-/// float coarse-to-fine floor in slide(), so changing it changes search
-/// results. `bench_syn_kernel --stride-crossover` times both strategies
-/// per stride at the paper point (DESIGN §11).
-inline constexpr std::size_t kCoveringScanMaxStrideM = 6;
-
 /// Parameters of the SYN-point search (paper Secs. IV-D, V-C, VI-B).
 struct SynConfig {
   /// Checking-window length in metres (paper evaluates with 85 m and the
@@ -30,7 +22,9 @@ struct SynConfig {
   std::size_t top_channels = 45;
   /// Coherency threshold on the eq.(2) scale [-2, 2] (paper: 1.2).
   double coherency_threshold = 1.2;
-  /// Slide stride in metres (1 = exhaustive, the paper's search).
+  /// Pinned to 1: every seek scans every metre (the paper's exhaustive
+  /// search), and validate() rejects any other value. The field stays only
+  /// because perfbench's config echo prints it; it goes with that echo.
   std::size_t stride_m = 1;
   /// Number of SYN points sought from successively older recent segments
   /// (Sec. VI-C: multiple SYN points tame passing-vehicle outliers).
@@ -46,11 +40,9 @@ struct SynConfig {
   /// older context belongs to a different segment). Uses TurnDetector;
   /// combines with adaptive_window to answer fast right after a turn.
   bool respect_turns = false;
-  /// Coarse-to-fine search: scan positions at coarse_stride_m, then refine
-  /// exhaustively around the best coarse hit. Cuts the O(m*w*k) sweep by
-  /// ~coarse_stride while finding the same peak when the correlation
-  /// surface is unimodal near the optimum (it is: the field decorrelates
-  /// within metres). 0/1 disables.
+  /// Pinned off: 0 and 1 both mean "no coarse pre-pass", and validate()
+  /// rejects anything larger. Kept, like stride_m, only for perfbench's
+  /// config echo.
   std::size_t coarse_stride_m = 0;
   /// Threshold multiplier applied at min_window_m (linear in window size up
   /// to 1.0 at window_m). "Combined with a smaller threshold" — Sec. V-C.
@@ -67,9 +59,10 @@ struct SynConfig {
 };
 
 /// Rejects a SynConfig no seek could run with std::invalid_argument:
-/// stride_m == 0, or a quantized precision with window_m past
-/// kQuantMaxWindowM. SynSeeker and FleetEngine call it at construction so
-/// a bad config fails before any state changes.
+/// stride_m != 1, coarse_stride_m > 1, or a quantized precision with
+/// window_m past kQuantMaxWindowM. SynSeeker, FleetEngine and
+/// MatcherService call it at construction so a bad config fails before
+/// any state changes.
 void validate(const SynConfig& config);
 
 /// One matched overlap between two context trajectories. Indices are the
@@ -177,14 +170,12 @@ class SynSeeker {
   /// Best-correlation-first order of a SYN point list.
   static void sort_best_first(std::vector<SynPoint>& points);
 
-  /// Best correlation over the slide-position indices [pos_lo, pos_hi) on
-  /// the stride grid (position metres = index * stride_m); scored through
-  /// the precision-dispatched kernel (pair.precision) in ascending
-  /// kLagBlock-position blocks, ties resolve to the lowest position
-  /// (bit-identical to a serial per-position scan at every precision).
-  /// pos_hi is clamped to the valid position count. Used by the fine scan,
-  /// the coarse-to-fine refinement, and SynCache's narrow tracking
-  /// re-verification (whose ±verify_radius band is a single natural batch).
+  /// Best correlation over the slide positions [pos_lo, pos_hi) metres,
+  /// scored through the precision-dispatched kernel (pair.precision) in
+  /// ascending chunks; ties resolve to the lowest position (bit-identical
+  /// to a serial per-position scan at every precision). pos_hi is clamped
+  /// to the valid position count. Used by the full search's two passes and
+  /// by SynCache's ±verify_radius tracking band.
   [[nodiscard]] Candidate best_over_positions(const ScanPair& pair,
                                               std::size_t window,
                                               std::size_t pos_lo,
@@ -193,28 +184,6 @@ class SynSeeker {
   [[nodiscard]] const SynConfig& config() const noexcept { return config_; }
 
  private:
-  /// Slide a fixed window (starting at pair.fixed_start in the fixed pack)
-  /// across all of the sliding pack; returns the best position in metres.
-  [[nodiscard]] Candidate slide(const ScanPair& pair,
-                                std::size_t window) const;
-
-  /// Shared scan core: best over grid indices [grid_lo, grid_hi), where
-  /// grid index q scores slide position q * metre_step metres and reports
-  /// Candidate::position = q * index_step. The fine scan uses metre_step =
-  /// index_step = stride_m (position in metres); the coarse scan uses
-  /// metre_step = coarse*stride_m with index_step = coarse (position as a
-  /// fine-grid INDEX, which is what the refinement stage consumes).
-  /// One scan_correlation_batch call per ascending chunk of positions
-  /// (the kernel does the overlapped and sub-block tails); recomputed
-  /// lanes are bit-identical and an equal score can never displace an
-  /// earlier (lower) position, so the lowest-position tie-break survives.
-  [[nodiscard]] Candidate best_over_grid(const ScanPair& pair,
-                                         std::size_t window,
-                                         std::size_t grid_lo,
-                                         std::size_t grid_hi,
-                                         std::size_t metre_step,
-                                         std::size_t index_step) const;
-
   SynConfig config_;
   /// Identity row map 0..top_channels-1, built once so fallback seeks
   /// (SubsetPack views) don't heap-allocate per call; find_one takes

@@ -66,6 +66,9 @@ MatcherService::MatcherService(ServiceConfig config)
       m_stream_estimates_(
           obs::Registry::global().counter("service.stream.estimates")),
       m_stream_us_(obs::Registry::global().histogram("stream.update_us")) {
+  // Vehicles build their FleetEngine lazily, so a config no seek could run
+  // is rejected here rather than out of register_vehicle().
+  core::validate(config_.fleet.rups.syn);
   config_.shard_count = std::max<std::size_t>(1, config_.shard_count);
   config_.queue_capacity = std::max<std::size_t>(1, config_.queue_capacity);
   if (config_.cell_m <= 0.0) config_.cell_m = 250.0;

@@ -102,6 +102,8 @@ class MatcherService {
     double busy_us = 0.0;         ///< serial compute time this round
   };
 
+  /// Throws std::invalid_argument when config.fleet.rups.syn fails
+  /// core::validate, before any vehicle is registered.
   explicit MatcherService(ServiceConfig config = {});
 
   /// Admit a vehicle into the arena. Returns false (and counts a

@@ -12,7 +12,7 @@
 // Pins the lag-batched kernel's contract: packed_correlation_batch (and
 // every explicit lane width) scores each position BIT-IDENTICALLY to a
 // per-position packed_correlation call, across randomized window sizes,
-// position strides, row maps (identity, channel-id, out-of-range, k > 128),
+// start positions, row maps (identity, channel-id, out-of-range, k > 128),
 // partial usability masks, and block-boundary/remainder batch shapes. The
 // determinism guarantees of SynSeeker / SynCache / FleetEngine all reduce
 // to this property.
@@ -64,21 +64,19 @@ void expect_batch_matches_scalar(const PackedView& fixed,
                                  std::size_t fixed_start,
                                  const PackedView& sliding, std::size_t pos_lo,
                                  std::size_t pos_count, std::size_t window,
-                                 std::size_t stride,
                                  const TrajectoryCorrelationConfig& config,
                                  const char* what, std::size_t lanes = 0) {
   std::vector<double> got(pos_count, 0.0);
   if (lanes == 0) {
     packed_correlation_batch(fixed, fixed_start, sliding, pos_lo, pos_count,
-                             window, config, got.data(), stride);
+                             window, config, got.data());
   } else {
     packed_correlation_batch_lanes(lanes, fixed, fixed_start, sliding, pos_lo,
-                                   pos_count, window, config, got.data(),
-                                   stride);
+                                   pos_count, window, config, got.data());
   }
   for (std::size_t q = 0; q < pos_count; ++q) {
-    const double want = packed_correlation(
-        fixed, fixed_start, sliding, pos_lo + q * stride, window, config);
+    const double want = packed_correlation(fixed, fixed_start, sliding,
+                                           pos_lo + q, window, config);
     expect_bit_equal(want, got[q], what, q);
   }
 }
@@ -88,17 +86,18 @@ void expect_batch_matches_scalar(const PackedView& fixed,
 void expect_all_widths_match_scalar(const PackedView& fixed,
                                     std::size_t fixed_start,
                                     const PackedView& sliding,
-                                    std::size_t pos_count, std::size_t window,
+                                    std::size_t pos_lo, std::size_t pos_count,
+                                    std::size_t window,
                                     const TrajectoryCorrelationConfig& config,
                                     const char* what) {
   for (const std::size_t lanes : {0UL, 1UL, 4UL, 8UL, 16UL}) {
     SCOPED_TRACE(lanes);
-    expect_batch_matches_scalar(fixed, fixed_start, sliding, 0, pos_count,
-                                window, 1, config, what, lanes);
+    expect_batch_matches_scalar(fixed, fixed_start, sliding, pos_lo,
+                                pos_count, window, config, what, lanes);
   }
 }
 
-TEST(PackedBatch, RandomizedWindowsStridesMasksAndRemainders) {
+TEST(PackedBatch, RandomizedWindowsMasksAndRemainders) {
   util::Rng rng(2024);
   const TrajectoryCorrelationConfig config{};
   for (int trial = 0; trial < 30; ++trial) {
@@ -106,8 +105,6 @@ TEST(PackedBatch, RandomizedWindowsStridesMasksAndRemainders) {
                                          rng.uniform() * 32.0);
     const std::size_t window = 17 + static_cast<std::size_t>(
                                         rng.uniform() * 100.0);
-    const std::size_t stride = 1 + static_cast<std::size_t>(
-                                       rng.uniform() * 4.0);
     // Batch shapes around the block boundary: below, at, above, and
     // multi-block with a remainder.
     const std::size_t shapes[] = {1,
@@ -122,17 +119,16 @@ TEST(PackedBatch, RandomizedWindowsStridesMasksAndRemainders) {
     // Heavily masked trials exercise the excluded-lane (select) path and
     // the -2.0 not-enough-channels sentinel.
     const double usable = (trial % 3 == 0) ? 0.35 : 0.9;
-    const std::size_t sliding_metres =
-        pos_lo + (pos_count - 1) * stride + window;
+    const std::size_t sliding_metres = pos_lo + pos_count - 1 + window;
 
     const auto fa = random_context(rng, window + 4, channels, usable);
     const auto sb = random_context(rng, sliding_metres, channels, usable);
     const auto rows = identity_rows(channels);
     const SubsetPack fixed_pack(fa, rows, 2, window);
     const SubsetPack slide_pack(sb, rows, 0, sliding_metres);
-    expect_batch_matches_scalar({fixed_pack.span(), rows}, 0,
-                                {slide_pack.span(), rows}, pos_lo, pos_count,
-                                window, stride, config, "randomized");
+    expect_all_widths_match_scalar({fixed_pack.span(), rows}, 0,
+                                   {slide_pack.span(), rows}, pos_lo,
+                                   pos_count, window, config, "randomized");
   }
 }
 
@@ -157,7 +153,7 @@ TEST(PackedBatch, ChannelIdRowMapsIncludingOutOfRange) {
   rows.push_back(channels + 40);  // far out of range: skipped
   const TrajectoryCorrelationConfig config{};
   expect_batch_matches_scalar({pa.span(), rows}, 30, {pb.span(), rows}, 0,
-                              220 - window + 1, window, 1, config,
+                              220 - window + 1, window, config,
                               "channel-id rows");
 }
 
@@ -173,7 +169,7 @@ TEST(PackedBatch, WideRowMapBeyond128Channels) {
   const TrajectoryCorrelationConfig config{};
   expect_batch_matches_scalar({fixed_pack.span(), rows}, 0,
                               {slide_pack.span(), rows}, 0, 150 - window + 1,
-                              window, 1, config, "k>128");
+                              window, config, "k>128");
 }
 
 TEST(PackedBatch, AllLaneWidthsAreBitIdentical) {
@@ -225,13 +221,8 @@ TEST(PackedBatch, FullyUsableContextsAtEveryWidth) {
     const SubsetPack fixed_pack(a, rows, 9, window);
     const SubsetPack slide_pack(b, rows, 0, metres);
     expect_all_widths_match_scalar({fixed_pack.span(), rows}, 0,
-                                   {slide_pack.span(), rows}, pos_count,
+                                   {slide_pack.span(), rows}, 0, pos_count,
                                    window, config, "fully usable");
-    // Strided lanes keep the masked loop; they must agree all the same.
-    expect_batch_matches_scalar({fixed_pack.span(), rows}, 0,
-                                {slide_pack.span(), rows}, 0,
-                                (pos_count - 1) / 3 + 1, window, 3, config,
-                                "fully usable, stride 3");
   }
 }
 
@@ -252,7 +243,7 @@ TEST(PackedBatch, FullyUsableChannelIdRowsAndWideRowMaps) {
     rows.push_back(static_cast<std::size_t>(rng.uniform() * 40.0));
   }
   rows.push_back(40 + 2);  // out of range: skipped
-  expect_all_widths_match_scalar({pa.span(), rows}, 50, {pb.span(), rows},
+  expect_all_widths_match_scalar({pa.span(), rows}, 50, {pb.span(), rows}, 0,
                                  200 - window + 1, window, config,
                                  "channel-id rows");
 
@@ -263,7 +254,7 @@ TEST(PackedBatch, FullyUsableChannelIdRowsAndWideRowMaps) {
   const SubsetPack fixed_pack(wa, wide_rows, 0, window);
   const SubsetPack slide_pack(wb, wide_rows, 0, 90);
   expect_all_widths_match_scalar({fixed_pack.span(), wide_rows}, 0,
-                                 {slide_pack.span(), wide_rows},
+                                 {slide_pack.span(), wide_rows}, 0,
                                  90 - window + 1, window, config,
                                  "wide row map");
 }
@@ -288,8 +279,8 @@ TEST(PackedBatch, PerRowMasksMixBothLoops) {
   const SubsetPack fixed_pack(a, rows, 0, window);
   const SubsetPack slide_pack(b, rows, 0, metres);
   expect_all_widths_match_scalar({fixed_pack.span(), rows}, 0,
-                                 {slide_pack.span(), rows}, pos_count, window,
-                                 config, "per-row masks");
+                                 {slide_pack.span(), rows}, 0, pos_count,
+                                 window, config, "per-row masks");
 
   // Fixed rows with exactly min_channel_overlap - 1 and exactly
   // min_channel_overlap usable metres, and a constant (zero-variance) one,
@@ -312,8 +303,8 @@ TEST(PackedBatch, PerRowMasksMixBothLoops) {
   const SubsetPack edge_pack(edge, rows4, 0, window);
   const SubsetPack full_pack(full, rows4, 0, metres);
   expect_all_widths_match_scalar({edge_pack.span(), rows4}, 0,
-                                 {full_pack.span(), rows4}, pos_count, window,
-                                 config, "overlap edge");
+                                 {full_pack.span(), rows4}, 0, pos_count,
+                                 window, config, "overlap edge");
 }
 
 TEST(PackedBatch, OneMaskedMetreSplitsNeighbouringBlocks) {
@@ -348,7 +339,7 @@ TEST(PackedBatch, OneMaskedMetreSplitsNeighbouringBlocks) {
     }
     const SubsetPack slide_pack(b, rows, 0, metres);
     expect_all_widths_match_scalar({fixed_pack.span(), rows}, 0,
-                                   {slide_pack.span(), rows}, pos_count,
+                                   {slide_pack.span(), rows}, 0, pos_count,
                                    window, config, "one masked metre");
   }
 }
@@ -381,7 +372,7 @@ TEST(PackedBatch, PerfectMatchesAreClamped) {
     const SubsetPack slide_pack(b, rows, 0, metres);
     const PackedView fixed{fixed_pack.span(), rows};
     const PackedView sliding{slide_pack.span(), rows};
-    expect_batch_matches_scalar(fixed, 0, sliding, 0, kLagBlock, window, 1,
+    expect_batch_matches_scalar(fixed, 0, sliding, 0, kLagBlock, window,
                                 config, "perfect match");
     const double r =
         packed_correlation(fixed, 0, sliding, at, window, config);

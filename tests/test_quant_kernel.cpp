@@ -14,12 +14,12 @@
 #include "util/rng.hpp"
 
 // The quantized kernel's correctness harness (DESIGN §15):
-//   * differential sweep — randomized windows/strides/masks/k on both
+//   * differential sweep — randomized windows/masks/k on both
 //     integer grids against the float kernel, with the score-error bound
 //     asserted and the integer accept/reject decisions (overlap,
 //     min_channels) required to match EXACTLY;
 //   * determinism — quantized batch/multi calls are memcmp-bit-identical
-//     to per-position quantized_correlation at any batch shape or stride
+//     to per-position quantized_correlation at any batch shape
 //     (the quant analogue of test_packed_batch's float contract), and
 //     every ISA variant the host supports produces the generic pass's
 //     integer sums;
@@ -100,8 +100,6 @@ TEST(QuantKernel, DifferentialSweepVsFloat) {
         8 + static_cast<std::size_t>(rng.uniform() * 32.0);
     const std::size_t window =
         17 + static_cast<std::size_t>(rng.uniform() * 100.0);
-    const std::size_t stride =
-        1 + static_cast<std::size_t>(rng.uniform() * 4.0);
     const double usable = 0.55 + 0.4 * rng.uniform();
     const std::size_t metres = window + 70;
     const auto fixed_t = random_context(rng, window, channels, usable);
@@ -109,14 +107,14 @@ TEST(QuantKernel, DifferentialSweepVsFloat) {
     const Operand fixed(fixed_t, channels, 0, window);
     const Operand slide(slide_t, channels, 0, metres);
 
-    const std::size_t pos_count = (metres - window) / stride + 1;
+    const std::size_t pos_count = metres - window + 1;
     std::vector<double> f(pos_count), s16(pos_count), s8(pos_count);
     packed_correlation_batch(fixed.fview(), 0, slide.fview(), 0, pos_count,
-                             window, config, f.data(), stride);
+                             window, config, f.data());
     quantized_correlation_batch(fixed.v16(), 0, slide.v16(), 0, pos_count,
-                                window, config, s16.data(), stride);
+                                window, config, s16.data());
     quantized_correlation_batch(fixed.v8(), 0, slide.v8(), 0, pos_count,
-                                window, config, s8.data(), stride);
+                                window, config, s8.data());
     for (std::size_t q = 0; q < pos_count; ++q) {
       // Overlap and min_channels decisions are exact integer counts on the
       // shared masks — the "no score" sentinel must agree exactly.
@@ -134,15 +132,15 @@ TEST(QuantKernel, DifferentialSweepVsFloat) {
 void expect_batch_matches_scalar(const QuantView& fixed,
                                  const QuantView& sliding,
                                  std::size_t pos_lo, std::size_t pos_count,
-                                 std::size_t window, std::size_t stride,
+                                 std::size_t window,
                                  const TrajectoryCorrelationConfig& config,
                                  const char* what) {
   std::vector<double> got(pos_count, 0.0);
   quantized_correlation_batch(fixed, 0, sliding, pos_lo, pos_count, window,
-                              config, got.data(), stride);
+                              config, got.data());
   for (std::size_t q = 0; q < pos_count; ++q) {
-    const double want = quantized_correlation(
-        fixed, 0, sliding, pos_lo + q * stride, window, config);
+    const double want =
+        quantized_correlation(fixed, 0, sliding, pos_lo + q, window, config);
     expect_bit_equal(want, got[q], what, q);
   }
 }
@@ -155,8 +153,6 @@ TEST(QuantKernel, BatchMatchesPerPositionBitExact) {
         6 + static_cast<std::size_t>(rng.uniform() * 30.0);
     const std::size_t window =
         16 + static_cast<std::size_t>(rng.uniform() * 90.0);
-    const std::size_t stride =
-        1 + static_cast<std::size_t>(rng.uniform() * 4.0);
     const double usable = 0.4 + 0.55 * rng.uniform();
     // Batch shapes around the block boundary: below, at, above, multi-block
     // with remainder — each must reduce to identical per-position scores.
@@ -168,16 +164,15 @@ TEST(QuantKernel, BatchMatchesPerPositionBitExact) {
                                   2 * kLagBlock + 5};
     const std::size_t pos_count = shapes[trial % 6];
     const std::size_t pos_lo = static_cast<std::size_t>(rng.uniform() * 7.0);
-    const std::size_t metres =
-        pos_lo + (pos_count - 1) * stride + window + 3;
+    const std::size_t metres = pos_lo + pos_count - 1 + window + 3;
     const auto fixed_t = random_context(rng, window, channels, usable);
     const auto slide_t = random_context(rng, metres, channels, usable);
     const Operand fixed(fixed_t, channels, 0, window);
     const Operand slide(slide_t, channels, 0, metres);
     expect_batch_matches_scalar(fixed.v16(), slide.v16(), pos_lo, pos_count,
-                                window, stride, config, "int16");
+                                window, config, "int16");
     expect_batch_matches_scalar(fixed.v8(), slide.v8(), pos_lo, pos_count,
-                                window, stride, config, "int8");
+                                window, config, "int8");
   }
 }
 
@@ -360,7 +355,8 @@ TEST(QuantKernel, Float32HasNoGrid) {
 TEST(QuantKernel, EveryIsaVariantMatchesGenericSums) {
   // The dispatcher runs one variant per host, so this runs every variant
   // the host supports against the portable pass: both kernel families,
-  // lag strides 1-5, odd windows (vector tails), full and partial blocks.
+  // sliding offsets 0-4, odd windows (vector tails), full blocks and the
+  // sub-block remainders the along-window pass serves.
   const auto variants = detail::quant_kernel_variants();
   ASSERT_FALSE(variants.empty());
   const detail::QuantKernelVariant& generic = variants.back();
@@ -382,21 +378,22 @@ TEST(QuantKernel, EveryIsaVariantMatchesGenericSums) {
     };
     fill(fq, fv);
     fill(sq, sv);
-    for (std::size_t step = 1; step <= 5; ++step) {
-      for (const std::size_t count : {std::size_t{5}, kLagBlock}) {
+    for (std::size_t off = 0; off < 5; ++off) {
+      for (const std::size_t count :
+           {std::size_t{1}, std::size_t{5}, kLagBlock - 1, kLagBlock}) {
         std::int32_t want[6 * kLagBlock] = {};
-        generic.channel_pass(fq.data(), fv.data(), sq.data(), sv.data(), step,
-                             count, window, want);
+        generic.channel_pass(fq.data(), fv.data(), sq.data() + off,
+                             sv.data() + off, count, window, want);
         for (const detail::QuantKernelVariant& v : variants) {
           if (!v.supported()) continue;
           std::int32_t got[6 * kLagBlock] = {};
-          v.channel_pass(fq.data(), fv.data(), sq.data(), sv.data(), step,
-                         count, window, got);
+          v.channel_pass(fq.data(), fv.data(), sq.data() + off,
+                         sv.data() + off, count, window, got);
           for (std::size_t j = 0; j < 6; ++j) {
             for (std::size_t b = 0; b < count; ++b) {
               EXPECT_EQ(got[j * kLagBlock + b], want[j * kLagBlock + b])
                   << v.name << " channel pass w=" << window
-                  << " step=" << step << " sum " << j << " lag " << b;
+                  << " offset=" << off << " sum " << j << " lag " << b;
             }
           }
           ++compared;

@@ -12,7 +12,7 @@
 #include "core/packed.hpp"
 #include "core/resolver.hpp"
 #include "core/syn_cache.hpp"
-#include "obs/metrics.hpp"
+#include "service/matcher_service.hpp"
 #include "support/road_field.hpp"
 
 namespace rups::core {
@@ -126,46 +126,6 @@ TEST(SynSeeker, MultiSynReturnsSeveralPoints) {
   }
 }
 
-TEST(SynSeeker, StrideSpeedsSearchStillFinds) {
-  const auto a = drive(10, 0, 300, 30, 0.5, 10);
-  const auto b = drive(10, 60, 300, 30, 0.5, 11);
-  SynConfig cfg = small_config();
-  cfg.stride_m = 4;
-  const SynSeeker seeker(cfg);
-  const auto syn = seeker.find_one(a, b);
-  ASSERT_TRUE(syn.has_value());
-  EXPECT_NEAR(static_cast<double>(syn->index_a) -
-                  static_cast<double>(syn->index_b),
-              60.0, 5.0);
-}
-
-TEST(SynSeeker, CoarseToFineMatchesExhaustive) {
-  const auto a = drive(12, 0, 400, 30, 1.0, 10);
-  const auto b = drive(12, 90, 400, 30, 1.0, 11);
-  SynConfig exhaustive = small_config();
-  SynConfig coarse = small_config();
-  // Above the float coarse-to-fine floor (kCoveringScanMaxStrideM), so the
-  // sparse pre-pass really runs.
-  coarse.coarse_stride_m = 8;
-  const obs::Counter& windows =
-      obs::Registry::global().counter("syn.windows_scanned");
-  [[maybe_unused]] const std::uint64_t w0 = windows.value();
-  const auto s1 = SynSeeker(exhaustive).find_one(a, b);
-  [[maybe_unused]] const std::uint64_t w1 = windows.value();
-  const auto s2 = SynSeeker(coarse).find_one(a, b);
-  [[maybe_unused]] const std::uint64_t w2 = windows.value();
-  ASSERT_TRUE(s1.has_value());
-  ASSERT_TRUE(s2.has_value());
-#ifndef RUPS_OBS_DISABLED
-  EXPECT_LT(w2 - w1, w1 - w0);
-#endif
-  // The correlation surface peaks sharply at the true offset; coarse-to-
-  // fine must land on the same position.
-  EXPECT_EQ(s1->index_a, s2->index_a);
-  EXPECT_EQ(s1->index_b, s2->index_b);
-  EXPECT_DOUBLE_EQ(s1->correlation, s2->correlation);
-}
-
 /// First-best over every slide position of one pass, scored one position
 /// at a time by the scalar kernel.
 SynSeeker::Candidate per_position_best(const PackedView& fixed,
@@ -256,22 +216,64 @@ TEST(SynSeeker, FullyUsableContextsMatchPerPositionScoring) {
   expect_same_points(per_position_find(seeker, a2, b2), got);
 }
 
-TEST(SynSeeker, ZeroStrideIsRejectedAtConstruction) {
-  // Also a quantized window past the int32 sum bound, which the kernel
-  // would otherwise only refuse in the middle of a batch.
-  SynConfig zero_stride = small_config();
-  zero_stride.stride_m = 0;
+TEST(SynCache, TrackingSurvivesAnyFirstMetre) {
+  // A V2V header sets the neighbour's first_metre() to any u64. Here the
+  // neighbour is 60 m ahead on the same road, rebased to 2^63: the lock
+  // and the band predictions must stay defined (the asan-ubsan lane
+  // reports any signed overflow), and the next round must track.
+  const SynConfig cfg = small_config();
+  constexpr std::uint64_t kFar = std::uint64_t{1} << 63;
+  SynCache cache(cfg);
+  std::vector<SynPoint> got;
+  for (const std::size_t len : {200, 206}) {
+    SCOPED_TRACE(len);
+    const auto a = drive(6, 0, len, 30, 0.5, 30);
+    auto b = drive(6, 60, len, 30, 0.5, 31);
+    b.rebase(kFar);
+    PackedContext pa;
+    pa.sync(a);
+    cache.find_into(a, b, &pa, nullptr, got);
+    ASSERT_FALSE(got.empty());
+    expect_same_points(SynSeeker(cfg).find(a, b), got);
+  }
+  // The first round searched in full and locked; the second tracked.
+  EXPECT_EQ(cache.stats().full_searches, 1u);
+  EXPECT_EQ(cache.stats().tracking_hits, 1u);
+}
+
+TEST(SynSeeker, UnrunnableConfigsAreRejectedAtConstruction) {
+  // Every seek scans every metre, so stride_m is pinned to 1 and
+  // coarse_stride_m to off (0 or 1). Also a quantized window past the
+  // int32 sum bound, which the kernel would otherwise only refuse in the
+  // middle of a batch.
+  std::vector<SynConfig> unrunnable;
+  for (const std::size_t stride : {0, 2, 4}) {
+    unrunnable.push_back(small_config());
+    unrunnable.back().stride_m = stride;
+  }
+  for (const std::size_t coarse : {2, 8}) {
+    unrunnable.push_back(small_config());
+    unrunnable.back().coarse_stride_m = coarse;
+  }
   SynConfig wide_quantized = small_config();
   wide_quantized.precision = KernelPrecision::kInt16;
   wide_quantized.window_m = kQuantMaxWindowM + 53;
-  for (const SynConfig& cfg : {zero_stride, wide_quantized}) {
+  unrunnable.push_back(wide_quantized);
+  for (const SynConfig& cfg : unrunnable) {
     EXPECT_THROW(SynSeeker{cfg}, std::invalid_argument);
-    // FleetEngine builds its seekers lazily inside a batch, so it rejects
-    // the config up front.
+    // FleetEngine builds its seekers lazily inside a batch, and
+    // MatcherService its FleetEngines at registration, so both reject the
+    // config up front.
     FleetConfig fleet;
     fleet.rups.syn = cfg;
     EXPECT_THROW(FleetEngine{fleet}, std::invalid_argument);
+    service::ServiceConfig service;
+    service.fleet = fleet;
+    EXPECT_THROW(service::MatcherService{service}, std::invalid_argument);
   }
+  SynConfig coarse_off = small_config();
+  coarse_off.coarse_stride_m = 1;
+  EXPECT_NO_THROW(SynSeeker{coarse_off});
   wide_quantized.precision = KernelPrecision::kFloat32;
   EXPECT_NO_THROW(SynSeeker{wide_quantized});
 }
