@@ -77,7 +77,7 @@ inline void print_stage_breakdown() {
   const auto snap = rups::obs::Registry::global().snapshot();
   if (snap.counters.empty() && snap.gauges.empty() &&
       snap.histograms.empty()) {
-    std::printf("  (no metrics recorded — RUPS_OBS_DISABLED build?)\n");
+    std::printf("  (no metrics recorded)\n");
     return;
   }
   std::printf("----------------------------------------------------------------\n");

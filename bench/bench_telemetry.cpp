@@ -5,7 +5,7 @@
 // fresh, identically-seeded simulations:
 //
 //   off: series collection disabled, no trace sink (families and timers
-//        still run — they are always-on in this build)
+//        still run)
 //   on:  series collector on the round cadence + every span written to a
 //        Chrome trace file
 //

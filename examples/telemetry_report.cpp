@@ -241,8 +241,7 @@ int main(int argc, char** argv) {
               result.rounds.size(), result.availability(), result.v2v_bytes);
   if (result.rounds.empty() || result.series.empty()) {
     std::fprintf(stderr,
-                 "error: campaign produced no telemetry windows (telemetry "
-                 "disabled build?)\n");
+                 "error: campaign produced no telemetry windows\n");
     return 1;
   }
 

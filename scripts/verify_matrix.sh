@@ -1,11 +1,7 @@
 #!/usr/bin/env bash
-# Build-and-test matrix for the two non-default configurations:
+# Build-and-test matrix for the two sanitizer configurations:
 #
-#  1. obs-disabled — RUPS_OBS_DISABLED=ON compiles rups::obs to no-ops
-#     behind the same headers. Full ctest must pass (recorder/health
-#     instrumentation statements evaluate nothing; the bench regression
-#     gate is excluded by CMake in this config).
-#  2. asan-ubsan  — Address + UB sanitizers over the observability test
+#  1. asan-ubsan  — Address + UB sanitizers over the observability test
 #     binaries (sharded atomics, labeled-family churn under the shared
 #     lock, windowed series collection, cross-thread span/flow parenting,
 #     recorder ring concurrency, JSON parser),
@@ -38,7 +34,7 @@
 #     queue arithmetic) run here too, as do the fleet and streaming
 #     tracking suites (V2V rigs sit by value in a growing vector and
 #     borrow their link and channel pointers).
-#  3. tsan — ThreadSanitizer over the service and shard-concurrency
+#  2. tsan — ThreadSanitizer over the service and shard-concurrency
 #     suites, the thread-pool tests and the pooled streaming-determinism
 #     suite: pooled drains slice shards (and streaming updates slice
 #     neighbours) across workers every round, so any cross-shard or
@@ -55,26 +51,28 @@ jobs="${1:-2}"
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$repo_root"
 
-echo "== obs-disabled: configure + build + ctest =="
-cmake --preset obs-disabled
-cmake --build --preset obs-disabled -j"$jobs"
-ctest --preset obs-disabled -j"$jobs"
+# Each lane's test binaries, listed once for both the build and the run.
+asan_tests=(
+  test_obs test_obs_recorder test_obs_health
+  test_obs_family test_obs_series test_obs_spans
+  test_obs_pipeline test_json test_codec_fuzz test_packed_batch
+  test_syn_seeker test_packed_windows test_engine
+  test_quant_kernel test_quant_fuzz
+  test_wsm_faults test_exchange_degraded
+  test_profiler test_alloc test_expo test_ops_shutdown
+  test_service test_service_concurrency
+  test_service_churn test_stream_recovery test_stream_determinism
+  test_packed_stream test_fleet_sim test_stream_tracking
+)
+tsan_tests=(
+  test_thread_pool test_service test_service_concurrency
+  test_stream_determinism
+)
 
-echo ""
 echo "== asan-ubsan: configure + build obs/json/campaign surfaces =="
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j"$jobs" --target \
-  test_obs test_obs_disabled test_obs_recorder test_obs_health \
-  test_obs_family test_obs_series test_obs_spans \
-  test_obs_pipeline test_json test_codec_fuzz test_packed_batch \
-  test_syn_seeker test_packed_windows test_engine \
-  test_quant_kernel test_quant_fuzz \
-  test_wsm_faults test_exchange_degraded \
-  test_profiler test_alloc test_expo test_ops_shutdown \
-  test_service test_service_concurrency \
-  test_service_churn test_stream_recovery test_stream_determinism \
-  test_packed_stream test_fleet_sim test_stream_tracking \
-  trace_tool rups_exporterd
+  "${asan_tests[@]}" trace_tool rups_exporterd
 
 echo ""
 echo "== asan-ubsan: run sanitized binaries =="
@@ -84,16 +82,7 @@ echo "== asan-ubsan: run sanitized binaries =="
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 # test_alloc self-skips here: alloc accounting is compiled out under ASAN
 # (with a logged reason), and the test asserts the inert surface instead.
-for bin in test_obs test_obs_disabled test_obs_recorder test_obs_health \
-           test_obs_family test_obs_series test_obs_spans \
-           test_obs_pipeline test_json test_codec_fuzz test_packed_batch \
-           test_syn_seeker test_packed_windows test_engine \
-           test_quant_kernel test_quant_fuzz \
-           test_wsm_faults test_exchange_degraded \
-           test_profiler test_alloc test_expo test_ops_shutdown \
-           test_service test_service_concurrency \
-           test_service_churn test_stream_recovery test_stream_determinism \
-           test_packed_stream test_fleet_sim test_stream_tracking; do
+for bin in "${asan_tests[@]}"; do
   echo "-- $bin"
   "build-asan/tests/$bin"
 done
@@ -117,14 +106,11 @@ build-asan/examples/rups_exporterd --selfcheck
 echo ""
 echo "== tsan: configure + build shard-concurrency surfaces =="
 cmake --preset tsan
-cmake --build --preset tsan -j"$jobs" --target \
-  test_service test_service_concurrency test_thread_pool \
-  test_stream_determinism
+cmake --build --preset tsan -j"$jobs" --target "${tsan_tests[@]}"
 
 echo ""
 echo "== tsan: run sanitized binaries =="
-for bin in test_thread_pool test_service test_service_concurrency \
-           test_stream_determinism; do
+for bin in "${tsan_tests[@]}"; do
   echo "-- $bin"
   "build-tsan/tests/$bin"
 done

@@ -13,7 +13,6 @@
 // must stay in charge under their lanes (ASAN's redzone poisoning and
 // TSAN's happens-before tracking live inside their malloc), so accounting
 // compiles out there and availability reports why.
-#if !defined(RUPS_OBS_DISABLED)
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define RUPS_ALLOC_ASAN_DISABLED 1
 #elif defined(__has_feature)
@@ -24,11 +23,6 @@
 #if !defined(RUPS_ALLOC_ASAN_DISABLED)
 #define RUPS_ALLOC_INTERPOSE 1
 #endif
-#endif
-
-// Under RUPS_OBS_DISABLED the header supplies inline noop stubs and this
-// translation unit compiles to nothing.
-#ifndef RUPS_OBS_DISABLED
 
 namespace rups::obs {
 
@@ -329,4 +323,3 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 
 #endif  // RUPS_ALLOC_INTERPOSE
 
-#endif  // RUPS_OBS_DISABLED

@@ -2,7 +2,7 @@
 
 // Global allocation accounting for the zero-alloc steady-state ratchet.
 //
-// When compiled in (see availability rules below) every `operator new` /
+// When compiled in (see the availability rule below) every `operator new` /
 // `operator delete` in the process is interposed: each allocation bumps
 // plain thread-local counters (wait-free, no locks, no recursion risk) and
 // process-wide relaxed atomics. An optional *census* additionally
@@ -14,11 +14,10 @@
 // future arena refactor drives it to zero.
 //
 // Interposition is compiled OUT (and every query returns zeros, with
-// alloc_accounting_available() == false) when:
-//   - RUPS_OBS_DISABLED is set: observability costs nothing, including this;
-//   - AddressSanitizer is active: ASAN owns malloc and poisons redzones
-//     around its own allocator; replacing operator new would bypass that
-//     instrumentation, so accounting auto-disables with a logged reason.
+// alloc_accounting_available() == false) under AddressSanitizer or
+// ThreadSanitizer: the sanitizer owns malloc and instruments its own
+// allocator, and replacing operator new would bypass that, so accounting
+// auto-disables with a logged reason.
 
 #include <cstddef>
 #include <cstdint>
@@ -47,8 +46,6 @@ struct AllocCensusRow {
   std::uint64_t bytes = 0;
 };
 
-#ifndef RUPS_OBS_DISABLED
-
 /// True when operator new/delete interposition is live in this build.
 /// The first call in a build where ASAN forced it off logs the reason
 /// (once, at kWarn) so CI lanes show *why* alloc metrics are absent.
@@ -70,36 +67,5 @@ void reset_alloc_census() noexcept;
 /// Mirror the census into the global registry as the gauge families
 /// `alloc.count{stage}` / `alloc.bytes{stage}` (idempotent set per cell).
 void publish_alloc_census();
-
-#else  // RUPS_OBS_DISABLED
-
-// Inline inert stubs in obs::noop (the shared mixed-configuration pattern:
-// a disabled translation unit stays inert even when it links the enabled
-// library, and a fully disabled build has no definitions to collide with).
-namespace noop {
-[[nodiscard]] inline bool alloc_accounting_available() noexcept {
-  return false;
-}
-[[nodiscard]] inline AllocTotals thread_alloc_totals() noexcept { return {}; }
-[[nodiscard]] inline AllocTotals process_alloc_totals() noexcept {
-  return {};
-}
-inline void enable_alloc_census(bool) noexcept {}
-[[nodiscard]] inline bool alloc_census_enabled() noexcept { return false; }
-inline void reset_alloc_census() noexcept {}
-[[nodiscard]] inline std::vector<AllocCensusRow> alloc_census() { return {}; }
-inline void publish_alloc_census() {}
-}  // namespace noop
-
-using noop::alloc_accounting_available;
-using noop::alloc_census;
-using noop::alloc_census_enabled;
-using noop::enable_alloc_census;
-using noop::process_alloc_totals;
-using noop::publish_alloc_census;
-using noop::reset_alloc_census;
-using noop::thread_alloc_totals;
-
-#endif  // RUPS_OBS_DISABLED
 
 }  // namespace rups::obs

@@ -20,10 +20,8 @@
 // accept loop on a background thread, one request served at a time —
 // scrape traffic for a single research service, not a web framework. It
 // serves whatever the snapshot callback returns, so it works mid-campaign;
-// /healthz returns 200 or 503 from the HealthMonitor verdict. Everything
-// here is compiled in both configurations (under RUPS_OBS_DISABLED the
-// registry snapshot is simply empty); stop ordering at shutdown is
-// profiler -> exporter -> trace sink.
+// /healthz returns 200 or 503 from the HealthMonitor verdict. Stop
+// ordering at shutdown is profiler -> exporter -> trace sink.
 
 #include <atomic>
 #include <cstdint>

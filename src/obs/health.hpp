@@ -9,10 +9,7 @@
 //
 // The monitor is feed-based rather than ambient: a driver with ground
 // truth (sim::run_campaign, ConvoySimulation::query) reports each query's
-// hit/miss, absolute error and latency. Because the feeds are explicit,
-// HealthMonitor works identically under RUPS_OBS_DISABLED — only the
-// side effects (anomaly bundles, warnings, health.* gauges) compile away —
-// so sim::CampaignResult can embed a HealthReport in every configuration.
+// hit/miss, absolute error and latency.
 
 #include <cstdint>
 #include <optional>
@@ -55,11 +52,8 @@ struct HealthAlert {
   friend bool operator==(const HealthAlert&, const HealthAlert&) = default;
 };
 
-/// Point-in-time health summary. Plain data; the query/exchange fields are
-/// configuration-independent, while the two telemetry-loss fields read the
-/// process-wide logger/recorder and stay 0 under RUPS_OBS_DISABLED (the
-/// no-op recorder never overwrites and disabled log statements never
-/// reach the rate limiter).
+/// Point-in-time health summary. Plain data; the two telemetry-loss fields
+/// read the process-wide logger/recorder.
 struct HealthReport {
   std::uint64_t samples = 0;      ///< queries observed in total
   double availability = 0.0;      ///< hit rate over the rolling window

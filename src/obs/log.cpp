@@ -79,8 +79,6 @@ void Logger::write(LogLevel level, const char* file, int line,
     if (tokens_ < 1.0) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       total_suppressed_.fetch_add(1, std::memory_order_relaxed);
-      // Under RUPS_OBS_DISABLED this resolves to the shared no-op counter;
-      // total_suppressed() keeps the real count in both configurations.
       Registry::global().counter("log.suppressed").inc();
       return;
     }

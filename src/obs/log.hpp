@@ -6,9 +6,8 @@
 //
 // Lines carry a wall-clock timestamp, level, and source location, and go to
 // stderr by default (Logger::global().set_sink_file(...) redirects to a
-// file). Disabled levels cost one relaxed atomic load; with
-// RUPS_OBS_DISABLED the whole statement compiles away (stream operands are
-// type-checked but never evaluated).
+// file). Disabled levels cost one relaxed atomic load, and their stream
+// operands are never evaluated.
 
 #include <atomic>
 #include <filesystem>
@@ -115,7 +114,6 @@ struct LogVoidify {
 
 }  // namespace rups::obs
 
-#ifndef RUPS_OBS_DISABLED
 #define RUPS_LOG(severity)                                         \
   (!::rups::obs::Logger::global().enabled(                         \
       ::rups::obs::LogLevel::severity))                            \
@@ -123,12 +121,3 @@ struct LogVoidify {
       : ::rups::obs::LogVoidify() &                                \
             ::rups::obs::LogLine(::rups::obs::LogLevel::severity,  \
                                  __FILE__, __LINE__)
-#else
-// Constant-false condition: operands still type-check, never evaluate.
-#define RUPS_LOG(severity)                                         \
-  (true)                                                           \
-      ? (void)0                                                    \
-      : ::rups::obs::LogVoidify() &                                \
-            ::rups::obs::LogLine(::rups::obs::LogLevel::severity,  \
-                                 __FILE__, __LINE__)
-#endif

@@ -46,8 +46,6 @@ std::string label_of(std::uint64_t id) {
   return buf;
 }
 
-#ifndef RUPS_OBS_DISABLED
-
 namespace detail {
 
 std::size_t shard_index() noexcept {
@@ -246,7 +244,5 @@ void Registry::reset() {
   for (auto& [name, f] : gauge_families_) f->reset();
   for (auto& [name, f] : histogram_families_) f->reset();
 }
-
-#endif  // RUPS_OBS_DISABLED
 
 }  // namespace rups::obs

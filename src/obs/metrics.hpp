@@ -10,14 +10,6 @@
 //   static obs::Counter& evals =
 //       obs::Registry::global().counter("gsm.field_evals");
 //   evals.inc();
-//
-// Defining RUPS_OBS_DISABLED swaps every type below for an inline no-op
-// stub (namespace obs::noop), so instrumented hot paths compile to nothing.
-// The stubs live under a distinct namespace and the real implementations
-// are only compiled into rups_obs when enabled, so a program may mix
-// translation units of both configurations without ODR clashes as long as
-// only the always-on types (MetricsSnapshot, Logger, TraceSink) cross the
-// boundary.
 
 #include <atomic>
 #include <cstdint>
@@ -35,8 +27,7 @@
 namespace rups::obs {
 
 /// Default histogram bucketing for microsecond latencies: 1 us .. ~8.4 s in
-/// x2 steps. Shared by enabled and disabled configurations so bucket maths
-/// stays testable either way.
+/// x2 steps.
 [[nodiscard]] std::vector<double> exponential_bounds(double start,
                                                      double factor,
                                                      std::size_t count);
@@ -44,7 +35,6 @@ namespace rups::obs {
 
 /// Snapshot name of one labeled-family cell: `family{key="value"}`
 /// (Prometheus text-format style; tooling splits on the first '{').
-/// Shared by both configurations so diff tools parse either way.
 [[nodiscard]] std::string family_cell_name(std::string_view family,
                                            std::string_view label_key,
                                            std::string_view label_value);
@@ -59,8 +49,6 @@ inline constexpr std::size_t kDefaultMaxCells = 64;
 inline constexpr const char* kOverflowLabel = "__overflow__";
 /// Registry counter tallying label values routed into overflow cells.
 inline constexpr const char* kLabelsDroppedCounter = "obs.labels.dropped";
-
-#ifndef RUPS_OBS_DISABLED
 
 namespace detail {
 inline constexpr std::size_t kCounterShards = 8;
@@ -302,129 +290,5 @@ class Registry {
   std::map<std::string, std::unique_ptr<HistogramFamily>, std::less<>>
       histogram_families_;
 };
-
-#else  // RUPS_OBS_DISABLED
-
-namespace noop {
-
-class Counter {
- public:
-  void inc(std::uint64_t = 1) noexcept {}
-  [[nodiscard]] std::uint64_t value() const noexcept { return 0; }
-  void reset() noexcept {}
-};
-
-class Gauge {
- public:
-  void set(double) noexcept {}
-  void add(double) noexcept {}
-  [[nodiscard]] double value() const noexcept { return 0.0; }
-  void reset() noexcept {}
-};
-
-class Histogram {
- public:
-  Histogram() = default;
-  explicit Histogram(std::vector<double> /*bounds*/) noexcept {}
-  void record(double) noexcept {}
-  [[nodiscard]] std::uint64_t count() const noexcept { return 0; }
-  [[nodiscard]] double sum() const noexcept { return 0.0; }
-  [[nodiscard]] const std::vector<double>& bounds() const noexcept {
-    static const std::vector<double> empty;
-    return empty;
-  }
-  [[nodiscard]] HistogramSample sample(std::string name) const {
-    HistogramSample s;
-    s.name = std::move(name);
-    return s;
-  }
-  void reset() noexcept {}
-};
-
-/// All cells of a disabled family collapse onto one shared inert metric;
-/// nothing is counted, capped or snapshot.
-template <typename Metric>
-class MetricFamily {
- public:
-  [[nodiscard]] Metric& with(std::string_view) noexcept { return cell(); }
-  [[nodiscard]] Metric& with(std::uint64_t) noexcept { return cell(); }
-  [[nodiscard]] const std::string& name() const noexcept { return empty(); }
-  [[nodiscard]] const std::string& label_key() const noexcept {
-    return empty();
-  }
-  [[nodiscard]] std::size_t max_cells() const noexcept { return 0; }
-  [[nodiscard]] std::size_t cells() const noexcept { return 0; }
-  void snapshot_into(MetricsSnapshot&) const noexcept {}
-  void reset() noexcept {}
-
- private:
-  [[nodiscard]] static Metric& cell() noexcept {
-    static Metric m;
-    return m;
-  }
-  [[nodiscard]] static const std::string& empty() noexcept {
-    static const std::string s;
-    return s;
-  }
-};
-
-using CounterFamily = MetricFamily<Counter>;
-using GaugeFamily = MetricFamily<Gauge>;
-using HistogramFamily = MetricFamily<Histogram>;
-
-class Registry {
- public:
-  [[nodiscard]] static Registry& global() {
-    static Registry r;
-    return r;
-  }
-  [[nodiscard]] Counter& counter(std::string_view) noexcept {
-    static Counter c;
-    return c;
-  }
-  [[nodiscard]] Gauge& gauge(std::string_view) noexcept {
-    static Gauge g;
-    return g;
-  }
-  [[nodiscard]] Histogram& histogram(std::string_view,
-                                     std::vector<double> = {}) noexcept {
-    static Histogram h;
-    return h;
-  }
-  [[nodiscard]] CounterFamily& counter_family(
-      std::string_view, std::string_view,
-      std::size_t = kDefaultMaxCells) noexcept {
-    static CounterFamily f;
-    return f;
-  }
-  [[nodiscard]] GaugeFamily& gauge_family(
-      std::string_view, std::string_view,
-      std::size_t = kDefaultMaxCells) noexcept {
-    static GaugeFamily f;
-    return f;
-  }
-  [[nodiscard]] HistogramFamily& histogram_family(
-      std::string_view, std::string_view, std::vector<double> = {},
-      std::size_t = kDefaultMaxCells) noexcept {
-    static HistogramFamily f;
-    return f;
-  }
-  [[nodiscard]] MetricsSnapshot snapshot() const { return {}; }
-  void reset() {}
-};
-
-}  // namespace noop
-
-using Counter = noop::Counter;
-using Gauge = noop::Gauge;
-using Histogram = noop::Histogram;
-template <typename Metric>
-using MetricFamily = noop::MetricFamily<Metric>;
-using CounterFamily = noop::CounterFamily;
-using GaugeFamily = noop::GaugeFamily;
-using HistogramFamily = noop::HistogramFamily;
-using Registry = noop::Registry;
-
-#endif  // RUPS_OBS_DISABLED
 
 }  // namespace rups::obs

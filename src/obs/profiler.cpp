@@ -1,16 +1,13 @@
 #include "obs/profiler.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <map>
 #include <set>
 
-#ifndef RUPS_OBS_DISABLED
-#include <chrono>
-
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
-#endif
 
 namespace rups::obs {
 
@@ -87,8 +84,6 @@ std::string FoldedProfile::attribution_table() const {
   }
   return out;
 }
-
-#ifndef RUPS_OBS_DISABLED
 
 namespace {
 
@@ -189,7 +184,5 @@ void SpanProfiler::run() {
     }
   }
 }
-
-#endif  // RUPS_OBS_DISABLED
 
 }  // namespace rups::obs

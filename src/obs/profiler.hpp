@@ -19,23 +19,19 @@
 // terminal reports. Sample cadence is deterministic (seeded jitter
 // sequence, steady-clock deadlines), so two runs of the same workload
 // produce the same *stage set* even though sample counts vary with
-// machine speed. With RUPS_OBS_DISABLED the profiler is an inert stub:
-// no thread is spawned and profiles are empty.
+// machine speed.
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#ifndef RUPS_OBS_DISABLED
 #include <condition_variable>
+#include <cstdint>
 #include <map>
 #include <mutex>
+#include <string>
 #include <thread>
-#endif
+#include <vector>
 
 namespace rups::obs {
 
-/// Aggregated folded-stack profile. Plain data in both configurations.
+/// Aggregated folded-stack profile. Plain data.
 struct FoldedProfile {
   struct Row {
     std::string stack;          ///< "outer;inner;..." span names
@@ -66,8 +62,6 @@ struct FoldedProfile {
   /// with self/total percentages of total_samples).
   [[nodiscard]] std::string attribution_table() const;
 };
-
-#ifndef RUPS_OBS_DISABLED
 
 class SpanProfiler {
  public:
@@ -107,30 +101,5 @@ class SpanProfiler {
   std::uint64_t total_samples_ = 0;
   std::uint64_t ticks_ = 0;
 };
-
-#else  // RUPS_OBS_DISABLED
-
-namespace noop {
-class SpanProfiler {
- public:
-  struct Options {
-    double period_us = 997.0;
-    double jitter_frac = 0.1;
-    std::uint64_t seed = 1;
-  };
-  SpanProfiler() noexcept = default;
-  explicit SpanProfiler(Options) noexcept {}
-  SpanProfiler(const SpanProfiler&) = delete;
-  SpanProfiler& operator=(const SpanProfiler&) = delete;
-  void start() noexcept {}
-  void stop() noexcept {}
-  [[nodiscard]] bool running() const noexcept { return false; }
-  [[nodiscard]] FoldedProfile profile() const { return {}; }
-};
-}  // namespace noop
-
-using SpanProfiler = noop::SpanProfiler;
-
-#endif  // RUPS_OBS_DISABLED
 
 }  // namespace rups::obs

@@ -61,8 +61,6 @@ std::string events_to_json(const std::vector<RecorderEvent>& events) {
   return out;
 }
 
-#ifndef RUPS_OBS_DISABLED
-
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : ring_(capacity == 0 ? 1 : capacity),
       capacity_(capacity == 0 ? 1 : capacity),
@@ -237,7 +235,5 @@ std::filesystem::path FlightRecorder::anomaly(const char* label,
                   << detail << " — diagnostics bundle at " << target;
   return target;
 }
-
-#endif  // RUPS_OBS_DISABLED
 
 }  // namespace rups::obs

@@ -13,10 +13,6 @@
 //   ...
 //   obs::FlightRecorder::global().anomaly("health.availability",
 //                                         "availability 0.10 < 0.25");
-//
-// Like the rest of rups::obs, the whole class compiles to an inline no-op
-// under RUPS_OBS_DISABLED; RecorderEvent itself stays available in both
-// configurations so diagnostic tooling can share the type.
 
 #include <cstdint>
 #include <filesystem>
@@ -62,11 +58,9 @@ struct RecorderEvent {
 };
 
 /// Serialize events oldest-first as a JSON array (used inside bundles and
-/// available to tests/tools in both configurations).
+/// by tests/tools).
 [[nodiscard]] std::string events_to_json(
     const std::vector<RecorderEvent>& events);
-
-#ifndef RUPS_OBS_DISABLED
 
 class Counter;
 
@@ -134,45 +128,5 @@ class FlightRecorder {
   std::filesystem::path dump_dir_;
   std::string config_text_;
 };
-
-#else  // RUPS_OBS_DISABLED
-
-namespace noop {
-
-class FlightRecorder {
- public:
-  static constexpr std::size_t kDefaultCapacity = 0;
-
-  FlightRecorder() = default;
-  explicit FlightRecorder(std::size_t) noexcept {}
-
-  [[nodiscard]] static FlightRecorder& global() {
-    static FlightRecorder r;
-    return r;
-  }
-
-  void record(EventType, const char*, double = 0.0, double = 0.0,
-              double = 0.0) noexcept {}
-  [[nodiscard]] std::vector<RecorderEvent> recent() const { return {}; }
-  [[nodiscard]] std::uint64_t total_recorded() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t overwritten() const noexcept { return 0; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return 0; }
-  void set_capacity(std::size_t) noexcept {}
-  void clear() noexcept {}
-  void set_dump_dir(std::filesystem::path) noexcept {}
-  [[nodiscard]] std::filesystem::path dump_dir() const { return {}; }
-  void set_config_text(std::string) noexcept {}
-  void set_max_dumps(std::size_t) noexcept {}
-  [[nodiscard]] std::uint64_t anomalies() const noexcept { return 0; }
-  std::filesystem::path anomaly(const char*, const std::string&) {
-    return {};
-  }
-};
-
-}  // namespace noop
-
-using FlightRecorder = noop::FlightRecorder;
-
-#endif  // RUPS_OBS_DISABLED
 
 }  // namespace rups::obs

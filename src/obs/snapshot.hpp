@@ -10,10 +10,8 @@ class CsvWriter;
 
 namespace rups::obs {
 
-/// Point-in-time samples of the metrics registry. Plain data: these types
-/// stay identical whether or not RUPS_OBS_DISABLED compiles the collection
-/// machinery out, so they are safe to embed in public result structs
-/// (e.g. sim::CampaignResult) in either configuration.
+/// Point-in-time samples of the metrics registry. Plain data, safe to
+/// embed in public result structs (e.g. sim::CampaignResult).
 struct CounterSample {
   std::string name;
   std::uint64_t value = 0;

@@ -21,9 +21,8 @@ std::chrono::steady_clock::time_point process_start() noexcept {
 // Touch the epoch during static init so now_us() is monotone from startup.
 [[maybe_unused]] const auto g_epoch_init = process_start();
 
-// The span stack is always compiled (it is tiny and lets the always-on
-// recorder/tooling call current_span()); only enabled ObsTimers push onto
-// it, so under RUPS_OBS_DISABLED it simply stays empty.
+// The calling thread's open named spans, innermost last; ObsTimers push
+// onto it and the recorder/tooling read it through current_span().
 thread_local std::vector<SpanRecord> t_span_stack;
 
 // --- cross-thread sampling mirror -----------------------------------------

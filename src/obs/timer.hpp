@@ -20,8 +20,7 @@
 // Spans go to the process-wide TraceSink when one is installed
 // (obs::set_trace_sink). ChromeTraceSink writes the trace_event JSON array
 // format, one event per line, which loads directly in chrome://tracing or
-// https://ui.perfetto.dev. With RUPS_OBS_DISABLED the timer is an empty
-// stub and instrumented scopes pay nothing.
+// https://ui.perfetto.dev.
 
 #include <cstdint>
 #include <filesystem>
@@ -42,12 +41,12 @@ namespace rups::obs {
 
 /// Human-readable name for the calling thread, shown by ChromeTraceSink as
 /// thread-name metadata (defaults to "rups thread <tid>"). `label` must
-/// have static storage duration. Available in both configurations.
+/// have static storage duration.
 void set_thread_label(const char* label) noexcept;
 [[nodiscard]] const char* thread_label(std::uint32_t tid) noexcept;
 
 /// Handle to a live span, capturable on one thread and usable as an
-/// explicit parent on another. Plain data in both configurations.
+/// explicit parent on another. Plain data.
 struct SpanContext {
   std::uint64_t trace_id = 0;
   std::uint64_t span_id = 0;   ///< 0 = "no span" (ambient parenting applies)
@@ -68,8 +67,7 @@ struct SpanRecord {
 };
 
 /// Innermost named timer currently open on the calling thread (invalid
-/// context when none). Span ids are only assigned by enabled ObsTimers, so
-/// under RUPS_OBS_DISABLED these return empty — but they stay callable.
+/// context when none).
 [[nodiscard]] SpanContext current_span() noexcept;
 [[nodiscard]] std::vector<SpanRecord> active_span_chain();
 /// Process-unique non-zero span id.
@@ -88,8 +86,7 @@ struct SampledStack {
 /// into a seqlock-published fixed-depth buffer on push/pop, and the sampler
 /// retries a bounded number of times per thread, dropping a thread whose
 /// stack it cannot read consistently (or whose stack is empty). Stacks
-/// deeper than the published depth are truncated innermost-first. Under
-/// RUPS_OBS_DISABLED no spans are ever pushed, so this returns empty.
+/// deeper than the published depth are truncated innermost-first.
 [[nodiscard]] std::vector<SampledStack> sample_span_stacks();
 
 namespace detail {
@@ -171,8 +168,6 @@ class ChromeTraceSink : public TraceSink {
   std::set<std::uint32_t> tids_named_;
 };
 
-#ifndef RUPS_OBS_DISABLED
-
 namespace detail {
 void span_push(const SpanRecord& record);
 void span_pop() noexcept;
@@ -248,24 +243,5 @@ class ObsTimer {
   bool flow_ = false;
   bool stopped_ = false;
 };
-
-#else  // RUPS_OBS_DISABLED
-
-namespace noop {
-class ObsTimer {
- public:
-  explicit ObsTimer(Histogram*, const char* = nullptr) noexcept {}
-  ObsTimer(Histogram*, const char*, const SpanContext&) noexcept {}
-  ObsTimer(const ObsTimer&) = delete;
-  ObsTimer& operator=(const ObsTimer&) = delete;
-  [[nodiscard]] std::uint64_t span_id() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t trace_id() const noexcept { return 0; }
-  double stop() noexcept { return 0.0; }
-};
-}  // namespace noop
-
-using ObsTimer = noop::ObsTimer;
-
-#endif  // RUPS_OBS_DISABLED
 
 }  // namespace rups::obs

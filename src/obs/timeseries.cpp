@@ -142,8 +142,6 @@ double window_quantile(const std::vector<double>& bounds,
   return bounds.empty() ? 0.0 : bounds.back();
 }
 
-#ifndef RUPS_OBS_DISABLED
-
 TimeSeriesCollector::TimeSeriesCollector(TimeSeriesConfig config)
     : config_(std::move(config)) {
   if (config_.window_s <= 0.0) config_.window_s = 30.0;
@@ -275,7 +273,5 @@ void TimeSeriesCollector::set_value(const std::string& name, const char* kind,
     col.values.back() = value;
   }
 }
-
-#endif  // RUPS_OBS_DISABLED
 
 }  // namespace rups::obs

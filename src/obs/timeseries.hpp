@@ -19,9 +19,8 @@
 // not wall-clock; only histogram quantiles of timing metrics carry
 // machine-dependent values.
 //
-// TimeSeriesConfig and TimeSeriesData are always-on plain data (embedded
-// in campaign results in both configurations); the collector itself
-// compiles to a no-op under RUPS_OBS_DISABLED.
+// TimeSeriesConfig and TimeSeriesData are plain data, embedded in campaign
+// results.
 
 #include <cstdint>
 #include <map>
@@ -88,8 +87,6 @@ struct TimeSeriesData {
                                      const std::vector<std::uint64_t>& buckets,
                                      double q);
 
-#ifndef RUPS_OBS_DISABLED
-
 /// One collector per campaign run. Not thread-safe: the single campaign
 /// driver thread calls it between rounds (worker threads only touch
 /// metrics, which snapshot atomically).
@@ -130,30 +127,5 @@ class TimeSeriesCollector {
   /// (name, kind) -> index into data_.columns.
   std::map<std::pair<std::string, std::string>, std::size_t> column_index_;
 };
-
-#else  // RUPS_OBS_DISABLED
-
-namespace noop {
-
-class TimeSeriesCollector {
- public:
-  explicit TimeSeriesCollector(TimeSeriesConfig = {}) noexcept {}
-  void begin(double) noexcept {}
-  void track(std::uint64_t) noexcept {}
-  void note_estimate(std::uint64_t, double) noexcept {}
-  void observe(double) noexcept {}
-  [[nodiscard]] TimeSeriesData finish(double) { return {}; }
-  [[nodiscard]] bool active() const noexcept { return false; }
-  [[nodiscard]] const TimeSeriesConfig& config() const noexcept {
-    static const TimeSeriesConfig cfg;
-    return cfg;
-  }
-};
-
-}  // namespace noop
-
-using TimeSeriesCollector = noop::TimeSeriesCollector;
-
-#endif  // RUPS_OBS_DISABLED
 
 }  // namespace rups::obs

@@ -65,7 +65,8 @@ MatcherService::MatcherService(ServiceConfig config)
           obs::Registry::global().counter("service.stream.updates")),
       m_stream_estimates_(
           obs::Registry::global().counter("service.stream.estimates")),
-      m_stream_us_(obs::Registry::global().histogram("stream.update_us")) {
+      m_stream_us_(
+          obs::Registry::global().histogram("service.stream.update_us")) {
   // Vehicles build their FleetEngine lazily, so a config no seek could run
   // is rejected here rather than out of register_vehicle().
   core::validate(config_.fleet.rups.syn);

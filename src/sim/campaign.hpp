@@ -46,8 +46,7 @@ struct CampaignConfig {
   std::filesystem::path diagnostics_dir{};
   /// Sim-time windowed telemetry series collected over the campaign
   /// (window cadence, metric prefixes). Set series.enabled = false to skip
-  /// collection; the collector is a no-op under RUPS_OBS_DISABLED either
-  /// way.
+  /// collection.
   obs::TimeSeriesConfig series{};
 };
 
@@ -58,18 +57,17 @@ struct CampaignResult {
   /// finished: per-query latency histogram (campaign.query_latency_us),
   /// SYN-search work (syn.*), V2V bytes (v2v.*), field evaluations
   /// (gsm.*). Counters are process-cumulative; diff two snapshots to
-  /// isolate one campaign. Empty under RUPS_OBS_DISABLED builds.
+  /// isolate one campaign.
   obs::MetricsSnapshot metrics;
 
   /// Health summary at campaign end: rolling availability / error p95 /
-  /// latency p99 and every alert that fired. Identical in all build
-  /// configurations (the monitor runs on explicit ground-truth feeds).
+  /// latency p99 and every alert that fired (the monitor runs on explicit
+  /// ground-truth feeds).
   obs::HealthReport health;
 
   /// Sim-time windowed series (counter rates, histogram quantiles, gauge
   /// values, per-neighbour estimate staleness) collected while the
-  /// campaign ran. Empty when config.series.enabled is false or under
-  /// RUPS_OBS_DISABLED.
+  /// campaign ran. Empty when config.series.enabled is false.
   obs::TimeSeriesData series;
 
   /// Absolute RUPS errors over queries that produced an estimate.

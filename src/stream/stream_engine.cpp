@@ -90,6 +90,10 @@ const StreamingEngine::Update& StreamingEngine::update(
     const core::ContextTrajectory& ego,
     std::span<const core::ContextTrajectory* const> senders,
     util::ThreadPool* pool) {
+  if (senders.size() != neighbours_.size()) {
+    throw std::invalid_argument(
+        "StreamingEngine: senders/neighbours size mismatch");
+  }
   StreamMetrics& metrics = stream_metrics();
   const double t0 = obs::now_us();
 
@@ -102,8 +106,7 @@ const StreamingEngine::Update& StreamingEngine::update(
 
   for (std::size_t i = 0; i < neighbours_.size(); ++i) {
     Neighbour& nb = neighbours_[i];
-    const core::ContextTrajectory* sender =
-        i < senders.size() ? senders[i] : nullptr;
+    const core::ContextTrajectory* sender = senders[i];
     const core::ContextTrajectory* nb_view = nullptr;
     BeaconOutcome outcome = BeaconOutcome::kNoNews;
     if (nb.beacon) {

@@ -67,9 +67,11 @@ class StreamingEngine {
   void remove_neighbour(std::uint64_t id);
 
   /// One streaming step. `senders[i]` is the CURRENT context of the i-th
-  /// registered neighbour (registration order, size must match). Runs one
-  /// beacon round per beacon neighbour, then re-estimates every neighbour
-  /// whose (view, ego) pair gained metres since its last estimate.
+  /// registered neighbour (registration order; nullptr = nothing sent this
+  /// step). Runs one beacon round per beacon neighbour, then re-estimates
+  /// every neighbour whose (view, ego) pair gained metres since its last
+  /// estimate. Throws std::invalid_argument, changing nothing, when the
+  /// size of `senders` differs from neighbour_count().
   const Update& update(const core::ContextTrajectory& ego,
                        std::span<const core::ContextTrajectory* const> senders,
                        util::ThreadPool* pool = nullptr);

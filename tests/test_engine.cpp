@@ -228,9 +228,7 @@ TEST(Engine, NonFiniteImuTimeIsRejected) {
   EXPECT_TRUE(std::isfinite(engine.odometer_m()));
   EXPECT_EQ(engine.odometer_m(), clean.odometer_m());
   EXPECT_EQ(engine.context().size(), clean.context().size());
-#ifndef RUPS_OBS_DISABLED
   EXPECT_EQ(rejected.value() - before, injected);
-#endif
 }
 
 TEST(Engine, NonFiniteSpeedSampleIsRejected) {
@@ -256,10 +254,8 @@ TEST(Engine, NonFiniteSpeedSampleIsRejected) {
   // NaN speeds and report times are refused the same way.
   engine.on_speed({second + 1.0, nan});
   engine.on_speed({nan, 10.0});
-#ifndef RUPS_OBS_DISABLED
   EXPECT_EQ(bad_speed.value() - before_speed, 2u);
   EXPECT_EQ(bad_time.value() - before_time, 1u);
-#endif
 }
 
 TEST(Engine, NonFiniteRssiIsRejected) {
@@ -289,10 +285,8 @@ TEST(Engine, NonFiniteRssiIsRejected) {
       }
     }
   }
-#ifndef RUPS_OBS_DISABLED
   EXPECT_EQ(bad_level.value() - before_level, static_cast<std::uint64_t>(second));
   EXPECT_EQ(bad_time.value() - before_time, 1u);
-#endif
 }
 
 TEST(Engine, ImplausibleSpeedIsRejected) {
@@ -312,15 +306,11 @@ TEST(Engine, ImplausibleSpeedIsRejected) {
   engine.on_imu(imu);
   engine.on_speed({10.5, 1e6});
   // Checked before the next IMU step, which would otherwise integrate it.
-#ifndef RUPS_OBS_DISABLED
   ASSERT_EQ(implausible.value() - before, 1u);
-#endif
   // A fast but plausible report is kept.
   RupsEngine fast(test_config());
   fast.on_speed({0.0, 90.0});
-#ifndef RUPS_OBS_DISABLED
   EXPECT_EQ(implausible.value() - before, 1u);
-#endif
   imu.time_s = 10.505;
   clean.on_imu(imu);
   engine.on_imu(imu);

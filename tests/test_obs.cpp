@@ -275,6 +275,21 @@ TEST(Logger, LevelsFilterAndFileSink) {
   log.set_min_level(LogLevel::kWarn);
 }
 
+TEST(Logger, StatementBelowLevelEvaluatesNoOperands) {
+  Logger& log = Logger::global();
+  const LogLevel level0 = log.min_level();
+  log.set_min_level(LogLevel::kWarn);
+  int evaluations = 0;
+  const auto side_effect = [&]() {
+    ++evaluations;
+    return 1;
+  };
+  RUPS_LOG(kTrace) << side_effect();
+  RUPS_LOG(kDebug) << "never emitted " << side_effect() << side_effect();
+  EXPECT_EQ(evaluations, 0);
+  log.set_min_level(level0);
+}
+
 TEST(Logger, RateLimitDropsAndReports) {
   const auto path =
       std::filesystem::temp_directory_path() / "rups_test_ratelimit.txt";

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -15,6 +16,7 @@
 #include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
 #include "sim/service_sim.hpp"
+#include "stream/stream_engine.hpp"
 #include "util/thread_pool.hpp"
 
 // The sharded matcher service contract:
@@ -79,8 +81,7 @@ constexpr std::size_t kWarmup = 4;
 struct Replay {
   std::vector<std::vector<Outcome>> outcomes;
   std::uint64_t accepted = 0;
-  /// syncache.* counter deltas over the replay (empty when the metrics
-  /// registry compiles to no-ops).
+  /// syncache.* counter deltas over the replay.
   std::map<std::string, std::uint64_t> cache_counters;
 };
 
@@ -243,9 +244,7 @@ TEST(ShardRouting, HostilePositionsAreRejectedOrRoutedInRange) {
     EXPECT_FALSE(svc.observe(1, bad, core::GeoSample{}, power)) << bad;
   }
   EXPECT_EQ(svc.shard_of(1), shard);
-#ifndef RUPS_OBS_DISABLED
   EXPECT_EQ(rejected.value() - before, 5u);
-#endif
   // Finite positions far beyond any integer cell index still route to a
   // valid shard.
   ASSERT_TRUE(svc.register_vehicle(2, 1e300));
@@ -274,9 +273,7 @@ TEST(ShardRouting, WrongWidthPowerIsRejectedWithoutTouchingTheVehicle) {
   EXPECT_FALSE(svc.observe(1, 250.0, core::GeoSample{},
                            core::PowerVector(width + 1)));
   EXPECT_EQ(svc.shard_of(1), shard);
-#ifndef RUPS_OBS_DISABLED
   EXPECT_EQ(rejected.value() - before, 2u);
-#endif
   EXPECT_TRUE(
       svc.observe(1, 250.0, core::GeoSample{}, core::PowerVector(width)));
   EXPECT_NE(svc.shard_of(1), shard);
@@ -494,6 +491,64 @@ TEST(Health, AdmissionRejectRuleFiresOnSustainedRejection) {
   }
   EXPECT_TRUE(fired);
   svc.drain();
+}
+
+TEST(StreamTelemetry, ServiceAndEngineHistogramsCountOnlyTheirOwnUpdates) {
+  obs::Registry& reg = obs::Registry::global();
+  obs::Histogram& service_us = reg.histogram("service.stream.update_us");
+  obs::Histogram& engine_us = reg.histogram("stream.update_us");
+  obs::Counter& service_updates = reg.counter("service.stream.updates");
+  obs::Counter& engine_updates = reg.counter("stream.updates");
+  const std::uint64_t service_us0 = service_us.count();
+  const std::uint64_t engine_us0 = engine_us.count();
+  const std::uint64_t service_updates0 = service_updates.value();
+  const std::uint64_t engine_updates0 = engine_updates.value();
+
+  // Subscription drains: one service.stream.update_us sample per
+  // re-estimated subscription.
+  const sim::CityFleetConfig city_cfg = small_city(0x57AEULL);
+  sim::CityFleet city(city_cfg);
+  MatcherService svc(small_service(city_cfg, 2));
+  for (std::size_t v = 0; v < city.vehicle_count(); ++v) {
+    ASSERT_TRUE(svc.register_vehicle(city.vehicle_id(v), city.position(v)));
+  }
+  ASSERT_TRUE(svc.subscribe(city.vehicle_id(0), city.vehicle_id(1)).accepted());
+  ASSERT_TRUE(svc.subscribe(city.vehicle_id(2), city.vehicle_id(3)).accepted());
+  for (std::size_t round = 0; round < 3; ++round) {
+    city.advance_round();
+    svc.begin_round();
+    for (std::size_t v = 0; v < city.vehicle_count(); ++v) {
+      for (const sim::CityFleet::Sample& s : city.samples(v)) {
+        ASSERT_TRUE(
+            svc.observe(city.vehicle_id(v), s.position_m, s.geo, s.power));
+      }
+    }
+    svc.drain();
+    svc.drain_stream();
+  }
+
+  // One whole StreamingEngine update: one stream.update_us sample.
+  stream::StreamConfig scfg;
+  scfg.fleet.rups = small_service(city_cfg, 1).fleet.rups;
+  stream::StreamingEngine engine(scfg);
+  engine.add_neighbour(city.vehicle_id(1));
+  core::ContextTrajectory ego(city_cfg.channels, city_cfg.context_capacity_m);
+  core::ContextTrajectory nb(city_cfg.channels, city_cfg.context_capacity_m);
+  for (const sim::CityFleet::Sample& s : city.samples(0)) {
+    ego.append(s.geo, s.power);
+  }
+  for (const sim::CityFleet::Sample& s : city.samples(1)) {
+    nb.append(s.geo, s.power);
+  }
+  const std::array<const core::ContextTrajectory*, 1> senders{&nb};
+  engine.update(ego, senders);
+
+  const std::uint64_t service_events =
+      service_updates.value() - service_updates0;
+  EXPECT_GT(service_events, 0u);
+  EXPECT_EQ(service_us.count() - service_us0, service_events);
+  EXPECT_EQ(engine_updates.value() - engine_updates0, 1u);
+  EXPECT_EQ(engine_us.count() - engine_us0, 1u);
 }
 
 }  // namespace

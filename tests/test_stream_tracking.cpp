@@ -4,14 +4,19 @@
 // context and locks a SYN point, later beacons ship only tail deltas and
 // SynCache re-verifies the lock in a narrow band. Covers accuracy and the
 // bandwidth claim (tail updates are far cheaper than full exchanges).
+// Also covers neighbour removal mid-drive and the senders size contract.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "sim/convoy_sim.hpp"
+#include "sim/service_sim.hpp"
 #include "stream/stream_engine.hpp"
 #include "util/stats.hpp"
 #include "v2v/link.hpp"
@@ -72,6 +77,83 @@ TEST(StreamingEngineTracking, DuplicateNeighbourIdIsRejected) {
   EXPECT_THROW(engine.add_neighbour(7), std::invalid_argument);
   EXPECT_EQ(engine.neighbour_count(), 1u);
   EXPECT_EQ(engine.beacon_stats(7), nullptr);  // still the ideal neighbour
+}
+
+TEST(StreamingEngineTracking, RemovedNeighbourLeavesUpdatesAndItsCacheShard) {
+  constexpr std::size_t kNeighbours = 3;
+  sim::CityFleetConfig ccfg;
+  ccfg.vehicles = kNeighbours + 1;
+  ccfg.channels = 24;
+  ccfg.context_capacity_m = 200;
+  ccfg.spacing_m = 18.0;
+  ccfg.seed = 11;
+  sim::CityFleet city(ccfg);
+
+  stream::StreamConfig scfg;
+  scfg.fleet.rups.channels = ccfg.channels;
+  scfg.fleet.rups.context_capacity_m = ccfg.context_capacity_m;
+  stream::StreamingEngine engine(scfg);
+  for (std::size_t i = 1; i <= kNeighbours; ++i) {
+    engine.add_neighbour(city.vehicle_id(i));
+  }
+  std::vector<core::ContextTrajectory> trajs;
+  for (std::size_t i = 0; i <= kNeighbours; ++i) {
+    trajs.emplace_back(ccfg.channels, ccfg.context_capacity_m);
+  }
+  std::vector<const core::ContextTrajectory*> all;
+  for (std::size_t i = 1; i <= kNeighbours; ++i) all.push_back(&trajs[i]);
+  const std::uint64_t removed = city.vehicle_id(2);
+  const std::vector<const core::ContextTrajectory*> remaining{&trajs[1],
+                                                              &trajs[3]};
+
+  // Appends one round per metre; returns every id the updates re-estimated.
+  const auto drive_round =
+      [&](const std::vector<const core::ContextTrajectory*>& senders) {
+        city.advance_round();
+        std::size_t steps = 0;
+        for (std::size_t i = 0; i <= kNeighbours; ++i) {
+          steps = std::max(steps, city.samples(i).size());
+        }
+        std::vector<std::uint64_t> ids;
+        for (std::size_t s = 0; s < steps; ++s) {
+          for (std::size_t i = 0; i <= kNeighbours; ++i) {
+            const auto& batch = city.samples(i);
+            if (s < batch.size()) {
+              trajs[i].append(batch[s].geo, batch[s].power);
+            }
+          }
+          const auto& update = engine.update(
+              trajs[0], std::span<const core::ContextTrajectory* const>(
+                            senders.data(), senders.size()));
+          ids.insert(ids.end(), update.ids.begin(), update.ids.end());
+        }
+        return ids;
+      };
+
+  for (std::size_t r = 0; r < 3; ++r) (void)drive_round(all);
+  ASSERT_EQ(engine.fleet().shard_count(), kNeighbours);
+
+  engine.remove_neighbour(removed);
+  EXPECT_EQ(engine.neighbour_count(), kNeighbours - 1);
+  EXPECT_EQ(engine.fleet().shard_count(), kNeighbours - 1);
+  EXPECT_EQ(engine.view(removed), nullptr);
+
+  const std::vector<std::uint64_t> ids = drive_round(remaining);
+  ASSERT_FALSE(ids.empty());
+  for (const std::uint64_t id : ids) {
+    EXPECT_TRUE(id == city.vehicle_id(1) || id == city.vehicle_id(3)) << id;
+  }
+  EXPECT_EQ(engine.fleet().shard_count(), kNeighbours - 1);
+
+  // A span sized for the old neighbour set is refused before anything
+  // changes.
+  const std::uint64_t estimates = engine.estimates();
+  EXPECT_THROW(engine.update(trajs[0],
+                             std::span<const core::ContextTrajectory* const>(
+                                 all.data(), all.size())),
+               std::invalid_argument);
+  EXPECT_EQ(engine.estimates(), estimates);
+  EXPECT_EQ(engine.fleet().shard_count(), kNeighbours - 1);
 }
 
 }  // namespace
