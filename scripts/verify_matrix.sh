@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Build-and-test matrix for the two sanitizer configurations:
+# Build-and-test matrix: two sanitizer configurations and one warnings
+# gate.
 #
 #  1. asan-ubsan  — Address + UB sanitizers over the observability test
 #     binaries (sharded atomics, labeled-family churn under the shared
@@ -43,6 +44,9 @@
 #     as a data race. test_service's pooled ShardRouting replay has
 #     several shard workers reading the same per-vehicle packs, which
 #     only the serial sync pass before each drain may write.
+#  3. werror — configures build-werror/ with -DRUPS_WERROR=ON and builds
+#     every target (library, tests, benches, examples), so any compiler
+#     warning in the default configuration fails the matrix.
 #
 # Usage: scripts/verify_matrix.sh [jobs]   (default: 2)
 set -eu
@@ -114,6 +118,11 @@ for bin in "${tsan_tests[@]}"; do
   echo "-- $bin"
   "build-tsan/tests/$bin"
 done
+
+echo ""
+echo "== werror: configure + build every target with warnings as errors =="
+cmake -S . -B build-werror -DRUPS_WERROR=ON
+cmake --build build-werror -j"$jobs"
 
 echo ""
 echo "verify matrix: PASS"

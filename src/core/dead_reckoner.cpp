@@ -28,6 +28,12 @@ std::vector<GeoSample> DeadReckoner::advance(double time_s, double heading_rad,
   return out;
 }
 
+void DeadReckoner::reanchor(double time_s, double speed_mps) noexcept {
+  if (!started_) return;
+  last_time_ = time_s;
+  last_speed_ = speed_mps;
+}
+
 double DeadReckoner::odometer_at(double time_s) const noexcept {
   const double dt = time_s - last_time_;
   return std::max(0.0, distance_ + last_speed_ * dt);

@@ -17,6 +17,10 @@ class DeadReckoner {
   std::vector<GeoSample> advance(double time_s, double heading_rad,
                                  double speed_mps);
 
+  /// Restart integration at `time_s` without moving: the next advance()
+  /// integrates from here. No-op before the first advance().
+  void reanchor(double time_s, double speed_mps) noexcept;
+
   /// Estimated odometer (m).
   [[nodiscard]] double odometer_m() const noexcept { return distance_; }
 

@@ -56,14 +56,18 @@ void RupsEngine::on_imu(const sensors::ImuSample& imu) {
     reject_input("non_finite_imu_time");
     return;
   }
-  engine_metrics().imu_samples.inc();
-  double dt = 0.0;
-  if (have_imu_time_) {
-    dt = imu.time_s - last_imu_time_;
-    if (dt < 0.0) dt = 0.0;
-  }
+  double dt = have_imu_time_ ? imu.time_s - last_imu_time_ : 0.0;
   last_imu_time_ = imu.time_s;
   have_imu_time_ = true;
+  // A far jump would integrate its whole span at the held speed; moving
+  // nothing and restarting the clocks here keeps the context intact.
+  if (std::abs(dt) > kMaxImuGapS) {
+    reject_input("imu_gap");
+    reckoner_.reanchor(imu.time_s, speed_.speed_at(imu.time_s));
+    return;
+  }
+  engine_metrics().imu_samples.inc();
+  if (dt < 0.0) dt = 0.0;
 
   if (!config_.assume_aligned_sensors) {
     reorientation_.add_sample(imu, speed_.trend());
@@ -127,12 +131,8 @@ void RupsEngine::on_rssi(const sensors::RssiMeasurement& measurement) {
 std::vector<SynPoint> RupsEngine::find_syn_points(
     const ContextTrajectory& neighbour) const {
   // The local pack only changes by the metres driven since the last query;
-  // sync extends it incrementally instead of re-extracting per query. The
-  // re-packed suffix must cover the binder's interpolation reach, which
-  // back-fills up to max_interpolation_gap_m metres behind the head.
-  context_pack_.sync(
-      context_, std::max(PackedContext::kDefaultVolatileSuffixM,
-                         config_.binder.max_interpolation_gap_m + 1));
+  // sync extends it incrementally instead of re-extracting per query.
+  context_pack_.sync(context_, pack_volatile_suffix_m(config_.binder));
   std::vector<SynPoint> syns;
   seeker_.find_into(context_, neighbour, &context_pack_, nullptr, nullptr,
                     nullptr, seek_scratch_, syns);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 
@@ -19,6 +20,13 @@ namespace rups::core {
 /// paper targets moves faster, so a larger report is a sensor fault.
 inline constexpr double kMaxPlausibleSpeedMps = 100.0;
 
+/// Longest IMU step RupsEngine integrates. The IMU runs at ~200 Hz, so a
+/// larger jump in either direction is a clock fault or a long outage:
+/// integrating it would emit up to kMaxPlausibleSpeedMps metres per second
+/// of the gap and evict the whole context. Such a step moves nothing; the
+/// IMU clock and the dead reckoner re-anchor at the new sample.
+inline constexpr double kMaxImuGapS = 1.0;
+
 /// End-to-end RUPS configuration. Defaults follow the paper's evaluation
 /// setup: 1000 m journey context, 85 m x top-45-channel checking window,
 /// coherency threshold 1.2, selective average over 5 SYN points.
@@ -36,6 +44,16 @@ struct RupsConfig {
   bool assume_aligned_sensors = false;
 };
 
+/// Trailing metres a maintained pack of a bound trajectory re-packs on every
+/// sync: the binder back-fills interpolated channels up to
+/// max_interpolation_gap_m metres behind the newest metre, so the suffix
+/// covers that reach and never drops below the pack's default.
+[[nodiscard]] inline std::size_t pack_volatile_suffix_m(
+    const TrajectoryBinder::Config& binder) noexcept {
+  return std::max(PackedContext::kDefaultVolatileSuffixM,
+                  binder.max_interpolation_gap_m + 1);
+}
+
 /// The on-vehicle RUPS stack (paper Fig 5): consumes raw sensor streams,
 /// maintains the vehicle's context-aware trajectory, and answers relative
 /// distance queries against a neighbour's exchanged trajectory.
@@ -50,7 +68,9 @@ class RupsEngine {
 
   /// Feed one inertial sample (drives calibration, heading, and the
   /// per-metre trajectory emission). A non-finite time_s is refused
-  /// before any state changes and counted in engine.rejected_input.
+  /// before any state changes and counted in engine.rejected_input. A
+  /// step of more than kMaxImuGapS only re-anchors the IMU clock and the
+  /// dead reckoner, and is counted as engine.rejected_input{imu_gap}.
   void on_imu(const sensors::ImuSample& imu);
 
   /// Feed one OBD speed report. A non-finite time_s or speed_mps, or a

@@ -1,5 +1,6 @@
 #include "core/fleet.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
@@ -48,6 +49,11 @@ FleetEngine::FleetEngine(FleetConfig config) : config_(config) {
   // after its counters have moved: reject the config up front instead.
   validate(config_.rups.syn);
   config_.cache.enabled = config_.use_cache;
+  // Every pack this engine syncs (its ego pack and each shard's neighbour
+  // pack) must re-pack the binder's back-fill reach.
+  config_.cache.volatile_suffix_m =
+      std::max(config_.cache.volatile_suffix_m,
+               pack_volatile_suffix_m(config_.rups.binder));
 }
 
 void FleetEngine::forget(std::uint64_t id) { shards_.erase(id); }

@@ -38,7 +38,6 @@ std::size_t PackedContext::sync(const ContextTrajectory& t,
     const std::size_t want = std::max(t.capacity_m(), t.size());
     stride_ = want + std::max<std::size_t>(64, want / 4);
     x_.assign(channels_ * stride_, 0.0f);
-    x2_.assign(channels_ * stride_, 0.0f);
     v_.assign(channels_ * stride_, 0.0f);
     base_ = 0;
     first_metre_ = t_first;
@@ -71,8 +70,6 @@ void PackedContext::compact() noexcept {
   for (std::size_t c = 0; c < channels_; ++c) {
     std::memmove(x_.data() + c * stride_, x_.data() + c * stride_ + base_,
                  bytes);
-    std::memmove(x2_.data() + c * stride_, x2_.data() + c * stride_ + base_,
-                 bytes);
     std::memmove(v_.data() + c * stride_, v_.data() + c * stride_ + base_,
                  bytes);
   }
@@ -85,15 +82,12 @@ void PackedContext::pack_column(const ContextTrajectory& t, std::size_t index) {
   const std::size_t width = pv.channels();
   for (std::size_t c = 0; c < channels_; ++c) {
     float val = 0.0f;
-    float sq = 0.0f;
     float mask = 0.0f;
     if (c < width && pv.usable(c)) {
       val = pv.at(c) + kPackShiftDbm;
-      sq = val * val;
       mask = 1.0f;
     }
     x_[c * stride_ + col] = val;
-    x2_[c * stride_ + col] = sq;
     v_[c * stride_ + col] = mask;
   }
 }
@@ -103,7 +97,6 @@ SubsetPack::SubsetPack(const ContextTrajectory& t,
                        std::size_t len)
     : metres_(len), k_(channels.size()) {
   x_.assign(k_ * len, 0.0f);
-  x2_.assign(k_ * len, 0.0f);
   v_.assign(k_ * len, 0.0f);
   const std::size_t width = t.channels();
   for (std::size_t i = 0; i < len; ++i) {
@@ -111,9 +104,7 @@ SubsetPack::SubsetPack(const ContextTrajectory& t,
     for (std::size_t kk = 0; kk < k_; ++kk) {
       const std::size_t c = channels[kk];
       if (c < width && pv.usable(c)) {
-        const float val = pv.at(c) + kPackShiftDbm;
-        x_[kk * len + i] = val;
-        x2_[kk * len + i] = val * val;
+        x_[kk * len + i] = pv.at(c) + kPackShiftDbm;
         v_[kk * len + i] = 1.0f;
       }
     }
@@ -143,14 +134,14 @@ constexpr std::size_t kMaxFixedRows = 64;
 
 /// Out of line and not cloned, so the block kernels' masked epilogue keeps
 /// its own scalar division count.
-[[gnu::noinline]] void hoist_fixed_row(const float* fx, const float* fx2,
-                                       const float* fv, std::size_t window,
-                                       float min_overlap, FixedRow& f) {
+[[gnu::noinline]] void hoist_fixed_row(const float* fx, const float* fv,
+                                       std::size_t window, float min_overlap,
+                                       FixedRow& f) {
   float n = 0.0f, sx = 0.0f, sxx = 0.0f;
   for (std::size_t i = 0; i < window; ++i) {
     n += fv[i];
     sx += fv[i] * fx[i];
-    sxx += fv[i] * fx2[i];
+    sxx += (fv[i] * fx[i]) * fx[i];
   }
   f.ready = true;
   f.use = n >= min_overlap;
@@ -172,13 +163,18 @@ constexpr std::size_t kMaxFixedRows = 64;
 // Lane kernel. lag_block_body<B> scores the B sliding positions
 //   pos0, pos0 + 1, ..., pos0 + B - 1     (in metres)
 // in one traversal of the checking window. The outer loop runs over window
-// metres i; fixed-row values fv[i]/fx[i]/fx2[i] are loaded once per metre
-// and broadcast; the B sliding-side loads sx_[i + b] are contiguous across
-// the block (SIMD lanes across lags). Each lane's six float moment sums
+// metres i; fixed-row values fv[i]/fx[i] are loaded once per metre and
+// broadcast; the B sliding-side loads sx_[i + b] are contiguous across the
+// block (SIMD lanes across lags). Each lane's six float moment sums
 // accumulate over i in source order, which is the SAME order the
 // historical per-position kernel used — so every lane is bit-identical to a
 // single-position call regardless of B or target ISA (the TU is compiled
 // without value-changing FP options).
+//
+// Squares come from the mask-weighted products (mf = m*x, my = m*y; Σx² +=
+// mf*x, Σy² += my*y, Σxy += mf*y). Every pack v slot is exactly 0.0f or
+// 1.0f, so m is 0 or 1 and (m*x)*x rounds like m*(x*x); a masked -0.0 term
+// leaves a sum that started at +0.0 unchanged.
 //
 // B == 1 is the single-position block — packed_correlation() routes
 // through it so there is exactly ONE masked accumulation loop in the whole
@@ -196,8 +192,8 @@ constexpr std::size_t kMaxFixedRows = 64;
 //
 // Usable-row lane loop: in the blocks of a batch call (`rows` non-empty),
 // a channel whose sliding row is 1.0 across the block's whole read range
-// [pos0, pos0 + window + B - 1) takes a lean loop of three sums (sy +=
-// fvi*y, syy += fvi*y2, sxy += (fvi*fxi)*y — the masked loop's own
+// [pos0, pos0 + window + B - 1) takes a lean loop of three sums (my =
+// fvi*y; sy += my, syy += my*y, sxy += (fvi*fxi)*y — the masked loop's own
 // products with m == fvi) and a vectorized epilogue over the channel's
 // FixedRow, hoisted on first use. A channel whose fixed row is below
 // min_channel_overlap is skipped there: its lanes would only add +0.
@@ -222,16 +218,14 @@ template <int B>
     // would be skipped by min_channel_overlap below anyway).
     if (fc >= fixed.span.channels || sc >= sliding.span.channels) continue;
     const float* fx = fixed.span.x + fc * fixed.span.stride + fixed_start;
-    const float* fx2 = fixed.span.x2 + fc * fixed.span.stride + fixed_start;
     const float* fv = fixed.span.v + fc * fixed.span.stride + fixed_start;
     const float* sx_ = sliding.span.x + sc * sliding.span.stride + pos0;
-    const float* sx2_ = sliding.span.x2 + sc * sliding.span.stride + pos0;
     const float* sv_ = sliding.span.v + sc * sliding.span.stride + pos0;
 
     if constexpr (B > 1) {
       if (kk < row_count && row_usable(sv_, window + B - 1)) {
         FixedRow& f = rows[kk];
-        if (!f.ready) hoist_fixed_row(fx, fx2, fv, window, min_overlap, f);
+        if (!f.ready) hoist_fixed_row(fx, fv, window, min_overlap, f);
         if (!f.use) continue;
         float sy[B] = {}, syy[B] = {}, sxy[B] = {};
         for (std::size_t i = 0; i < window; ++i) {
@@ -239,10 +233,10 @@ template <int B>
           const float fxi = fvi * fx[i];
 #pragma omp simd
           for (int b = 0; b < B; ++b) {
-            const std::size_t j = i + static_cast<std::size_t>(b);
-            sy[b] += fvi * sx_[j];
-            syy[b] += fvi * sx2_[j];
-            sxy[b] += fxi * sx_[j];
+            const float y = sx_[i + static_cast<std::size_t>(b)], my = fvi * y;
+            sy[b] += my;
+            syy[b] += my * y;
+            sxy[b] += fxi * y;
           }
         }
         const bool vx_ok = f.vx > 1e-2;
@@ -278,16 +272,16 @@ template <int B>
     for (std::size_t i = 0; i < window; ++i) {
       const float fvi = fv[i];
       const float fxi = fx[i];
-      const float fx2i = fx2[i];
       for (int b = 0; b < B; ++b) {
         const std::size_t j = i + static_cast<std::size_t>(b);
-        const float m = fvi * sv_[j];
+        const float m = fvi * sv_[j], y = sx_[j];
+        const float mf = m * fxi, my = m * y;
         n[b] += m;
-        sx[b] += m * fxi;
-        sy[b] += m * sx_[j];
-        sxx[b] += m * fx2i;
-        syy[b] += m * sx2_[j];
-        sxy[b] += m * fxi * sx_[j];
+        sx[b] += mf;
+        sy[b] += my;
+        sxx[b] += mf * fxi;
+        syy[b] += my * y;
+        sxy[b] += mf * y;
       }
     }
     for (int b = 0; b < B; ++b) {

@@ -7,7 +7,9 @@
 // query. PackedContext packs ALL channels once (so the pack is valid for any
 // checking-window channel subset) and extends incrementally as the
 // trajectory grows, which is what makes SYN caching and fleet-scale batching
-// (one ego pack shared by N neighbour queries) cheap.
+// (one ego pack shared by N neighbour queries) cheap. A pack holds two float
+// rows per channel, the shifted RSSI and its 0/1 validity: the paper's
+// search reads nothing else, and the kernel squares values as it goes.
 //
 // The correlation kernels live in packed.cpp and are LAG-BATCHED: one
 // traversal of the checking window scores a block of kLagBlock sliding
@@ -38,11 +40,12 @@ namespace rups::core {
 inline constexpr float kPackShiftDbm = 80.0f;
 
 /// Borrowed view of a packed trajectory region: channel-major rows of
-/// pre-masked values (0 where unusable), their squares, and 0/1 validity.
+/// pre-masked values (0 where unusable) and validity. Every validity slot
+/// is exactly 0.0f or 1.0f, which the kernel relies on: a mask product is
+/// then 0 or 1, so masking is exact and squares can be formed on the fly.
 /// Row of channel c starts at x + c*stride; columns are metres.
 struct PackedSpan {
   const float* x = nullptr;
-  const float* x2 = nullptr;
   const float* v = nullptr;
   std::size_t stride = 0;    ///< floats between consecutive channel rows
   std::size_t metres = 0;    ///< columns in the view
@@ -76,8 +79,8 @@ class PackedContext {
                    std::size_t volatile_suffix_m = kDefaultVolatileSuffixM);
 
   [[nodiscard]] PackedSpan span() const noexcept {
-    return {x_.data() + base_, x2_.data() + base_, v_.data() + base_,
-            stride_,           metres_,            channels_};
+    return {x_.data() + base_, v_.data() + base_, stride_, metres_,
+            channels_};
   }
 
   [[nodiscard]] bool empty() const noexcept { return metres_ == 0; }
@@ -106,7 +109,7 @@ class PackedContext {
   std::uint64_t first_metre_ = 0;  ///< odometer metre of column `base_`
   std::size_t base_ = 0;           ///< first live column in the buffer
   std::size_t metres_ = 0;         ///< live columns
-  std::vector<float> x_, x2_, v_;
+  std::vector<float> x_, v_;
 };
 
 /// One-shot dense pack of a channel subset over one stretch — the
@@ -122,13 +125,13 @@ class SubsetPack {
   /// View with stride == len and channels == subset size (row indices are
   /// subset positions, not channel ids).
   [[nodiscard]] PackedSpan span() const noexcept {
-    return {x_.data(), x2_.data(), v_.data(), metres_, metres_, k_};
+    return {x_.data(), v_.data(), metres_, metres_, k_};
   }
 
  private:
   std::size_t metres_ = 0;
   std::size_t k_ = 0;
-  std::vector<float> x_, x2_, v_;
+  std::vector<float> x_, v_;
 };
 
 /// A pack plus its row map: rows[kk] is the row index of the kk-th checking

@@ -29,7 +29,8 @@ struct SynCacheConfig {
   /// predicted alignment. Covers inter-query odometer drift.
   std::size_t verify_radius_m = 12;
   /// Trailing region of each pack re-packed every sync (binder retro-fill
-  /// reach; see PackedContext).
+  /// reach; see PackedContext). FleetEngine raises it to
+  /// pack_volatile_suffix_m() of its binder config.
   std::size_t volatile_suffix_m = PackedContext::kDefaultVolatileSuffixM;
   /// When false every query runs the full search (packs are still reused).
   bool enabled = true;

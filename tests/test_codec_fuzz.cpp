@@ -101,7 +101,9 @@ TEST(CodecRoundTrip, TailEncodingDecodesToTheTail) {
     const core::PowerVector& pb = tail.power(i);
     for (std::size_t c = 0; c < t.channels(); ++c) {
       ASSERT_EQ(pa.usable(c), pb.usable(c));
-      if (pa.usable(c)) ASSERT_EQ(pa.at(c), pb.at(c));
+      if (pa.usable(c)) {
+        ASSERT_EQ(pa.at(c), pb.at(c));
+      }
     }
   }
 }

@@ -7,6 +7,7 @@
 #include "core/resolver.hpp"
 #include "core/syn_seeker.hpp"
 #include "obs/metrics.hpp"
+#include "support/engine_drive.hpp"
 #include "support/road_field.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -401,6 +402,57 @@ TEST(SynCache, RejectsAnEgoPackOutOfSync) {
   EXPECT_THROW(cache.find_into(ego, neighbour, nullptr, nullptr, out),
                std::invalid_argument);
   EXPECT_EQ(cache.stats().queries, 0u);
+}
+
+TEST(FleetEngine, MaintainedPacksFollowLongInterpolationGaps) {
+  // Engine.MaintainedPackFollowsLongInterpolationGaps' drive through
+  // FleetEngine: the gappy vehicle's channels 0-11 fall silent on road
+  // metres 100-280 and the binder back-fills the whole stretch when they
+  // return, far past the default re-pack suffix. The gappy context is the
+  // ego of one fleet (its engine-owned ego pack) and the neighbour of the
+  // other (a shard's neighbour pack); with the cache off every batch must
+  // score exactly like a fresh search over the unpacked contexts.
+  RupsConfig cfg = test::engine_test_config();
+  cfg.binder.max_interpolation_gap_m = 200;
+  RupsEngine gappy(cfg);
+  RupsEngine parked(cfg);
+  test::drive_engine(parked, 0.0, 200.0, 10.0, 12);
+  FleetConfig fleet_cfg;
+  fleet_cfg.rups = cfg;
+  fleet_cfg.use_cache = false;
+  FleetEngine as_ego(fleet_cfg);
+  FleetEngine as_neighbour(fleet_cfg);
+  const SynSeeker reference(cfg.syn);
+  const std::vector<const ContextTrajectory*> parked_ctx = {&parked.context()};
+  const std::vector<const ContextTrajectory*> gappy_ctx = {&gappy.context()};
+  const std::vector<std::uint64_t> ids = {1};
+  std::size_t compared = 0;
+  const auto expect_same = [&](const std::vector<SynPoint>& got,
+                               const std::vector<SynPoint>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].index_a, want[i].index_a);
+      EXPECT_EQ(got[i].index_b, want[i].index_b);
+      EXPECT_EQ(got[i].correlation, want[i].correlation);
+    }
+    compared += got.size();
+  };
+  test::drive_engine(
+      gappy, 0.0, 400.0, 10.0, 11,
+      [](double road_m, std::size_t ch) {
+        return ch < 12 && road_m >= 100.0 && road_m < 280.0;
+      },
+      [&] {
+        expect_same(
+            as_ego.estimate_batch(gappy.context(), parked_ctx, ids)[0]
+                .syn_points,
+            reference.find(gappy.context(), parked.context()));
+        expect_same(
+            as_neighbour.estimate_batch(parked.context(), gappy_ctx, ids)[0]
+                .syn_points,
+            reference.find(parked.context(), gappy.context()));
+      });
+  EXPECT_GT(compared, 20u);
 }
 
 }  // namespace

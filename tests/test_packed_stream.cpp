@@ -65,6 +65,8 @@ void retro_fill(core::ContextTrajectory& t, std::uint64_t step) {
   }
 }
 
+/// Bitwise equality of an incremental and a cold pack of `t`: equal v bits
+/// carry the cold pack's exact 0.0f/1.0f validity over.
 void expect_pack_matches_cold(const core::PackedContext& incremental,
                               const core::ContextTrajectory& t,
                               std::uint64_t step) {
@@ -78,8 +80,6 @@ void expect_pack_matches_cold(const core::PackedContext& incremental,
   for (std::size_t c = 0; c < a.channels; ++c) {
     const float* ax = a.x + c * a.stride;
     const float* bx = b.x + c * b.stride;
-    const float* a2 = a.x2 + c * a.stride;
-    const float* b2 = b.x2 + c * b.stride;
     const float* av = a.v + c * a.stride;
     const float* bv = b.v + c * b.stride;
     for (std::size_t m = 0; m < a.metres; ++m) {
@@ -87,8 +87,6 @@ void expect_pack_matches_cold(const core::PackedContext& incremental,
       // exactly what tolerance-based checks miss.
       ASSERT_EQ(std::memcmp(&ax[m], &bx[m], sizeof(float)), 0)
           << "x stale at step " << step << " ch " << c << " m " << m;
-      ASSERT_EQ(std::memcmp(&a2[m], &b2[m], sizeof(float)), 0)
-          << "x2 stale at step " << step << " ch " << c << " m " << m;
       ASSERT_EQ(std::memcmp(&av[m], &bv[m], sizeof(float)), 0)
           << "v stale at step " << step << " ch " << c << " m " << m;
     }
