@@ -34,7 +34,10 @@
 #     suites (arena slot recycling, ticket-table indexing, bounded-ring
 #     queue arithmetic) run here too, as do the fleet and streaming
 #     tracking suites (V2V rigs sit by value in a growing vector and
-#     borrow their link and channel pointers).
+#     borrow their link and channel pointers), and so do the channel
+#     ranking differential suite (blocked accumulation, nth_element and
+#     the emit flags index by channel) and the trajectory identity
+#     suite.
 #  2. tsan — ThreadSanitizer over the service and shard-concurrency
 #     suites, the thread-pool tests and the pooled streaming-determinism
 #     suite: pooled drains slice shards (and streaming updates slice
@@ -42,8 +45,11 @@
 #     cross-neighbour sharing that is not actually private (arena
 #     slots, ticket table, metric handles, queue internals) surfaces
 #     as a data race. test_service's pooled ShardRouting replay has
-#     several shard workers reading the same per-vehicle packs, which
-#     only the serial sync pass before each drain may write.
+#     several shard workers reading the same per-vehicle packs, and
+#     test_service_concurrency's shared-ranking replay has them read the
+#     same per-vehicle window rankings, as ego and as neighbour, in both
+#     drains; only the preparation pass before each drain, itself sliced
+#     across the pool with one writer per vehicle, may write either.
 #  3. werror — configures build-werror/ with -DRUPS_WERROR=ON and builds
 #     every target (library, tests, benches, examples), so any compiler
 #     warning in the default configuration fails the matrix.
@@ -67,6 +73,7 @@ asan_tests=(
   test_service test_service_concurrency
   test_service_churn test_stream_recovery test_stream_determinism
   test_packed_stream test_fleet_sim test_stream_tracking
+  test_channel_select test_core_types
 )
 tsan_tests=(
   test_thread_pool test_service test_service_concurrency

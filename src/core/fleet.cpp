@@ -62,6 +62,7 @@ void FleetEngine::clear() {
   shards_.clear();
   ego_pack_.clear();
   ego_qpack_.clear();
+  ego_ranks_ = {};
 }
 
 SynCache::Stats FleetEngine::cache_stats() const noexcept {
@@ -91,10 +92,14 @@ void FleetEngine::estimate_batch_into(
     std::span<const ContextTrajectory* const> neighbours,
     std::span<const std::uint64_t> ids, util::ThreadPool* pool,
     std::vector<NeighbourResult>& results, const PackedContext* ego_pack,
-    std::span<const PackedContext* const> neighbour_packs) {
+    std::span<const PackedContext* const> neighbour_packs,
+    const WindowRanks* ego_ranks,
+    std::span<const WindowRanks* const> neighbour_ranks) {
   if (neighbours.size() != ids.size() ||
       (!neighbour_packs.empty() &&
-       neighbour_packs.size() != neighbours.size())) {
+       neighbour_packs.size() != neighbours.size()) ||
+      (!neighbour_ranks.empty() &&
+       neighbour_ranks.size() != neighbours.size())) {
     throw std::invalid_argument(
         "FleetEngine: neighbours/ids/packs size mismatch");
   }
@@ -113,13 +118,17 @@ void FleetEngine::estimate_batch_into(
   m.neighbours.set(static_cast<double>(neighbours.size()));
   obs::ObsTimer timer(&m.batch_us, "fleet.batch");
 
-  // The ego pack (the caller's when in sync, else ours) is synced once,
-  // single-threaded, then read-only for the whole batch; per-id shards are
-  // materialized up front because the map must not be mutated from worker
-  // threads.
+  // The ego pack and ranking (the caller's when given, else ours) are
+  // prepared once, single-threaded, then read-only for the whole batch;
+  // per-id shards are materialized up front because the map must not be
+  // mutated from worker threads.
   if (ego_pack == nullptr || !ego_pack->in_sync_with(ego)) {
     ego_pack_.sync(ego, config_.cache.volatile_suffix_m);
     ego_pack = &ego_pack_;
+  }
+  if (ego_ranks == nullptr) {
+    rank_recent_windows(ego, config_.rups.syn, ego_ranks_, rank_scratch_);
+    ego_ranks = &ego_ranks_;
   }
   const KernelPrecision prec = config_.rups.syn.precision;
   const QuantizedPack* ego_q = nullptr;
@@ -149,7 +158,9 @@ void FleetEngine::estimate_batch_into(
     SynCache& shard = *shards_.find(ids[i])->second;
     NeighbourResult& r = results[i];
     shard.find_into(ego, *neighbours[i], ego_pack, ego_q, r.syn_points,
-                    neighbour_packs.empty() ? nullptr : neighbour_packs[i]);
+                    neighbour_packs.empty() ? nullptr : neighbour_packs[i],
+                    ego_ranks,
+                    neighbour_ranks.empty() ? nullptr : neighbour_ranks[i]);
     r.estimate = aggregate_estimates(ego, *neighbours[i], r.syn_points,
                                      config_.rups.aggregation);
     task_timer.stop();

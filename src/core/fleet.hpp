@@ -5,8 +5,8 @@
 // shape is one ego context against N neighbour contexts per beacon round
 // (cf. Niesen et al., "Inter-Vehicle Range Estimation from Periodic
 // Broadcasts"). FleetEngine answers that batch:
-//   * the ego trajectory is packed ONCE per batch and shared read-only by
-//     every neighbour query;
+//   * the ego trajectory is packed, and its recent windows ranked, ONCE per
+//     batch, and both are shared read-only by every neighbour query;
 //   * each neighbour id owns a SynCache shard (tracking lock + packed
 //     neighbour context), so steady-state queries are narrow
 //     re-verifications instead of full O(m·w·k) searches;
@@ -71,19 +71,24 @@ class FleetEngine {
   /// per_neighbour_latency off) a steady-state batch performs no dynamic
   /// allocation. Identical results to estimate_batch.
   ///
-  /// Callers that own packs of the trajectories (MatcherService packs each
-  /// vehicle once per drain) pass them in: an `ego_pack` in sync with `ego`
-  /// wins over the engine's own copy, and so does a `neighbour_packs[i]`
-  /// (empty, or one entry per neighbour, null allowed) in sync with
-  /// `*neighbours[i]`. A caller pack must hold the trajectory's current
-  /// values, not just its shape. Results are identical either way.
+  /// Callers that prepare the trajectories themselves (MatcherService packs
+  /// and ranks each vehicle once per drain) pass that in: an `ego_pack` in
+  /// sync with `ego` wins over the engine's own copy, and so does a
+  /// `neighbour_packs[i]` (empty, or one entry per neighbour, null allowed)
+  /// in sync with `*neighbours[i]`. Likewise `ego_ranks` replaces the
+  /// engine's own once-per-batch ego ranking and `neighbour_ranks` (same
+  /// shape as neighbour_packs) supplies each neighbour's; a ranking is
+  /// used only for a window it holds of the trajectory's current state.
+  /// Results are identical either way.
   void estimate_batch_into(
       const ContextTrajectory& ego,
       std::span<const ContextTrajectory* const> neighbours,
       std::span<const std::uint64_t> ids, util::ThreadPool* pool,
       std::vector<NeighbourResult>& results,
       const PackedContext* ego_pack = nullptr,
-      std::span<const PackedContext* const> neighbour_packs = {});
+      std::span<const PackedContext* const> neighbour_packs = {},
+      const WindowRanks* ego_ranks = nullptr,
+      std::span<const WindowRanks* const> neighbour_ranks = {});
 
   /// Drop the cache shard of one neighbour (e.g. it left radio range).
   void forget(std::uint64_t id);
@@ -104,6 +109,10 @@ class FleetEngine {
   /// shared read-only by every shard — only when rups.syn.precision !=
   /// kFloat32.
   QuantizedPack ego_qpack_;
+  /// Own ranking of the ego's recent windows, refreshed once per batch
+  /// (before any shard runs) when the caller passes none.
+  WindowRanks ego_ranks_;
+  ChannelSelectScratch rank_scratch_;
   std::map<std::uint64_t, std::unique_ptr<SynCache>> shards_;
 };
 

@@ -17,19 +17,23 @@ namespace rups::core {
 
 std::size_t PackedContext::sync(const ContextTrajectory& t,
                                 std::size_t volatile_suffix_m) {
+  const bool same = identity_ == t.identity();
+  const bool edited = revision_ != t.revision();
+  identity_ = t.identity();
+  revision_ = t.revision();
   if (t.empty()) {
     channels_ = t.channels();
-    clear();
+    base_ = metres_ = 0;
+    first_metre_ = 0;
     return 0;
   }
   const std::uint64_t t_first = t.first_metre();
   const std::uint64_t t_end = t_first + t.size();
   const std::uint64_t packed_end = first_metre_ + metres_;
 
-  // Incremental only when the trajectory is the packed range plus front
-  // evictions and/or appended metres; anything else (width change, rebase,
-  // shrink, gap) falls back to a full repack.
-  const bool incremental = metres_ != 0 && channels_ == t.channels() &&
+  // Incremental only for the same trajectory grown by front evictions
+  // and/or appended metres; anything else falls back to a full repack.
+  const bool incremental = same && metres_ != 0 && channels_ == t.channels() &&
                            t_first >= first_metre_ && t_first <= packed_end &&
                            t_end >= packed_end && t.size() <= stride_;
   if (!incremental) {
@@ -54,11 +58,10 @@ std::size_t PackedContext::sync(const ContextTrajectory& t,
 
   if (base_ + t.size() > stride_) compact();
 
-  // Append the new columns plus the trailing volatile region — the binder
-  // retro-fills interpolated channels behind the newest metre, so recently
-  // packed columns may be stale.
-  const std::size_t keep =
-      metres_ > volatile_suffix_m ? metres_ - volatile_suffix_m : 0;
+  // Append the new columns; after an edit, also re-pack the trailing
+  // volatile region the binder's retro-fill may have rewritten.
+  const std::size_t suffix = edited ? volatile_suffix_m : 0;
+  const std::size_t keep = metres_ > suffix ? metres_ - suffix : 0;
   metres_ = t.size();
   for (std::size_t i = keep; i < metres_; ++i) pack_column(t, i);
   return metres_ - keep;

@@ -53,15 +53,17 @@ struct PackedSpan {
 };
 
 /// Owning, incrementally-maintained pack of one trajectory. sync() mirrors
-/// the trajectory's current retained range:
-///   * pure growth appends new columns (O(channels) per new metre),
-///   * front eviction just advances the view base (no data movement),
-///   * a trailing `volatile_suffix_m` region is unconditionally re-packed —
-///     the TrajectoryBinder retro-fills interpolated channels up to its
-///     interpolation gap behind the newest metre, so those columns may have
-///     changed since the last sync,
-///   * anything else (width change, shrink, gap, rebase) falls back to a
-///     full repack.
+/// the trajectory's current retained range, keyed by the trajectory's
+/// identity() and revision() (DESIGN §10):
+///   * same identity, no edit since the last sync: only the appended
+///     columns are packed; front eviction just advances the view base (no
+///     data movement),
+///   * same identity, an edit since the last sync (mutable_power(), the
+///     binder's retro-fill): the appended columns plus a trailing
+///     `volatile_suffix_m` region are re-packed — the binder back-fills up
+///     to its interpolation gap behind the newest metre,
+///   * a different identity (another trajectory, a copy, an assignment, a
+///     rebase) or a width change: a full repack.
 /// The backing buffer over-allocates by ~25% so eviction-driven compaction
 /// is amortized O(channels) per appended metre.
 class PackedContext {
@@ -73,8 +75,8 @@ class PackedContext {
   PackedContext() = default;
 
   /// Bring the pack in sync with `t`. Returns the number of columns
-  /// (re)packed — size() on a full repack, ~volatile_suffix_m + growth in
-  /// steady state.
+  /// (re)packed: size() on a full repack, the appended metres on an
+  /// append-only step, plus up to volatile_suffix_m after an edit.
   std::size_t sync(const ContextTrajectory& t,
                    std::size_t volatile_suffix_m = kDefaultVolatileSuffixM);
 
@@ -89,15 +91,22 @@ class PackedContext {
   [[nodiscard]] std::uint64_t first_metre() const noexcept {
     return first_metre_;
   }
-  /// True when the pack currently mirrors `t`'s retained range.
+  /// True when the pack holds `t`'s current values: the same trajectory
+  /// state (identity and revision) over the same retained range.
   [[nodiscard]] bool in_sync_with(const ContextTrajectory& t) const noexcept {
-    return channels_ == t.channels() && metres_ == t.size() &&
+    return identity_ == t.identity() && revision_ == t.revision() &&
+           channels_ == t.channels() && metres_ == t.size() &&
            (t.empty() || first_metre_ == t.first_metre());
   }
+  /// identity() and revision() of the trajectory state last synced, so a
+  /// mirror of this pack can tell appends from edits and replacements.
+  [[nodiscard]] std::uint64_t identity() const noexcept { return identity_; }
+  [[nodiscard]] std::uint64_t revision() const noexcept { return revision_; }
 
   void clear() noexcept {
     base_ = metres_ = 0;
     first_metre_ = 0;
+    identity_ = revision_ = 0;
   }
 
  private:
@@ -109,6 +118,8 @@ class PackedContext {
   std::uint64_t first_metre_ = 0;  ///< odometer metre of column `base_`
   std::size_t base_ = 0;           ///< first live column in the buffer
   std::size_t metres_ = 0;         ///< live columns
+  std::uint64_t identity_ = 0;     ///< trajectory identity last synced
+  std::uint64_t revision_ = 0;     ///< trajectory revision last synced
   std::vector<float> x_, v_;
 };
 

@@ -120,6 +120,8 @@ void QuantizedPack::build(const PackedSpan& s, KernelPrecision precision) {
 bool QuantizedPack::mirrors(const PackedContext& pack,
                             KernelPrecision precision) const noexcept {
   return synced_shape_ && precision_ == precision &&
+         source_identity_ == pack.identity() &&
+         source_revision_ == pack.revision() &&
          channels_ == pack.channels() && metres_ == pack.size() &&
          (pack.empty() || first_metre_ == pack.first_metre());
 }
@@ -159,6 +161,13 @@ std::size_t QuantizedPack::sync(const PackedContext& pack,
                                 std::size_t volatile_suffix_m) {
   require_grid(precision);
   const PackedSpan s = pack.span();
+  // The pack's source state says what changed since the last sync: the
+  // same trajectory unedited only grew, an edit also rewrote the volatile
+  // suffix, another trajectory is a rebuild.
+  const bool same = synced_shape_ && source_identity_ == pack.identity();
+  const bool edited = source_revision_ != pack.revision();
+  source_identity_ = pack.identity();
+  source_revision_ = pack.revision();
   if (pack.empty()) {
     precision_ = precision;
     channels_ = pack.channels();
@@ -171,7 +180,7 @@ std::size_t QuantizedPack::sync(const PackedContext& pack,
   const std::uint64_t packed_end = first_metre_ + metres_;
 
   const bool incremental =
-      synced_shape_ && precision_ == precision && metres_ != 0 &&
+      same && precision_ == precision && metres_ != 0 &&
       channels_ == s.channels && t_first >= first_metre_ &&
       t_first <= packed_end && t_end >= packed_end && s.metres <= stride_;
   if (!incremental) {
@@ -186,8 +195,8 @@ std::size_t QuantizedPack::sync(const PackedContext& pack,
   first_metre_ = t_first;
   if (base_ + s.metres > stride_) compact();
 
-  const std::size_t keep =
-      metres_ > volatile_suffix_m ? metres_ - volatile_suffix_m : 0;
+  const std::size_t suffix = edited ? volatile_suffix_m : 0;
+  const std::size_t keep = metres_ > suffix ? metres_ - suffix : 0;
   metres_ = s.metres;
   if (!tail_in_range(s, keep, metres_)) {
     rebuild(s, t_first, precision, 0);

@@ -82,8 +82,9 @@ struct QuantView {
 
 /// Owning quantized mirror of a pack. Either built one-shot from any
 /// PackedSpan (SubsetPack fallbacks, tests) or maintained incrementally
-/// against a PackedContext: sync() re-quantizes only the grown/volatile
-/// tail and advances the base on front eviction, exactly like the float
+/// against a PackedContext: sync() re-quantizes only the appended columns
+/// (plus the volatile tail after an edit) and advances the base on front
+/// eviction, keyed by the pack's source identity exactly like the float
 /// pack — EXCEPT when new data leaves the quantization grid, which forces
 /// a full requantize with fresh params. The grid is built with ~25%
 /// range headroom so steady-state appends essentially never trigger that.
@@ -105,8 +106,9 @@ class QuantizedPack {
                    std::size_t volatile_suffix_m =
                        PackedContext::kDefaultVolatileSuffixM);
 
-  /// True when this mirror matches `pack`'s shape on the given grid —
-  /// i.e. it was sync()ed against the pack's current state.
+  /// True when this mirror was sync()ed against `pack`'s current state
+  /// (the same source trajectory identity and revision, the same range) on
+  /// the given grid.
   [[nodiscard]] bool mirrors(const PackedContext& pack,
                              KernelPrecision precision) const noexcept;
 
@@ -142,6 +144,9 @@ class QuantizedPack {
   /// Set by sync(), cleared by build(): only a sync()ed pack may report
   /// mirrors() == true (a one-shot build has no trajectory identity).
   bool synced_shape_ = false;
+  /// The pack's identity() and revision() at the last sync().
+  std::uint64_t source_identity_ = 0;
+  std::uint64_t source_revision_ = 0;
   QuantParams params_{};
   std::size_t channels_ = 0;
   std::size_t stride_ = 0;

@@ -70,8 +70,10 @@ SynCache::TrackOutcome SynCache::verify_tracked(
     const ContextTrajectory& local, const ContextTrajectory& neighbour,
     std::size_t recency_offset_m, const PackedSpan& local_span,
     const PackedSpan& neighbour_span, const QuantizedPack* local_q,
-    const QuantizedPack* neighbour_q) {
-  seeker_.plan_into(local, neighbour, recency_offset_m, scratch_);
+    const QuantizedPack* neighbour_q, const WindowRanks* local_ranks,
+    const WindowRanks* neighbour_ranks) {
+  seeker_.plan_into(local, neighbour, recency_offset_m, scratch_, local_ranks,
+                    neighbour_ranks);
   const SynSeeker::SeekPlan& p = scratch_.plan;
   if (p.reject != nullptr) {
     // The full search would reject identically before any sliding — the
@@ -136,7 +138,9 @@ void SynCache::find_into(const ContextTrajectory& local,
                          const PackedContext* local_pack,
                          const QuantizedPack* local_qpack,
                          std::vector<SynPoint>& out,
-                         const PackedContext* neighbour_pack) {
+                         const PackedContext* neighbour_pack,
+                         const WindowRanks* local_ranks,
+                         const WindowRanks* neighbour_ranks) {
   const KernelPrecision prec = seeker_.config().precision;
   const bool quantized = prec != KernelPrecision::kFloat32;
   if (local_pack == nullptr || !local_pack->in_sync_with(local) ||
@@ -171,7 +175,8 @@ void SynCache::find_into(const ContextTrajectory& local,
     stats_.full_searches += points;
     m.full.inc(points);
     m.resolution.with("full").inc(points);
-    seeker_.find_into(local, neighbour, local_pack, np, lq, nq, scratch_, out);
+    seeker_.find_into(local, neighbour, local_pack, np, lq, nq, scratch_, out,
+                      local_ranks, neighbour_ranks);
     if (config_.enabled) update_lock(local, neighbour, out);
     return;
   }
@@ -185,7 +190,8 @@ void SynCache::find_into(const ContextTrajectory& local,
     {
       obs::ObsTimer timer(&m.track_us, "syncache.track");
       outcome = verify_tracked(local, neighbour, offset, local_span,
-                               neighbour_span, lq, nq);
+                               neighbour_span, lq, nq, local_ranks,
+                               neighbour_ranks);
     }
     if (outcome.resolved) {
       ++stats_.tracking_hits;
@@ -207,8 +213,9 @@ void SynCache::find_into(const ContextTrajectory& local,
     ++stats_.full_searches;
     m.full.inc();
     obs::ObsTimer timer(&m.full_us, "syncache.full");
-    const auto syn = seeker_.find_one(local, neighbour, offset, local_pack,
-                                      np, lq, nq, &scratch_);
+    const auto syn =
+        seeker_.find_one(local, neighbour, offset, local_pack, np, lq, nq,
+                         &scratch_, local_ranks, neighbour_ranks);
     if (syn.has_value()) out.push_back(*syn);
   }
   SynSeeker::sort_best_first(out);

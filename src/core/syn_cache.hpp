@@ -58,6 +58,9 @@ class SynCache {
   /// across all shards); otherwise std::invalid_argument, before any state
   /// changes. A `neighbour_pack` in sync with `neighbour` wins over the
   /// cache's own copy (MatcherService packs each vehicle once per drain).
+  /// `local_ranks` / `neighbour_ranks` are window rankings prepared once
+  /// per round (FleetEngine's ego ranking, MatcherService's per-vehicle
+  /// ones); a plan whose window they do not hold ranks in place.
   /// Every search plans through the cache's scratch, so neither the warm
   /// tracking path nor a steady cold pair (out of radio range) allocates
   /// once the session is warm.
@@ -66,7 +69,9 @@ class SynCache {
                  const PackedContext* local_pack,
                  const QuantizedPack* local_qpack,
                  std::vector<SynPoint>& out,
-                 const PackedContext* neighbour_pack = nullptr);
+                 const PackedContext* neighbour_pack = nullptr,
+                 const WindowRanks* local_ranks = nullptr,
+                 const WindowRanks* neighbour_ranks = nullptr);
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
@@ -87,7 +92,9 @@ class SynCache {
                                             const PackedSpan& local_span,
                                             const PackedSpan& neighbour_span,
                                             const QuantizedPack* local_q,
-                                            const QuantizedPack* neighbour_q);
+                                            const QuantizedPack* neighbour_q,
+                                            const WindowRanks* local_ranks,
+                                            const WindowRanks* neighbour_ranks);
 
   void update_lock(const ContextTrajectory& local,
                    const ContextTrajectory& neighbour,

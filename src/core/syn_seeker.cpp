@@ -76,10 +76,24 @@ SynSeeker::SynSeeker(SynConfig config)
   std::iota(identity_rows_.begin(), identity_rows_.end(), std::size_t{0});
 }
 
+void rank_recent_windows(const ContextTrajectory& t, const SynConfig& config,
+                         WindowRanks& ranks, ChannelSelectScratch& scratch) {
+  const std::size_t points = std::max<std::size_t>(1, config.syn_points);
+  for (std::size_t k = 0; k < points; ++k) {
+    const std::size_t offset = k * config.syn_segment_spacing_m;
+    if (t.size() < offset + config.window_m || config.window_m == 0) {
+      continue;
+    }
+    ranks.rank(k, t, t.size() - offset - config.window_m, config.window_m,
+               config.top_channels, scratch);
+  }
+}
+
 void SynSeeker::plan_into(const ContextTrajectory& a,
                           const ContextTrajectory& b,
-                          std::size_t recency_offset_m,
-                          SeekScratch& scratch) const {
+                          std::size_t recency_offset_m, SeekScratch& scratch,
+                          const WindowRanks* ranks_a,
+                          const WindowRanks* ranks_b) const {
   SeekPlan& p = scratch.plan;
   p.window = 0;
   p.threshold = 0.0;
@@ -138,11 +152,24 @@ void SynSeeker::plan_into(const ContextTrajectory& a,
   p.a_start = a.size() - recency_offset_m - p.window;
   p.b_start = b.size() - recency_offset_m - p.window;
 
-  // Channel selection from the fixed segments (top-k strongest).
-  select_top_channels_into(a, p.a_start, p.window, config_.top_channels,
-                           scratch.channels, p.channels_a);
-  select_top_channels_into(b, p.b_start, p.window, config_.top_channels,
-                           scratch.channels, p.channels_b);
+  // Channel selection from the fixed segments (top-k strongest): a held
+  // ranking of exactly this window, else ranked here.
+  const auto select = [&](const ContextTrajectory& t, std::size_t start,
+                          const WindowRanks* ranks,
+                          std::vector<std::size_t>& out) {
+    const std::vector<std::size_t>* held =
+        ranks != nullptr
+            ? ranks->find(t, start, p.window, config_.top_channels)
+            : nullptr;
+    if (held != nullptr) {
+      out.assign(held->begin(), held->end());
+    } else {
+      select_top_channels_into(t, start, p.window, config_.top_channels,
+                               scratch.channels, out);
+    }
+  };
+  select(a, p.a_start, ranks_a, p.channels_a);
+  select(b, p.b_start, ranks_b, p.channels_b);
   if (p.channels_a.empty() || p.channels_b.empty()) {
     p.reject = "syn.no_channels";
     p.reject_v1 = static_cast<double>(p.window);
@@ -229,7 +256,8 @@ std::optional<SynPoint> SynSeeker::find_one(
     const ContextTrajectory& a, const ContextTrajectory& b,
     std::size_t recency_offset_m, const PackedContext* pack_a,
     const PackedContext* pack_b, const QuantizedPack* qpack_a,
-    const QuantizedPack* qpack_b, SeekScratch* scratch) const {
+    const QuantizedPack* qpack_b, SeekScratch* scratch,
+    const WindowRanks* ranks_a, const WindowRanks* ranks_b) const {
   SeekScratch local_scratch;
   SeekScratch& ws = scratch != nullptr ? *scratch : local_scratch;
   SynMetrics& metrics = syn_metrics();
@@ -239,7 +267,7 @@ std::optional<SynPoint> SynSeeker::find_one(
   recorder.record(obs::EventType::kSeekStarted, "syn.seek",
                   static_cast<double>(a.size()), static_cast<double>(b.size()),
                   static_cast<double>(recency_offset_m));
-  plan_into(a, b, recency_offset_m, ws);
+  plan_into(a, b, recency_offset_m, ws, ranks_a, ranks_b);
   const SeekPlan& p = ws.plan;
   if (p.reject != nullptr) {
     metrics.outcomes.with(p.reject).inc();
@@ -370,13 +398,15 @@ void SynSeeker::find_into(const ContextTrajectory& a,
                           const PackedContext* pack_b,
                           const QuantizedPack* qpack_a,
                           const QuantizedPack* qpack_b, SeekScratch& scratch,
-                          std::vector<SynPoint>& out) const {
+                          std::vector<SynPoint>& out,
+                          const WindowRanks* ranks_a,
+                          const WindowRanks* ranks_b) const {
   out.clear();
   for (std::size_t k = 0; k < std::max<std::size_t>(1, config_.syn_points);
        ++k) {
     const std::size_t offset = k * config_.syn_segment_spacing_m;
-    const auto syn =
-        find_one(a, b, offset, pack_a, pack_b, qpack_a, qpack_b, &scratch);
+    const auto syn = find_one(a, b, offset, pack_a, pack_b, qpack_a, qpack_b,
+                              &scratch, ranks_a, ranks_b);
     if (syn.has_value()) out.push_back(*syn);
   }
   sort_best_first(out);

@@ -75,6 +75,15 @@ struct SynPoint {
   double correlation = -2.0;
 };
 
+/// Rank `t`'s recent checking windows once for a round: slot k holds the
+/// window of full length window_m ending k * syn_segment_spacing_m metres
+/// before the newest entry (k < syn_points), the window every plan on `t`
+/// uses unless a context is too short or turn-limited. A window that does
+/// not fit is skipped; a slot already holding its window of the same
+/// trajectory state is kept as is.
+void rank_recent_windows(const ContextTrajectory& t, const SynConfig& config,
+                         WindowRanks& ranks, ChannelSelectScratch& scratch);
+
 /// Double-sliding cross-correlation search for SYN points (paper Fig 7):
 /// the most recent window of trajectory A slides over all of B, then the
 /// most recent window of B slides over all of A; the best position at or
@@ -85,9 +94,10 @@ struct SynPoint {
 /// The one seek core: SynCache's tracking band reuses plan_into(),
 /// scan_pair() and accept() rather than copying them. Callers that query
 /// repeatedly should pass pre-synced PackedContexts (and, below kFloat32,
-/// their quantized mirrors); a null or stale pack or mirror is replaced
-/// per call by subset packs or a one-shot quantization — correct, just
-/// not amortized.
+/// their quantized mirrors) and, for a trajectory several queries share,
+/// its held window ranking; a null or stale pack, mirror or ranking is
+/// replaced per call by subset packs, a one-shot quantization or an
+/// in-place ranking — correct, just not amortized.
 class SynSeeker {
  public:
   struct Candidate {
@@ -131,10 +141,14 @@ class SynSeeker {
 
   /// find() through the caller's workspace into `out` (cleared first):
   /// find_one() at each offset k * syn_segment_spacing_m, best-first.
+  /// `ranks_a` / `ranks_b` are optional held window rankings (see
+  /// plan_into).
   void find_into(const ContextTrajectory& a, const ContextTrajectory& b,
                  const PackedContext* pack_a, const PackedContext* pack_b,
                  const QuantizedPack* qpack_a, const QuantizedPack* qpack_b,
-                 SeekScratch& scratch, std::vector<SynPoint>& out) const;
+                 SeekScratch& scratch, std::vector<SynPoint>& out,
+                 const WindowRanks* ranks_a = nullptr,
+                 const WindowRanks* ranks_b = nullptr) const;
 
   /// One double-sliding pass where the fixed recent segments END
   /// `recency_offset_m` metres before the newest entry; records the syn.*
@@ -145,12 +159,18 @@ class SynSeeker {
       const PackedContext* pack_b = nullptr,
       const QuantizedPack* qpack_a = nullptr,
       const QuantizedPack* qpack_b = nullptr,
-      SeekScratch* scratch = nullptr) const;
+      SeekScratch* scratch = nullptr, const WindowRanks* ranks_a = nullptr,
+      const WindowRanks* ranks_b = nullptr) const;
 
   /// Plan one recency offset into `scratch.plan` (every field reset,
-  /// vector capacity kept), ranking through `scratch.channels`.
+  /// vector capacity kept). Each side's channels come from `ranks_a` /
+  /// `ranks_b` when it holds exactly the plan's window of that trajectory
+  /// state (see rank_recent_windows); otherwise they are ranked in place
+  /// through `scratch.channels`. The plan is the same either way.
   void plan_into(const ContextTrajectory& a, const ContextTrajectory& b,
-                 std::size_t recency_offset_m, SeekScratch& scratch) const;
+                 std::size_t recency_offset_m, SeekScratch& scratch,
+                 const WindowRanks* ranks_a = nullptr,
+                 const WindowRanks* ranks_b = nullptr) const;
 
   /// One pass's operands at this seeker's precision: the float views, plus
   /// below kFloat32 the views of their mirrors `qfixed` / `qsliding`.

@@ -1,6 +1,7 @@
 #include "core/types.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 
 namespace rups::core {
@@ -47,6 +48,11 @@ double PowerVector::mean_usable() const noexcept {
     }
   }
   return n ? sum / static_cast<double>(n) : 0.0;
+}
+
+std::uint64_t TrajectoryIdentity::mint() noexcept {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 ContextTrajectory::ContextTrajectory(std::size_t channels,

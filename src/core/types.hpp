@@ -64,6 +64,34 @@ struct GeoSample {
   double time_s = 0.0;
 };
 
+/// A trajectory's content identity: a fresh value at construction, on every
+/// copy, and at both ends of every move or assignment, so two distinct
+/// contents never share one. Values are process-unique and never 0.
+class TrajectoryIdentity {
+ public:
+  TrajectoryIdentity() noexcept : value_(mint()) {}
+  TrajectoryIdentity(const TrajectoryIdentity&) noexcept : value_(mint()) {}
+  TrajectoryIdentity(TrajectoryIdentity&& other) noexcept : value_(mint()) {
+    other.value_ = mint();
+  }
+  TrajectoryIdentity& operator=(const TrajectoryIdentity&) noexcept {
+    value_ = mint();
+    return *this;
+  }
+  TrajectoryIdentity& operator=(TrajectoryIdentity&& other) noexcept {
+    value_ = mint();
+    other.value_ = mint();
+    return *this;
+  }
+
+  void renew() noexcept { value_ = mint(); }
+  [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
+
+ private:
+  static std::uint64_t mint() noexcept;
+  std::uint64_t value_;
+};
+
 /// The context-aware trajectory ST^m: a bounded, most-recent window of
 /// per-metre entries, each a GeoSample bound to a PowerVector. Entry
 /// distances are in the vehicle's OWN estimated odometer metres; index 0 is
@@ -92,8 +120,22 @@ class ContextTrajectory {
   [[nodiscard]] const PowerVector& power(std::size_t i) const {
     return power_[i];
   }
-  /// Mutable access (the binder retro-fills interpolated channels).
-  [[nodiscard]] PowerVector& mutable_power(std::size_t i) { return power_[i]; }
+  /// Mutable access (the binder retro-fills interpolated channels). Bumps
+  /// revision(): a maintained pack re-packs its volatile suffix.
+  [[nodiscard]] PowerVector& mutable_power(std::size_t i) {
+    ++revision_;
+    return power_[i];
+  }
+
+  /// Content identity: changes when the contents are replaced wholesale
+  /// (construction, copy, move, assignment, rebase()), never on append,
+  /// append_evict or splice_tail. While identity() and revision() both
+  /// hold, every retained metre keeps the values it had.
+  [[nodiscard]] std::uint64_t identity() const noexcept {
+    return identity_.value();
+  }
+  /// In-place edit count: bumped by every mutable_power() call.
+  [[nodiscard]] std::uint64_t revision() const noexcept { return revision_; }
 
   /// Estimated odometer distance (m) of entry i: metre marks are 1 m apart.
   [[nodiscard]] double distance_at(std::size_t i) const noexcept {
@@ -110,8 +152,12 @@ class ContextTrajectory {
   }
 
   /// Re-base the odometer indexing so entry 0 sits at `first_metre`
-  /// (used by the V2V codec to reconstruct the sender's indexing).
-  void rebase(std::uint64_t first_metre) noexcept { first_seq_ = first_metre; }
+  /// (used by the V2V codec to reconstruct the sender's indexing). Every
+  /// metre index moves, so the identity is renewed.
+  void rebase(std::uint64_t first_metre) noexcept {
+    first_seq_ = first_metre;
+    identity_.renew();
+  }
 
   /// Index of the entry whose odometer metre is `metre`, if retained.
   [[nodiscard]] bool contains_metre(std::uint64_t metre) const noexcept {
@@ -139,6 +185,8 @@ class ContextTrajectory {
   std::uint64_t first_seq_ = 0;  ///< odometer metre index of entry 0
   std::vector<GeoSample> geo_;
   std::vector<PowerVector> power_;
+  TrajectoryIdentity identity_;
+  std::uint64_t revision_ = 0;
 };
 
 }  // namespace rups::core

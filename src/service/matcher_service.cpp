@@ -164,6 +164,14 @@ bool MatcherService::observe(std::uint64_t id, double position_m,
   if (power.channels() != slot.traj.channels()) {
     return reject_input("width_mismatch");
   }
+  for (std::size_t c = 0; c < power.channels(); ++c) {
+    if (power.usable(c) && !std::isfinite(power.at(c))) {
+      return reject_input("non_finite_rssi");
+    }
+  }
+  if (!std::isfinite(geo.heading_rad) || !std::isfinite(geo.time_s)) {
+    return reject_input("non_finite_geo");
+  }
   slot.position_m = position_m;
   // Copy into the recycled buffer (equal width: no allocation), then swap
   // it for whatever the bounded trajectory evicts.
@@ -268,11 +276,24 @@ MatcherService::Ticket MatcherService::submit(std::uint64_t ego_id,
   return t;
 }
 
-void MatcherService::sync_packs() {
-  for (const auto& [id, index] : vehicle_index_) {
-    VehicleSlot& v = vehicles_[index];
-    if (!v.pack.in_sync_with(v.traj)) v.pack.sync(v.traj, 0);
+void MatcherService::prepare_vehicles(util::ThreadPool* pool) {
+  // Slice s prepares the vehicles whose slot index is s modulo the shard
+  // count, so every pack and ranking has one writer, and the pool's join
+  // orders all of them before the first query reads any.
+  const auto prepare_slice = [this](std::size_t s) {
+    for (const auto& [id, index] : vehicle_index_) {
+      if (index % shards_.size() != s) continue;
+      VehicleSlot& v = vehicles_[index];
+      v.pack.sync(v.traj, v.engine.config().cache.volatile_suffix_m);
+      core::rank_recent_windows(v.traj, config_.fleet.rups.syn, v.ranks,
+                                shards_[s].rank_scratch);
+    }
+  };
+  if (pool == nullptr || shards_.size() <= 1) {
+    for (std::size_t s = 0; s < shards_.size(); ++s) prepare_slice(s);
+    return;
   }
+  pool->parallel_for(0, shards_.size(), prepare_slice);
 }
 
 void MatcherService::estimate(VehicleSlot& ego, const VehicleSlot& neighbour,
@@ -280,10 +301,12 @@ void MatcherService::estimate(VehicleSlot& ego, const VehicleSlot& neighbour,
                                   result) {
   const core::ContextTrajectory* nb_traj = &neighbour.traj;
   const core::PackedContext* nb_pack = &neighbour.pack;
+  const core::WindowRanks* nb_ranks = &neighbour.ranks;
   ego.engine.estimate_batch_into(
       ego.traj, std::span<const core::ContextTrajectory* const>(&nb_traj, 1),
       std::span<const std::uint64_t>(&neighbour.id, 1), nullptr, result,
-      &ego.pack, std::span<const core::PackedContext* const>(&nb_pack, 1));
+      &ego.pack, std::span<const core::PackedContext* const>(&nb_pack, 1),
+      &ego.ranks, std::span<const core::WindowRanks* const>(&nb_ranks, 1));
 }
 
 void MatcherService::drain_shard(std::size_t shard_index) {
@@ -312,7 +335,7 @@ void MatcherService::drain_shard(std::size_t shard_index) {
 }
 
 void MatcherService::drain(util::ThreadPool* pool) {
-  sync_packs();
+  prepare_vehicles(pool);
   if (pool == nullptr || shards_.size() <= 1) {
     for (std::size_t s = 0; s < shards_.size(); ++s) drain_shard(s);
     return;
@@ -458,7 +481,7 @@ void MatcherService::drain_stream_shard(std::size_t shard_index) {
 }
 
 void MatcherService::drain_stream(util::ThreadPool* pool) {
-  sync_packs();
+  prepare_vehicles(pool);
   if (pool == nullptr || shards_.size() <= 1) {
     for (std::size_t s = 0; s < shards_.size(); ++s) drain_stream_shard(s);
     return;

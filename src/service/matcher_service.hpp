@@ -60,8 +60,9 @@ struct ServiceConfig {
   /// Per-shard request queue capacity (admission backpressure bound).
   std::size_t queue_capacity = 1024;
   /// Vehicle arena capacity. Each vehicle holds its trajectory, one pack
-  /// (read by every query on it, as ego and as neighbour) and its engine,
-  /// whose SynCache shards keep no float pack of their own.
+  /// and one window ranking (read by every query on it, as ego and as
+  /// neighbour) and its engine, whose SynCache shards keep no float pack of
+  /// their own.
   std::size_t max_vehicles = 1024;
   /// Pair-session arena capacity (one per distinct (ego, neighbour)).
   std::size_t max_sessions = 4096;
@@ -123,9 +124,11 @@ class MatcherService {
   /// position (shard routing key). The evicted PowerVector's buffers are
   /// recycled into the next append — steady-state observes do not allocate.
   /// Returns false for unknown ids, and rejects without touching the
-  /// vehicle a non-finite position (counted as in register_vehicle) or a
+  /// vehicle a non-finite position (counted as in register_vehicle), a
   /// `power` whose width is not the configured channel count
-  /// (service.rejected_input{reason="width_mismatch"}).
+  /// (service.rejected_input{reason="width_mismatch"}), a `power` with a
+  /// non-finite usable reading (reason="non_finite_rssi") and a non-finite
+  /// heading or time (reason="non_finite_geo").
   bool observe(std::uint64_t id, double position_m, core::GeoSample geo,
                const core::PowerVector& power);
 
@@ -227,13 +230,13 @@ class MatcherService {
     /// PowerVector here so the next observe reuses its heap buffers.
     core::PowerVector spare;
     core::FleetEngine engine;
-    /// The vehicle's one pack: synced by sync_packs() at the start of every
-    /// drain() and drain_stream(), then read by every query on the vehicle,
-    /// as ego and as neighbour. It syncs with volatile_suffix_m = 0 because
-    /// service trajectories are append-only — observe() is their only
-    /// writer, through append_evict, and nothing back-fills them — so only
-    /// new columns need packing.
+    /// The vehicle's one pack and its recent-window ranking: prepared by
+    /// prepare_vehicles() at the start of every drain() and drain_stream(),
+    /// then read by every query on the vehicle, as ego and as neighbour.
+    /// The pack sync packs only the columns observe() appended; the ranking
+    /// re-ranks only windows that moved.
     core::PackedContext pack;
+    core::WindowRanks ranks;
     /// Shard this ego's requests run on during round `pinned_round`; the
     /// sentinel never equals rounds_, even before the first begin_round.
     std::uint64_t pinned_round = std::numeric_limits<std::uint64_t>::max();
@@ -260,6 +263,8 @@ class MatcherService {
     util::BoundedRing<QueuedRequest> queue;
     ShardStats stats;
     std::vector<double> latencies;  ///< per-request us, last drain
+    /// Ranking workspace of this slice of prepare_vehicles().
+    core::ChannelSelectScratch rank_scratch;
   };
 
   /// One persistent streaming subscription (see subscribe()).
@@ -275,8 +280,10 @@ class MatcherService {
   };
 
   [[nodiscard]] std::uint32_t shard_of_position(double position_m) const;
-  /// Serial pass: bring every vehicle pack whose trajectory moved in sync.
-  void sync_packs();
+  /// Bring every vehicle's pack and window ranking in sync with its
+  /// trajectory, sliced across the pool like a drain; it returns before
+  /// any query runs, so queries only read them.
+  void prepare_vehicles(util::ThreadPool* pool);
   /// One ego-vs-neighbour query through both vehicles' packs.
   static void estimate(
       VehicleSlot& ego, const VehicleSlot& neighbour,

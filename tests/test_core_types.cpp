@@ -109,6 +109,48 @@ TEST(ContextTrajectory, MutablePowerRetrofill) {
   EXPECT_FLOAT_EQ(traj.power(0).at(1), -55.0f);
 }
 
+TEST(ContextTrajectory, IdentityChangesOnlyWhenContentsAreReplaced) {
+  ContextTrajectory a(2, 4);
+  ContextTrajectory b(2, 4);
+  EXPECT_NE(a.identity(), 0u);
+  EXPECT_NE(a.identity(), b.identity());
+
+  // Appends, evictions and splices extend the same contents.
+  const std::uint64_t id = a.identity();
+  for (int i = 0; i < 6; ++i) a.append(GeoSample{}, PowerVector(2));
+  PowerVector spare = a.append_evict(GeoSample{}, PowerVector(2));
+  ContextTrajectory tail(2, 4);
+  tail.append(GeoSample{}, PowerVector(2));
+  tail.rebase(a.first_metre() + a.size());
+  ASSERT_TRUE(a.splice_tail(tail));
+  EXPECT_EQ(a.identity(), id);
+  EXPECT_EQ(a.revision(), 0u);
+
+  // An in-place edit bumps the revision, not the identity.
+  a.mutable_power(1).set(0, -60.0f);
+  EXPECT_EQ(a.identity(), id);
+  EXPECT_EQ(a.revision(), 1u);
+
+  // Copies, moves, assignments and rebases all mint a new identity, at
+  // both ends of a move.
+  const ContextTrajectory copy = a;
+  EXPECT_NE(copy.identity(), id);
+  b = a;
+  EXPECT_NE(b.identity(), id);
+  EXPECT_NE(b.identity(), copy.identity());
+  const std::uint64_t b_id = b.identity();
+  ContextTrajectory moved = std::move(b);
+  EXPECT_NE(moved.identity(), b_id);
+  EXPECT_NE(b.identity(), b_id);  // NOLINT(bugprone-use-after-move)
+  const std::uint64_t moved_id = moved.identity();
+  moved = std::move(a);
+  EXPECT_NE(moved.identity(), moved_id);
+  EXPECT_NE(moved.identity(), id);
+  const std::uint64_t before_rebase = moved.identity();
+  moved.rebase(1000);
+  EXPECT_NE(moved.identity(), before_rebase);
+}
+
 TEST(PowerVector, ResetRecyclesToAllMissing) {
   PowerVector pv(3);
   pv.set(0, -60.0f);

@@ -218,6 +218,84 @@ TEST_P(FleetDeterminism, AllModesMatchSerialReferenceExactly) {
   expect_identical(pooled_warm, reference, "pooled-warm vs reference");
 }
 
+/// Replay rounds where vehicle v starts with initial[v] metres (vehicle 0
+/// is the ego), through a FleetEngine or, with `reference`, through plain
+/// per-neighbour SynSeeker searches. A neighbour shorter than window_m
+/// shrinks the plan's window below the ego's once-per-batch ranking, so
+/// those plans rank the ego in place.
+RoundLog run_uneven(const std::vector<VehicleLog>& logs,
+                    const std::vector<std::size_t>& initial,
+                    std::size_t rounds, std::size_t step_m,
+                    util::ThreadPool* pool, bool reference) {
+  FleetConfig cfg;
+  cfg.rups = fleet_rups_config();
+  FleetEngine engine(cfg);
+  const SynSeeker seeker(cfg.rups.syn);
+  std::vector<ContextTrajectory> contexts;
+  contexts.reserve(logs.size());
+  std::vector<const ContextTrajectory*> neighbours;
+  std::vector<std::uint64_t> ids;
+  for (std::size_t v = 0; v < logs.size(); ++v) {
+    contexts.emplace_back(kChannels, kCapacity);
+    append_metres(contexts.back(), logs[v], 0, initial[v]);
+    if (v == 0) continue;
+    neighbours.push_back(&contexts[v]);
+    ids.push_back(100 + v);
+  }
+  RoundLog out;
+  for (std::size_t round = 0; round < rounds; ++round) {
+    if (round != 0) {
+      for (std::size_t v = 0; v < logs.size(); ++v) {
+        append_metres(contexts[v], logs[v],
+                      initial[v] + (round - 1) * step_m, step_m);
+      }
+    }
+    if (!reference) {
+      out.rounds.push_back(
+          engine.estimate_batch(contexts[0], neighbours, ids, pool));
+      continue;
+    }
+    std::vector<FleetEngine::NeighbourResult> results;
+    for (const ContextTrajectory* nb : neighbours) {
+      FleetEngine::NeighbourResult r;
+      r.syn_points = seeker.find(contexts[0], *nb);
+      r.estimate = aggregate_estimates(contexts[0], *nb, r.syn_points,
+                                       cfg.rups.aggregation);
+      results.push_back(std::move(r));
+    }
+    out.rounds.push_back(std::move(results));
+  }
+  return out;
+}
+
+TEST_P(FleetDeterminism, ShortNeighboursShrinkingThePlanMatchSerialAndPooled) {
+  const std::uint64_t seed = GetParam();
+  const std::vector<std::size_t> initial = {150, 14, 22, 31, 48, 60, 150};
+  const std::size_t rounds = 8;
+  const std::size_t step_m = 3;
+  std::vector<VehicleLog> logs;
+  for (std::size_t v = 0; v < initial.size(); ++v) {
+    logs.push_back(make_log(seed, v, initial[v] + rounds * step_m));
+  }
+  const RoundLog reference =
+      run_uneven(logs, initial, rounds, step_m, nullptr, true);
+  std::size_t shrunk = 0;
+  for (const auto& round : reference.rounds) {
+    for (const auto& r : round) {
+      for (const SynPoint& p : r.syn_points) {
+        if (p.window_m < fleet_rups_config().syn.window_m) ++shrunk;
+      }
+    }
+  }
+  ASSERT_GT(shrunk, 0u) << "no plan shrank its window: the test is vacuous";
+
+  util::ThreadPool pool(3);
+  expect_identical(run_uneven(logs, initial, rounds, step_m, nullptr, false),
+                   reference, "serial vs reference");
+  expect_identical(run_uneven(logs, initial, rounds, step_m, &pool, false),
+                   reference, "pooled vs reference");
+}
+
 /// Replay the drive with the cache on at the given kernel precision and
 /// return both the per-round results and the aggregated cache stats.
 std::pair<RoundLog, SynCache::Stats> run_fleet_at_precision(

@@ -32,14 +32,16 @@ constexpr std::size_t kRetroReach = 40;
                               static_cast<std::int64_t>(metre * 131 + channel)));
 }
 
-/// Append one metre with a deterministic subset of channels measured.
-void append_metre(core::ContextTrajectory& t) {
+/// Append one metre with a deterministic subset of channels measured;
+/// `salt` picks another road's values.
+void append_metre(core::ContextTrajectory& t, std::uint32_t salt = 0) {
   const std::uint64_t metre = t.first_metre() + t.size();
   core::PowerVector power(kChannels);
   for (std::size_t c = 0; c < kChannels; ++c) {
     // Leave ~1/3 of slots missing so retro-fill has holes to plug.
     if ((metre + c) % 3 == 0) continue;
-    power.set(c, value_at(metre, c, 0), core::ChannelState::kMeasured);
+    power.set(c, value_at(metre, c, salt * 3),
+              core::ChannelState::kMeasured);
   }
   t.append(core::GeoSample{0.0, static_cast<double>(metre)},
            std::move(power));
@@ -152,6 +154,68 @@ TEST(PackedStream, RetroFillDeeperThanSuffixForcesDetectableRepack) {
     (void)pack.sync(t);
     expect_pack_matches_cold(pack, t, step);
   }
+}
+
+TEST(PackedStream, SameShapeTrajectoriesInTurnEachPackCold) {
+  // Two trajectories of one width, capacity and odometer range but other
+  // values: a pack fed one and then the other must hold the second's
+  // values, not the first's under the second's shape.
+  core::ContextTrajectory first(kChannels, kCapacity);
+  core::ContextTrajectory second(kChannels, kCapacity);
+  for (int i = 0; i < 60; ++i) {
+    append_metre(first);
+    append_metre(second, 1);
+  }
+  core::PackedContext pack;
+  (void)pack.sync(first);
+  EXPECT_FALSE(pack.in_sync_with(second));
+  EXPECT_EQ(pack.sync(second), second.size());
+  expect_pack_matches_cold(pack, second, 0);
+  EXPECT_FALSE(pack.in_sync_with(first));
+  (void)pack.sync(first);
+  expect_pack_matches_cold(pack, first, 1);
+}
+
+TEST(PackedStream, AppendOnlySyncPacksExactlyTheAppendedMetres) {
+  core::ContextTrajectory t(kChannels, kCapacity);
+  core::PackedContext pack;
+  for (int i = 0; i < 10; ++i) append_metre(t);
+  EXPECT_EQ(pack.sync(t), 10u);
+  EXPECT_EQ(pack.sync(t), 0u);  // nothing changed
+  // Growth, then steady-state eviction: only the new metres are packed.
+  for (std::uint64_t step = 0; step < 200; ++step) {
+    const std::size_t burst = 1 + step % 3;
+    for (std::size_t b = 0; b < burst; ++b) append_metre(t);
+    EXPECT_EQ(pack.sync(t), burst) << "step " << step;
+    expect_pack_matches_cold(pack, t, step);
+  }
+}
+
+TEST(PackedStream, EditsAndReplacementsStillForceARepack) {
+  core::ContextTrajectory t(kChannels, kCapacity);
+  core::PackedContext pack;
+  for (int i = 0; i < 100; ++i) append_metre(t);
+  (void)pack.sync(t);
+
+  // An in-place write re-packs the volatile suffix.
+  t.mutable_power(t.size() - 5).set(0, -33.0f);
+  EXPECT_FALSE(pack.in_sync_with(t));
+  EXPECT_EQ(pack.sync(t, 8), 8u);
+  expect_pack_matches_cold(pack, t, 0);
+
+  // Copy and move assignment replace the contents: a full re-pack, even
+  // when the new contents have the packed range's exact shape.
+  core::ContextTrajectory other(kChannels, kCapacity);
+  for (int i = 0; i < 100; ++i) append_metre(other, 1);
+  t = other;
+  EXPECT_FALSE(pack.in_sync_with(t));
+  EXPECT_EQ(pack.sync(t), t.size());
+  expect_pack_matches_cold(pack, t, 1);
+  core::ContextTrajectory third(kChannels, kCapacity);
+  for (int i = 0; i < 100; ++i) append_metre(third, 2);
+  t = std::move(third);
+  EXPECT_EQ(pack.sync(t), t.size());
+  expect_pack_matches_cold(pack, t, 2);
 }
 
 }  // namespace

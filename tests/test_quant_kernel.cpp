@@ -352,6 +352,34 @@ TEST(QuantKernel, Float32HasNoGrid) {
   EXPECT_FALSE(q.mirrors(pack, KernelPrecision::kFloat32));
 }
 
+TEST(QuantKernel, MirrorFollowsThePacksTrajectoryNotItsShape) {
+  // Two trajectories of one shape in turn through one pack: the mirror
+  // synced to the first must not claim to mirror the second, and its next
+  // sync must rebuild from the second's values like a fresh mirror.
+  util::Rng rng(17);
+  const auto a = random_context(rng, 60, 8, 0.9);
+  const auto b = random_context(rng, 60, 8, 0.9);
+  PackedContext pack;
+  QuantizedPack q;
+  pack.sync(a);
+  q.sync(pack, KernelPrecision::kInt16);
+  pack.sync(b);
+  EXPECT_FALSE(q.mirrors(pack, KernelPrecision::kInt16));
+  EXPECT_EQ(q.sync(pack, KernelPrecision::kInt16), b.size());
+  QuantizedPack fresh;
+  fresh.sync(pack, KernelPrecision::kInt16);
+  const QuantSpan x = q.span();
+  const QuantSpan y = fresh.span();
+  EXPECT_EQ(x.params.offset, y.params.offset);
+  EXPECT_EQ(x.params.step, y.params.step);
+  for (std::size_t c = 0; c < x.channels; ++c) {
+    for (std::size_t i = 0; i < x.metres; ++i) {
+      EXPECT_EQ(x.q[c * x.stride + i], y.q[c * y.stride + i]);
+      EXPECT_EQ(x.v[c * x.stride + i], y.v[c * y.stride + i]);
+    }
+  }
+}
+
 TEST(QuantKernel, EveryIsaVariantMatchesGenericSums) {
   // The dispatcher runs one variant per host, so this runs every variant
   // the host supports against the portable pass: both kernel families,

@@ -279,6 +279,51 @@ TEST(ShardRouting, WrongWidthPowerIsRejectedWithoutTouchingTheVehicle) {
   EXPECT_NE(svc.shard_of(1), shard);
 }
 
+TEST(ShardRouting, NonFiniteReadingsAndGeoAreRejectedBeforeAnyChange) {
+  // A usable NaN/inf reading or a NaN/inf heading or time is refused at the
+  // boundary and counted, leaving the vehicle's position and context as
+  // they were; an unusable slot may hold anything.
+  ServiceConfig cfg;
+  cfg.shard_count = 3;
+  cfg.cell_m = 100.0;
+  MatcherService svc(cfg);
+  obs::CounterFamily& family = obs::Registry::global().counter_family(
+      "service.rejected_input", "reason");
+  obs::Counter& bad_rssi = family.with("non_finite_rssi");
+  obs::Counter& bad_geo = family.with("non_finite_geo");
+  [[maybe_unused]] const std::uint64_t rssi0 = bad_rssi.value();
+  [[maybe_unused]] const std::uint64_t geo0 = bad_geo.value();
+  ASSERT_TRUE(svc.register_vehicle(1, 50.0));
+  const std::uint32_t shard = svc.shard_of(1);
+  const std::size_t width = cfg.fleet.rups.channels;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+
+  for (const double bad : {nan, inf, -inf}) {
+    core::PowerVector power(width);
+    power.set(0, -70.0f);
+    power.set(width - 1, static_cast<float>(bad),
+              core::ChannelState::kInterpolated);
+    EXPECT_FALSE(svc.observe(1, 250.0, core::GeoSample{}, power)) << bad;
+    EXPECT_FALSE(svc.observe(1, 250.0, core::GeoSample{bad, 1.0},
+                             core::PowerVector(width)))
+        << bad;
+    EXPECT_FALSE(svc.observe(1, 250.0, core::GeoSample{0.0, bad},
+                             core::PowerVector(width)))
+        << bad;
+  }
+  EXPECT_EQ(bad_rssi.value() - rssi0, 3u);
+  EXPECT_EQ(bad_geo.value() - geo0, 6u);
+  EXPECT_EQ(svc.shard_of(1), shard);
+
+  // A NaN parked in an unusable slot is not a reading.
+  core::PowerVector masked(width);
+  masked.set(0, -70.0f);
+  masked.set(1, static_cast<float>(nan), core::ChannelState::kMissing);
+  EXPECT_TRUE(svc.observe(1, 250.0, core::GeoSample{}, masked));
+  EXPECT_NE(svc.shard_of(1), shard);
+}
+
 TEST(Admission, UnknownVehicleAndSelfQueryAreRejected) {
   MatcherService svc(ServiceConfig{});
   ASSERT_TRUE(svc.register_vehicle(1, 0.0));

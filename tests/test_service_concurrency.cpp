@@ -145,5 +145,60 @@ TEST(ServiceConcurrency, EgoShardPinnedForTheRound) {
   EXPECT_EQ(split_round(&pool), serial);
 }
 
+// Every vehicle queries, and subscribes to, its two nearest neighbours in
+// both directions, so each vehicle's pack and window ranking — prepared
+// once by the serial pass before the drain — is read by several egos on
+// different shard workers at once, as ego and as neighbour.
+std::vector<RoundDigest> drive_shared(util::ThreadPool* pool) {
+  sim::CityFleet city(city_config());
+  MatcherService svc(service_config());
+  register_all(city, svc);
+  const std::size_t n = city.vehicle_count();
+  for (std::size_t v = 0; v < n; ++v) {
+    EXPECT_TRUE(
+        svc.subscribe(city.vehicle_id(v), city.vehicle_id((v + 1) % n))
+            .accepted());
+  }
+  std::vector<RoundDigest> digests;
+  std::vector<MatcherService::Ticket> tickets;
+  for (std::size_t round = 0; round < 10; ++round) {
+    feed_round(city, svc);
+    if (round < 4) continue;
+    tickets.clear();
+    for (std::size_t v = 0; v < n; ++v) {
+      for (const std::size_t d : {n - 1, std::size_t{2}}) {
+        tickets.push_back(svc.submit(city.vehicle_id(v),
+                                     city.vehicle_id((v + d) % n)));
+      }
+    }
+    svc.drain(pool);
+    svc.drain_stream(pool);
+    RoundDigest digest;
+    const auto add = [&](const core::FleetEngine::NeighbourResult& r) {
+      if (!r.estimate.has_value()) return;
+      ++digest.estimates;
+      digest.distance_sum += r.estimate->distance_m;
+    };
+    for (const auto& t : tickets) {
+      if (t.accepted()) add(svc.result(t));
+    }
+    for (std::size_t v = 0; v < n; ++v) {
+      add(svc.stream_result(
+          svc.subscribe(city.vehicle_id(v), city.vehicle_id((v + 1) % n))));
+    }
+    digests.push_back(digest);
+  }
+  return digests;
+}
+
+TEST(ServiceConcurrency, PooledDrainsShareEachVehiclesPreparedRanking) {
+  const std::vector<RoundDigest> serial = drive_shared(nullptr);
+  std::uint64_t total = 0;
+  for (const RoundDigest& d : serial) total += d.estimates;
+  ASSERT_GT(total, 0u) << "shared-ranking workload produced no estimates";
+  util::ThreadPool pool(4);
+  EXPECT_EQ(drive_shared(&pool), serial);
+}
+
 }  // namespace
 }  // namespace rups::service
