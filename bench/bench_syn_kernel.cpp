@@ -85,18 +85,19 @@ core::ContextTrajectory synth(std::size_t metres, std::size_t channels,
   return t;
 }
 
-Scan make_scan(std::size_t window, std::size_t channels, int mask_pct) {
+Scan make_scan(std::size_t window, std::size_t channels, int mask_pct,
+               std::size_t metres = kContextMetres) {
   Scan s;
   s.window = window;
-  s.positions = kContextMetres - window + 1;
+  s.positions = metres - window + 1;
   s.rows.resize(channels);
   std::iota(s.rows.begin(), s.rows.end(), std::size_t{0});
   // The fixed window sits 50 road-metres into the sliding context, so the
   // scan crosses a genuine correlation peak like a real seek does.
   const auto fixed_t = synth(window, channels, 50, mask_pct, 7);
-  const auto slide_t = synth(kContextMetres, channels, 0, mask_pct, 8);
+  const auto slide_t = synth(metres, channels, 0, mask_pct, 8);
   s.fixed_pack = core::SubsetPack(fixed_t, s.rows, 0, window);
-  s.slide_pack = core::SubsetPack(slide_t, s.rows, 0, kContextMetres);
+  s.slide_pack = core::SubsetPack(slide_t, s.rows, 0, metres);
   return s;
 }
 
@@ -143,6 +144,27 @@ void BM_KernelScan(benchmark::State& state) {
 BENCHMARK(BM_KernelScan)
     ->ArgNames({"w", "k", "B", "maskpct"})
     ->ArgsProduct({{50, 100, 200}, {16, 45, 128}, {1, 4, 8, 16}, {0, 10, 30}});
+
+/// One SynCache tracking band: `len` positions ending at the last position
+/// of a 160 m, 45-channel context, w = 85 (stream_urban's shape). Ranges of
+/// 2-15 positions run as one anchored 16-lane block, a lone position as a
+/// single-position block (DESIGN §11). Printed only: no baseline row.
+void BM_KernelBand(benchmark::State& state) {
+  const auto len = static_cast<std::size_t>(state.range(0));
+  const Scan s = make_scan(85, kPaperChannels, 0, 160);
+  std::vector<double> scores(len, 0.0);
+  for (auto _ : state) {
+    core::packed_correlation_batch(s.fixed(), 0, s.sliding(),
+                                   s.positions - len, len, s.window, s.config,
+                                   scores.data());
+    benchmark::DoNotOptimize(scores.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(len));
+}
+BENCHMARK(BM_KernelBand)->ArgName("len")->Arg(1)->Arg(2)->Arg(5)->Arg(8)
+    ->Arg(14)->Arg(16)->Arg(25);
 
 /// Quantized rows over the same sweep axes; `prec` is the integer grid
 /// (16 or 8). The quantized kernel has no lane-width knob — its GEMM-shaped

@@ -365,11 +365,13 @@ RUPS_DEFINE_LAG_BLOCK(16)
 #undef RUPS_DEFINE_LAG_BLOCK
 #undef RUPS_KERNEL_CLONES
 
-/// Full blocks of B ascending positions, then either an overlapped tail
-/// block (recomputes up to B-1 already-scored positions — bit-identical, so
-/// harmless) or, when the whole batch is smaller than B, single-position
-/// blocks. Batches of at least one block hoist the fixed-row terms once for
-/// all their blocks.
+/// Full blocks of B ascending positions, then one partial block (DESIGN
+/// §11): it ends at the range's last position, or starts at metre 0 when
+/// the range ends sooner, and only the requested lanes are copied out.
+/// Every lane equals its single-position score wherever its block starts,
+/// so re-scored and unrequested lanes are harmless. A lone position, or a
+/// short range on a span too short for a full block, runs single-position
+/// blocks instead.
 template <int B>
 void batch_blocks(const PackedView& fixed, std::size_t fixed_start,
                   const PackedView& sliding, std::size_t pos_lo,
@@ -377,9 +379,18 @@ void batch_blocks(const PackedView& fixed, std::size_t fixed_start,
                   const TrajectoryCorrelationConfig& config,
                   double* out_scores) {
   constexpr auto kB = static_cast<std::size_t>(B);
+  if (packed_batch_blocks(pos_count, window, sliding.span.metres, kB) ==
+      pos_count) {
+    double one[1];
+    for (std::size_t q = 0; q < pos_count; ++q) {
+      lag_block_1(fixed, fixed_start, sliding, pos_lo + q, window, config,
+                  nullptr, 0, one);
+      out_scores[q] = one[0];
+    }
+    return;
+  }
   FixedRow rows[kMaxFixedRows]{};
-  const std::size_t row_count =
-      pos_count >= kB ? std::min(fixed.rows.size(), kMaxFixedRows) : 0;
+  const std::size_t row_count = std::min(fixed.rows.size(), kMaxFixedRows);
   const auto block = [&](std::size_t pos0, double* out) {
     if constexpr (B == 4) {
       lag_block_4(fixed, fixed_start, sliding, pos0, window, config, rows,
@@ -395,22 +406,11 @@ void batch_blocks(const PackedView& fixed, std::size_t fixed_start,
   std::size_t q = 0;
   for (; q + kB <= pos_count; q += kB) block(pos_lo + q, out_scores + q);
   if (q == pos_count) return;
+  const std::size_t end = pos_lo + pos_count;
+  const std::size_t start = end >= kB ? end - kB : 0;
   double tmp[kB];
-  if (pos_count >= kB) {
-    const std::size_t start = pos_count - kB;
-    block(pos_lo + start, tmp);
-    for (std::size_t b = q - start; b < kB; ++b) {
-      out_scores[start + b] = tmp[b];
-    }
-  } else {
-    // Fewer positions than lanes: score one at a time through the B=1
-    // block (identical per-lane arithmetic, so still bit-exact).
-    for (; q < pos_count; ++q) {
-      lag_block_1(fixed, fixed_start, sliding, pos_lo + q, window, config,
-                  nullptr, 0, tmp);
-      out_scores[q] = tmp[0];
-    }
-  }
+  block(start, tmp);
+  for (; q < pos_count; ++q) out_scores[q] = tmp[pos_lo + q - start];
 }
 
 }  // namespace

@@ -163,6 +163,18 @@ struct PackedView {
 /// so only the final chunk pays a partial block.
 inline constexpr std::size_t kLagBlock = 16;
 
+/// Blocks packed_correlation_batch runs to score `pos_count` positions of
+/// a `window` on a sliding span of `sliding_metres` (the
+/// `syn.kernel_blocks` count): one per `lanes` positions, rounded up,
+/// unless the range is a lone position or the span is too short to hold a
+/// full block, which score one single-position block per position.
+[[nodiscard]] constexpr std::size_t packed_batch_blocks(
+    std::size_t pos_count, std::size_t window, std::size_t sliding_metres,
+    std::size_t lanes = kLagBlock) noexcept {
+  if (pos_count == 1 || sliding_metres + 1 < window + lanes) return pos_count;
+  return (pos_count + lanes - 1) / lanes;
+}
+
 /// Trajectory correlation (paper eq. (2)) between the fixed window
 /// [fixed_start, fixed_start+window) of `fixed` and the sliding window
 /// [pos, pos+window) of `sliding`, over fixed.rows/sliding.rows (must have
@@ -183,11 +195,15 @@ inline constexpr std::size_t kLagBlock = 16;
 /// fixed-row values are loaded once and broadcast, the B sliding-side loads
 /// per metre are contiguous across the block — SIMD lanes across lags
 /// instead of across metres, which is why no value-changing FP flags are
-/// needed to vectorize. A trailing partial block is rescored as an
-/// overlapped full block ending at the last position (recomputed lanes
-/// reproduce the same bits); when pos_count < kLagBlock each position runs
-/// as a single-position block. Caller must guarantee every scored window
-/// fits: pos_lo + pos_count - 1 + window <= sliding.span.metres.
+/// needed to vectorize. A trailing partial block, and a whole range of 2
+/// to kLagBlock - 1 positions, is scored as one full block that ends at
+/// the last requested position (or starts at 0 when the range ends
+/// sooner), and only the requested lanes are kept (lanes reproduce the
+/// same bits wherever their block starts). A lone position, or a short
+/// range on a span shorter than window + kLagBlock - 1 metres, runs one
+/// single-position block per position (packed_batch_blocks). Caller must
+/// guarantee every scored window fits:
+/// pos_lo + pos_count - 1 + window <= sliding.span.metres.
 void packed_correlation_batch(const PackedView& fixed, std::size_t fixed_start,
                               const PackedView& sliding, std::size_t pos_lo,
                               std::size_t pos_count, std::size_t window,

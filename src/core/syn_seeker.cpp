@@ -187,19 +187,14 @@ SynSeeker::Candidate SynSeeker::best_over_positions(
   const std::size_t count = pos_hi - pos_lo;
 
   // One kernel call per chunk, so the kernel hoists its fixed-row terms
-  // once per range; the kernel itself does the overlapped and sub-block
-  // tails. A final chunk shorter than a block is re-anchored to end at
-  // pos_hi: its re-seen lanes are bit-identical to their first scores, and
-  // an equal score can never displace `best` (strict >), so the
-  // lowest-position tie-break is untouched.
+  // once per range; the kernel entry scores every partial block (DESIGN
+  // §11). Positions arrive in ascending order and an equal score can never
+  // displace `best` (strict >), so ties keep the lowest position.
   double scores[kScanChunk];
+  std::size_t blocks = 0;
   for (std::size_t done = 0; done < count;) {
-    std::size_t first = pos_lo + done;
-    std::size_t n = std::min(kScanChunk, count - done);
-    if (n < kLagBlock && count >= kLagBlock) {
-      first = pos_hi - kLagBlock;
-      n = kLagBlock;
-    }
+    const std::size_t first = pos_lo + done;
+    const std::size_t n = std::min(kScanChunk, count - done);
     scan_correlation_batch(pair, first, n, window, config_.correlation,
                            scores);
     for (std::size_t b = 0; b < n; ++b) {
@@ -207,12 +202,12 @@ SynSeeker::Candidate SynSeeker::best_over_positions(
         best = {scores[b], first + b, true};
       }
     }
-    done = first + n - pos_lo;
+    blocks += pair.precision == KernelPrecision::kFloat32
+                  ? packed_batch_blocks(n, window, pair.sliding.span.metres)
+                  : (n + kLagBlock - 1) / kLagBlock;
+    done += n;
   }
-  // Full blocks plus one overlapped tail block, or one single-position
-  // block per position when the range is shorter than a block.
-  syn_metrics().kernel_blocks.inc(
-      count >= kLagBlock ? (count + kLagBlock - 1) / kLagBlock : count);
+  syn_metrics().kernel_blocks.inc(blocks);
   return best;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <utility>
 
 namespace rups::core {
 
@@ -74,14 +75,16 @@ PowerVector ContextTrajectory::append_evict(GeoSample geo, PowerVector power) {
     throw std::invalid_argument("ContextTrajectory::append: width mismatch");
   }
   PowerVector evicted;
-  if (geo_.size() == capacity_) {
-    evicted = std::move(power_.front());
-    geo_.erase(geo_.begin());
-    power_.erase(power_.begin());
-    ++first_seq_;
+  if (geo_.size() < capacity_) {
+    geo_.push_back(geo);
+    power_.push_back(std::move(power));
+    return evicted;
   }
-  geo_.push_back(geo);
-  power_.push_back(std::move(power));
+  // Full: the newest entry takes the oldest's slot, and the ring turns.
+  evicted = std::exchange(power_[head_], std::move(power));
+  geo_[head_] = geo;
+  head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
+  ++first_seq_;
   return evicted;
 }
 

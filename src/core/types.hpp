@@ -116,15 +116,17 @@ class ContextTrajectory {
   [[nodiscard]] std::size_t channels() const noexcept { return channels_; }
   [[nodiscard]] std::size_t capacity_m() const noexcept { return capacity_; }
 
-  [[nodiscard]] const GeoSample& geo(std::size_t i) const { return geo_[i]; }
+  [[nodiscard]] const GeoSample& geo(std::size_t i) const {
+    return geo_[slot(i)];
+  }
   [[nodiscard]] const PowerVector& power(std::size_t i) const {
-    return power_[i];
+    return power_[slot(i)];
   }
   /// Mutable access (the binder retro-fills interpolated channels). Bumps
   /// revision(): a maintained pack re-packs its volatile suffix.
   [[nodiscard]] PowerVector& mutable_power(std::size_t i) {
     ++revision_;
-    return power_[i];
+    return power_[slot(i)];
   }
 
   /// Content identity: changes when the contents are replaced wholesale
@@ -180,9 +182,17 @@ class ContextTrajectory {
   [[nodiscard]] double measured_fraction() const noexcept;
 
  private:
+  /// Storage slot of entry i: once full, geo_ and power_ are rings whose
+  /// oldest entry sits at head_.
+  [[nodiscard]] std::size_t slot(std::size_t i) const noexcept {
+    const std::size_t s = head_ + i;
+    return s < capacity_ ? s : s - capacity_;
+  }
+
   std::size_t channels_;
   std::size_t capacity_;
   std::uint64_t first_seq_ = 0;  ///< odometer metre index of entry 0
+  std::size_t head_ = 0;         ///< storage slot of entry 0
   std::vector<GeoSample> geo_;
   std::vector<PowerVector> power_;
   TrajectoryIdentity identity_;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <utility>
+
+#include "util/rng.hpp"
+
 namespace rups::core {
 namespace {
 
@@ -192,6 +197,47 @@ TEST(ContextTrajectory, AppendEvictReturnsDisplacedBuffer) {
   evicted.reset();
   EXPECT_FALSE(evicted.usable(0));
   EXPECT_EQ(evicted.channels(), 2u);
+}
+
+TEST(ContextTrajectory, AppendEvictMatchesADequeReference) {
+  // Random appends far past capacity, for capacities 1, 2, 7 and 64: every
+  // retained metre, the indexing and each displaced buffer equal a deque
+  // that pushes at the back and pops at the front.
+  util::Rng rng(77);
+  for (const std::size_t capacity : {1, 2, 7, 64}) {
+    SCOPED_TRACE(capacity);
+    ContextTrajectory traj(3, capacity);
+    std::deque<std::pair<double, float>> ref;  // (time, channel-1 dBm)
+    const std::size_t appends = 5 * capacity + 3;
+    for (std::size_t n = 0; n < appends; ++n) {
+      const auto dbm = static_cast<float>(-110.0 + 60.0 * rng.uniform());
+      const double time = rng.uniform() * 1e3;
+      PowerVector pv(3);
+      pv.set(1, dbm);
+      const PowerVector evicted =
+          traj.append_evict(GeoSample{0.5, time}, std::move(pv));
+      ref.emplace_back(time, dbm);
+      if (ref.size() > capacity) {
+        ASSERT_EQ(evicted.channels(), 3u);
+        EXPECT_EQ(evicted.at(1), ref.front().second);
+        ref.pop_front();
+      } else {
+        EXPECT_EQ(evicted.channels(), 0u);
+      }
+      ASSERT_EQ(traj.size(), ref.size());
+      EXPECT_EQ(traj.first_metre(), n + 1 - ref.size());
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        EXPECT_EQ(traj.geo(i).time_s, ref[i].first) << n << " " << i;
+        EXPECT_EQ(traj.power(i).at(1), ref[i].second) << n << " " << i;
+        EXPECT_TRUE(traj.power(i).usable(1));
+        EXPECT_FALSE(traj.power(i).usable(0));
+      }
+    }
+    // An edit through mutable_power lands on the same retained metre.
+    traj.mutable_power(capacity - 1).set(2, -1.0f);
+    EXPECT_EQ(traj.power(capacity - 1).at(1), ref.back().second);
+    EXPECT_TRUE(traj.power(capacity - 1).usable(2));
+  }
 }
 
 // --- splice_tail: beacon-diff redelivery semantics -------------------------

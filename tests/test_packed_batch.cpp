@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -382,6 +383,86 @@ TEST(PackedBatch, PerfectMatchesAreClamped) {
   // Some planted r did reach the clamp on each side.
   EXPECT_GT(clamped_up, 0u);
   EXPECT_GT(clamped_down, 0u);
+}
+
+/// A channel-major pack in exactly-sized heap buffers (stride = metres),
+/// so a block that reads past the span's last metre reads past the
+/// buffer, which the asan-ubsan lane reports. Row c keeps metre i usable
+/// unless `masked(c, i)`.
+struct ExactPack {
+  std::size_t channels;
+  std::size_t metres;
+  std::unique_ptr<float[]> x;
+  std::unique_ptr<float[]> v;
+
+  template <typename Masked>
+  ExactPack(util::Rng& rng, std::size_t channels_, std::size_t metres_,
+            Masked masked)
+      : channels(channels_),
+        metres(metres_),
+        x(new float[channels_ * metres_]),
+        v(new float[channels_ * metres_]) {
+    for (std::size_t c = 0; c < channels; ++c) {
+      for (std::size_t i = 0; i < metres; ++i) {
+        const bool keep = !masked(c, i);
+        x[c * metres + i] =
+            keep ? static_cast<float>(-30.0 + 60.0 * rng.uniform()) : 0.0f;
+        v[c * metres + i] = keep ? 1.0f : 0.0f;
+      }
+    }
+  }
+
+  [[nodiscard]] PackedSpan span() const {
+    return {x.get(), v.get(), metres, metres, channels};
+  }
+};
+
+TEST(PackedBatch, ShortRangesScoreInsideExactBuffers) {
+  // Every range length 1-40 at the low end, the middle and the top end of
+  // spans shorter than, exactly at and longer than a full block's reach
+  // (window + kLagBlock - 1 metres). Short ranges run as one anchored
+  // block, so the masked variants put a masked metre where an anchored
+  // block reads but the requested positions do not: the first metre of a
+  // block anchored at the span's top, and the last of one at its low end.
+  const TrajectoryCorrelationConfig config{};
+  const std::size_t channels = 8;
+  const std::size_t window = 30;
+  const auto rows = identity_rows(channels);
+  util::Rng rng(59);
+  const ExactPack fixed(rng, channels, window,
+                        [](std::size_t c, std::size_t i) {
+                          return c == 3 && i % 7 == 0;
+                        });
+  for (const std::size_t metres :
+       {window + 3, window + kLagBlock - 2, window + kLagBlock - 1,
+        window + 40, window + 80}) {
+    const std::size_t top_anchor = metres - window - (kLagBlock - 1);
+    const std::size_t low_read_end = window + kLagBlock - 2;
+    const auto none = [](std::size_t, std::size_t) { return false; };
+    const auto outside = [&](std::size_t c, std::size_t i) {
+      return c % 2 == 0 && (i == top_anchor || i == low_read_end);
+    };
+    const auto rows_masked = [&](std::size_t c, std::size_t i) {
+      return c == channels - 1 || (c == 2 && (i * 7 + c) % 5 == 0);
+    };
+    const ExactPack variants[] = {
+        ExactPack(rng, channels, metres, none),
+        ExactPack(rng, channels, metres, outside),
+        ExactPack(rng, channels, metres, rows_masked)};
+    const std::size_t positions = metres - window + 1;
+    for (const ExactPack& sliding : variants) {
+      for (std::size_t len = 1; len <= 40 && len <= positions; ++len) {
+        for (const std::size_t pos_lo :
+             {std::size_t{0}, (positions - len) / 2, positions - len}) {
+          SCOPED_TRACE(testing::Message() << "metres " << metres << " len "
+                                          << len << " pos_lo " << pos_lo);
+          expect_all_widths_match_scalar({fixed.span(), rows}, 0,
+                                         {sliding.span(), rows}, pos_lo, len,
+                                         window, config, "short range");
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "core/packed.hpp"
 #include "core/resolver.hpp"
 #include "core/syn_cache.hpp"
+#include "obs/metrics.hpp"
 #include "service/matcher_service.hpp"
 #include "support/road_field.hpp"
 
@@ -239,6 +241,80 @@ TEST(SynCache, TrackingSurvivesAnyFirstMetre) {
   // The first round searched in full and locked; the second tracked.
   EXPECT_EQ(cache.stats().full_searches, 1u);
   EXPECT_EQ(cache.stats().tracking_hits, 1u);
+}
+
+std::uint64_t kernel_blocks() {
+  return obs::Registry::global().counter("syn.kernel_blocks").value();
+}
+
+TEST(SynSeeker, ShortBandCountsTheBlocksThatRun) {
+  // A 5-position band at the top of a 160 m span is one 16-lane block; on
+  // a span too short for a full block it is five single-position blocks.
+  // Either way it picks the per-position scan's best.
+  const SynConfig cfg = small_config();
+  const SynSeeker seeker(cfg);
+  const std::size_t w = cfg.window_m;
+  for (const std::size_t len : {std::size_t{160}, w + kLagBlock - 2}) {
+    SCOPED_TRACE(len);
+    const auto a = drive(9, 0, len, 30, 0.5, 40);
+    const auto b = drive(9, 3, len, 30, 0.5, 41);
+    PackedContext pa;
+    PackedContext pb;
+    pa.sync(a);
+    pb.sync(b);
+    std::vector<std::size_t> rows(cfg.top_channels);
+    std::iota(rows.begin(), rows.end(), std::size_t{0});
+    const std::size_t last = len - w;
+    const PackedView fixed{pa.span(), rows};
+    const PackedView sliding{pb.span(), rows};
+    const std::uint64_t before = kernel_blocks();
+    const auto got = seeker.best_over_positions(
+        seeker.scan_pair(fixed, last, sliding, nullptr, nullptr), w,
+        last - 4, last + 1);
+    EXPECT_EQ(kernel_blocks() - before, len == 160 ? 1u : 5u);
+    SynSeeker::Candidate want;
+    for (std::size_t pos = last - 4; pos <= last; ++pos) {
+      const double r =
+          packed_correlation(fixed, last, sliding, pos, w, cfg.correlation);
+      if (!want.valid || r > want.correlation) want = {r, pos, true};
+    }
+    ASSERT_TRUE(got.valid);
+    EXPECT_EQ(got.position, want.position);
+    EXPECT_EQ(std::memcmp(&got.correlation, &want.correlation, sizeof(double)),
+              0);
+  }
+}
+
+TEST(SynCache, TopClampedShortBandsTrackLikeAColdSearch) {
+  // The neighbour drives d metres behind, so pass 1 places the local
+  // window d metres past the neighbour's newest full window: the ±12 m
+  // band is clamped to 13 - d positions at the top of the neighbour's
+  // context, and pass 2's band to 13 + d ending at the local top. The warm
+  // round must track and return a cold find()'s point bit for bit.
+  SynConfig cfg = small_config();
+  cfg.syn_points = 1;
+  for (const std::int64_t d : {4, 8, 11}) {
+    SCOPED_TRACE(d);
+    SynCache cache(cfg);
+    std::vector<SynPoint> got;
+    for (const std::size_t len : {200, 206}) {
+      const auto a = drive(7, 0, len, 30, 0.5, 50);
+      const auto b = drive(7, -d, len, 30, 0.5, 51);
+      PackedContext pa;
+      pa.sync(a);
+      const std::uint64_t before = kernel_blocks();
+      cache.find_into(a, b, &pa, nullptr, got);
+      const std::uint64_t blocks = kernel_blocks() - before;
+      ASSERT_FALSE(got.empty());
+      expect_same_points(SynSeeker(cfg).find(a, b), got);
+      if (len == 206) {
+        const auto pass2 = static_cast<std::size_t>(13 + d);
+        EXPECT_EQ(blocks, 1 + (pass2 + kLagBlock - 1) / kLagBlock);
+      }
+    }
+    EXPECT_EQ(cache.stats().full_searches, 1u);
+    EXPECT_EQ(cache.stats().tracking_hits, 1u);
+  }
 }
 
 TEST(SynSeeker, UnrunnableConfigsAreRejectedAtConstruction) {
