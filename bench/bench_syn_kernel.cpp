@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/channel_select.hpp"
 #include "core/packed.hpp"
 #include "core/quant.hpp"
 #include "core/syn_seeker.hpp"
@@ -165,6 +166,34 @@ void BM_KernelBand(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelBand)->ArgName("len")->Arg(1)->Arg(2)->Arg(5)->Arg(8)
     ->Arg(14)->Arg(16)->Arg(25);
+
+/// One top-45 ranking of the newest w = 85 window of a 160 m context with
+/// 10% of slots missing: `ch` channels, ranked with (`pack` 1) or without
+/// an in-sync pack. At 45 channels with a pack top-45 keeps every
+/// qualified channel, so the ranking counts coverage alone from the pack's
+/// validity rows; without a pack, and at 115 channels, it ranks by window
+/// means. Printed only: no baseline row.
+void BM_RankWindow(benchmark::State& state) {
+  const auto channels = static_cast<std::size_t>(state.range(0));
+  const bool use_pack = state.range(1) != 0;
+  const core::ContextTrajectory t = synth(160, channels, 0, kPaperMaskPct, 9);
+  core::PackedContext pack;
+  pack.sync(t);
+  core::ChannelSelectScratch scratch;
+  std::vector<std::size_t> out;
+  for (auto _ : state) {
+    core::select_top_channels_into(t, t.size() - 85, 85, kPaperChannels,
+                                   scratch, out, core::kDefaultMinCoverage,
+                                   use_pack ? &pack : nullptr);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RankWindow)
+    ->ArgNames({"ch", "pack"})
+    ->Args({45, 1})
+    ->Args({45, 0})
+    ->Args({115, 0});
 
 /// Quantized rows over the same sweep axes; `prec` is the integer grid
 /// (16 or 8). The quantized kernel has no lane-width knob — its GEMM-shaped

@@ -36,8 +36,10 @@
 #     tracking suites (V2V rigs sit by value in a growing vector and
 #     borrow their link and channel pointers), and so do the channel
 #     ranking differential suite (blocked accumulation, nth_element and
-#     the emit flags index by channel) and the trajectory identity
-#     suite.
+#     the emit flags index by channel; the coverage count reads pack
+#     columns) and the trajectory identity suite, plus the fleet
+#     determinism suite (pack-counted and means-ranked plans side by
+#     side).
 #  2. tsan — ThreadSanitizer over the service and shard-concurrency
 #     suites, the thread-pool tests and the pooled streaming-determinism
 #     suite: pooled drains slice shards (and streaming updates slice
@@ -50,6 +52,8 @@
 #     same per-vehicle window rankings, as ego and as neighbour, in both
 #     drains; only the preparation pass before each drain, itself sliced
 #     across the pool with one writer per vehicle, may write either.
+#     test_fleet_determinism's pooled batches have every worker read one
+#     ego pack and one ego ranking.
 #  3. werror — configures build-werror/ with -DRUPS_WERROR=ON and builds
 #     every target (library, tests, benches, examples), so any compiler
 #     warning in the default configuration fails the matrix.
@@ -73,11 +77,11 @@ asan_tests=(
   test_service test_service_concurrency
   test_service_churn test_stream_recovery test_stream_determinism
   test_packed_stream test_fleet_sim test_stream_tracking
-  test_channel_select test_core_types
+  test_channel_select test_core_types test_fleet_determinism
 )
 tsan_tests=(
   test_thread_pool test_service test_service_concurrency
-  test_stream_determinism
+  test_stream_determinism test_fleet_determinism
 )
 
 echo "== asan-ubsan: configure + build obs/json/campaign surfaces =="

@@ -2,9 +2,39 @@
 
 #include <algorithm>
 
+#include "core/isa_clones.hpp"
+#include "core/packed.hpp"
+#include "obs/metrics.hpp"
+
 namespace rups::core {
 
 namespace {
+
+/// Rankings per route, handles resolved once.
+struct RankRoutes {
+  obs::CounterFamily& family =
+      obs::Registry::global().counter_family("syn.rank_route", "route");
+  obs::Counter& coverage = family.with("coverage");
+  obs::Counter& means = family.with("means");
+};
+
+RankRoutes& rank_routes() {
+  static RankRoutes r;
+  return r;
+}
+
+/// Usable metres of each channel over columns [from, from + len) of a
+/// pack's validity rows (every slot exactly 0.0f or 1.0f).
+RUPS_ISA_CLONES __attribute__((noinline)) void count_valid_columns(
+    const float* v, std::size_t stride, std::size_t channels,
+    std::size_t from, std::size_t len, std::size_t* counts) {
+  for (std::size_t c = 0; c < channels; ++c) {
+    const float* row = v + c * stride + from;
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < len; ++i) n += row[i] != 0.0f ? 1 : 0;
+    counts[c] = n;
+  }
+}
 
 /// Channels accumulated per pass over the window's metres.
 constexpr std::size_t kChannelBlock = 8;
@@ -44,17 +74,37 @@ void select_top_channels_into(const ContextTrajectory& trajectory,
                               std::size_t window_start, std::size_t window_m,
                               std::size_t k, ChannelSelectScratch& scratch,
                               std::vector<std::size_t>& out,
-                              double min_coverage) {
+                              double min_coverage,
+                              const PackedContext* pack) {
   out.clear();
   if (trajectory.empty() || window_m == 0 ||
       window_start >= trajectory.size()) {
     return;
   }
-  const std::size_t end =
-      std::min(window_start + window_m, trajectory.size());
-  const double need =
-      min_coverage * static_cast<double>(end - window_start);
+  const std::size_t len =
+      std::min(window_m, trajectory.size() - window_start);
+  const std::size_t end = window_start + len;
+  const double need = min_coverage * static_cast<double>(len);
   const std::size_t channels = trajectory.channels();
+  const auto qualified = [need](std::size_t n) {
+    return n != 0 && !(static_cast<double>(n) < need);
+  };
+
+  if (k >= channels && pack != nullptr && pack->in_sync_with(trajectory)) {
+    // Every qualified channel is selected, so no mean would ever be read.
+    ++scratch.coverage_rankings;
+    std::vector<std::size_t>& counts = scratch.counts;
+    counts.resize(channels);
+    const PackedSpan s = pack->span();
+    count_valid_columns(s.v, s.stride, channels, window_start, len,
+                        counts.data());
+    out.reserve(channels);
+    for (std::size_t c = 0; c < channels; ++c) {
+      if (qualified(counts[c])) out.push_back(c);
+    }
+    return;
+  }
+  ++scratch.means_rankings;
 
   // kChannelBlock channels per pass over the metres, then the last few
   // one at a time: every mean equals a channel-at-a-time loop's bit for
@@ -73,7 +123,7 @@ void select_top_channels_into(const ContextTrajectory& trajectory,
       accumulate<1>(trajectory, c0, window_start, end, sum, n);
     }
     for (std::size_t j = 0; j < width; ++j) {
-      if (n[j] == 0 || static_cast<double>(n[j]) < need) continue;
+      if (!qualified(n[j])) continue;
       ranks.push_back({c0 + j, sum[j] / static_cast<double>(n[j])});
     }
     c0 += width;
@@ -97,6 +147,17 @@ void select_top_channels_into(const ContextTrajectory& trajectory,
   }
 }
 
+void count_rank_routes(ChannelSelectScratch& scratch) {
+  if (scratch.coverage_rankings != 0) {
+    rank_routes().coverage.inc(scratch.coverage_rankings);
+  }
+  if (scratch.means_rankings != 0) {
+    rank_routes().means.inc(scratch.means_rankings);
+  }
+  scratch.coverage_rankings = 0;
+  scratch.means_rankings = 0;
+}
+
 std::vector<std::size_t> select_top_channels(
     const ContextTrajectory& trajectory, std::size_t window_start,
     std::size_t window_m, std::size_t k, double min_coverage) {
@@ -104,16 +165,19 @@ std::vector<std::size_t> select_top_channels(
   std::vector<std::size_t> out;
   select_top_channels_into(trajectory, window_start, window_m, k, scratch, out,
                            min_coverage);
+  count_rank_routes(scratch);
   return out;
 }
 
 void WindowRanks::rank(std::size_t slot, const ContextTrajectory& t,
                        std::size_t start, std::size_t window, std::size_t k,
-                       ChannelSelectScratch& scratch) {
+                       ChannelSelectScratch& scratch,
+                       const PackedContext* pack) {
   if (slot >= slots_.size()) slots_.resize(slot + 1);
   Held& h = slots_[slot];
   if (h.matches(t, start, window, k)) return;
-  select_top_channels_into(t, start, window, k, scratch, h.channels);
+  select_top_channels_into(t, start, window, k, scratch, h.channels,
+                           kDefaultMinCoverage, pack);
   h.identity = t.identity();
   h.revision = t.revision();
   h.first_metre = t.first_metre() + start;

@@ -8,6 +8,11 @@
 
 namespace rups::core {
 
+class PackedContext;
+
+/// Default fraction of a window's metres a channel must be usable in.
+inline constexpr double kDefaultMinCoverage = 0.3;
+
 /// One coverage-qualified channel with its window-mean RSSI.
 struct ChannelRank {
   std::size_t channel;
@@ -20,6 +25,10 @@ struct ChannelRank {
 struct ChannelSelectScratch {
   std::vector<ChannelRank> ranks;
   std::vector<std::uint8_t> picked;
+  std::vector<std::size_t> counts;  ///< usable metres per channel
+  /// Rankings per route since the last count_rank_routes().
+  std::uint64_t coverage_rankings = 0;
+  std::uint64_t means_rankings = 0;
 };
 
 /// Select the `k` strongest channels over a window of a trajectory —
@@ -27,19 +36,33 @@ struct ChannelSelectScratch {
 /// Channels are ranked by mean usable RSSI over the window (ties broken by
 /// the lower channel index); channels never usable in the window, or with
 /// coverage below `min_coverage` (fraction of window positions usable),
-/// are excluded. Returned indices are sorted ascending.
+/// are excluded. The window is clamped to the trajectory's end. Returned
+/// indices are sorted ascending.
 [[nodiscard]] std::vector<std::size_t> select_top_channels(
     const ContextTrajectory& trajectory, std::size_t window_start,
-    std::size_t window_m, std::size_t k, double min_coverage = 0.3);
+    std::size_t window_m, std::size_t k,
+    double min_coverage = kDefaultMinCoverage);
 
 /// Scratch-reusing form: writes the selection into `out` (cleared first,
-/// capacity retained). Identical ranking arithmetic and ordering to
-/// select_top_channels.
+/// capacity retained), equal to select_top_channels.
+///
+/// Route rule: when k >= trajectory.channels() every qualified channel is
+/// selected, so given a `pack` that is in_sync_with(trajectory) the
+/// "coverage" route only counts each channel's usable metres in the pack's
+/// 0/1 validity rows (the values the kernel scores) and forms no mean.
+/// Otherwise — k < channels, or no pack, or a stale or foreign one — the
+/// "means" route ranks by window means. Both give the same selection. The
+/// route is tallied in `scratch`; count_rank_routes() publishes it.
 void select_top_channels_into(const ContextTrajectory& trajectory,
                               std::size_t window_start, std::size_t window_m,
                               std::size_t k, ChannelSelectScratch& scratch,
                               std::vector<std::size_t>& out,
-                              double min_coverage = 0.3);
+                              double min_coverage = kDefaultMinCoverage,
+                              const PackedContext* pack = nullptr);
+
+/// Add `scratch`'s route tallies to `syn.rank_route{route}` and zero them,
+/// so a batch of rankings costs one counter update per route.
+void count_rank_routes(ChannelSelectScratch& scratch);
 
 /// Top-k selections of some of one trajectory's windows, each keyed by the
 /// trajectory state it was ranked on (identity, revision) and the window's
@@ -51,9 +74,11 @@ class WindowRanks {
  public:
   /// Make `slot` hold the top-k channels of [start, start + window) of `t`
   /// (which must fit in `t`), re-ranking only when it holds another window
-  /// or trajectory state.
+  /// or trajectory state. `pack` is select_top_channels_into's; the route
+  /// is tallied in `scratch`, not counted.
   void rank(std::size_t slot, const ContextTrajectory& t, std::size_t start,
-            std::size_t window, std::size_t k, ChannelSelectScratch& scratch);
+            std::size_t window, std::size_t k, ChannelSelectScratch& scratch,
+            const PackedContext* pack = nullptr);
 
   /// The held selection of exactly this window of `t`'s current state, or
   /// null.

@@ -127,7 +127,8 @@ void FleetEngine::estimate_batch_into(
     ego_pack = &ego_pack_;
   }
   if (ego_ranks == nullptr) {
-    rank_recent_windows(ego, config_.rups.syn, ego_ranks_, rank_scratch_);
+    rank_recent_windows(ego, config_.rups.syn, ego_ranks_, rank_scratch_,
+                        ego_pack);
     ego_ranks = &ego_ranks_;
   }
   const KernelPrecision prec = config_.rups.syn.precision;

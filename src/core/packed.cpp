@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "core/isa_clones.hpp"
+
 // NOTE: this translation unit is compiled WITHOUT value-changing FP options
 // (no -ffast-math; -ffp-contract=off — see src/core/CMakeLists.txt), so the
 // lane kernel below evaluates IEEE source-order semantics exactly. That is
@@ -332,24 +334,11 @@ template <int B>
   }
 }
 
-// Runtime ISA dispatch: GCC emits default/AVX2/AVX-512 clones of each block
-// width and an ifunc resolver picks once at load time. The clone attribute
-// must sit on a concrete (non-template) function, hence the macro. Every
-// caller of a given width runs the same resolved clone, and all clones
-// evaluate the same strict-FP source semantics, so dispatch cannot break
-// bit-identity. TSan builds drop the clones: ifunc resolvers run during
-// relocation, before the sanitizer runtime is initialised, and the
-// instrumented resolver path segfaults there.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__)
-#define RUPS_KERNEL_CLONES \
-  __attribute__((target_clones("default", "avx2", "arch=x86-64-v4")))
-#else
-#define RUPS_KERNEL_CLONES
-#endif
-
+// One clone set per block width (core/isa_clones.hpp); every caller of a
+// given width runs the same resolved clone, so dispatch cannot break
+// bit-identity.
 #define RUPS_DEFINE_LAG_BLOCK(B)                                          \
-  RUPS_KERNEL_CLONES __attribute__((noinline)) void lag_block_##B(        \
+  RUPS_ISA_CLONES __attribute__((noinline)) void lag_block_##B(           \
       const PackedView& fixed, std::size_t fixed_start,                   \
       const PackedView& sliding, std::size_t pos0, std::size_t window,    \
       const TrajectoryCorrelationConfig& config, FixedRow* rows,          \
@@ -363,7 +352,6 @@ RUPS_DEFINE_LAG_BLOCK(4)
 RUPS_DEFINE_LAG_BLOCK(8)
 RUPS_DEFINE_LAG_BLOCK(16)
 #undef RUPS_DEFINE_LAG_BLOCK
-#undef RUPS_KERNEL_CLONES
 
 /// Full blocks of B ascending positions, then one partial block (DESIGN
 /// §11): it ends at the range's last position, or starts at metre 0 when

@@ -7,6 +7,8 @@
 #include <iterator>
 #include <stdexcept>
 
+#include "core/isa_clones.hpp"
+
 #if defined(__x86_64__)
 #include <immintrin.h>
 #endif
@@ -576,19 +578,6 @@ struct QuantLaneAcc {
   double psxx[kLagBlock], psyy[kLagBlock], psxy[kLagBlock];
 };
 
-// Same clone discipline as packed.cpp: the attribute must sit on a
-// concrete (non-template) function, an ifunc resolver picks one clone at
-// load time, and every clone evaluates identical per-lane IEEE semantics —
-// so dispatch is a pure speed knob, never a value knob. Dropped under
-// TSan for the same reason as packed.cpp (resolvers outrun the runtime).
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__)
-#define RUPS_QUANT_CLONES \
-  __attribute__((target_clones("default", "avx2", "arch=x86-64-v4")))
-#else
-#define RUPS_QUANT_CLONES
-#endif
-
 /// Branchless per-lane epilogue fold: one channel's integer moment sums
 /// (sum-major, 6 x kLagBlock) into the chunk accumulators. Extracted from
 /// quant_chunk so it can carry target_clones (AVX2 / AVX-512 width instead
@@ -597,7 +586,7 @@ struct QuantLaneAcc {
 /// independent and packed IEEE ops are bit-identical to their scalar
 /// forms, so neither the clone picked nor the vector width can diverge
 /// from a scalar evaluation of the same source.
-RUPS_QUANT_CLONES __attribute__((noinline)) void quant_lane_accum(
+RUPS_ISA_CLONES __attribute__((noinline)) void quant_lane_accum(
     const std::int32_t* sums, std::size_t count, std::int64_t min_overlap,
     double sf, double ss, QuantLaneAcc& acc) {
   // One reciprocal replaces the three per-lane divides; bitwise & and
@@ -644,8 +633,6 @@ RUPS_QUANT_CLONES __attribute__((noinline)) void quant_lane_accum(
     acc.psxy[b] += use ? ma * mb : 0.0;
   }
 }
-
-#undef RUPS_QUANT_CLONES
 
 /// Scores one chunk of `count` <= kLagBlock lags. Structure mirrors the
 /// float lag_block_body: integer moment sums per (channel, lag), then the

@@ -68,12 +68,12 @@ SynCache::SynCache(SynConfig syn, SynCacheConfig config)
 
 SynCache::TrackOutcome SynCache::verify_tracked(
     const ContextTrajectory& local, const ContextTrajectory& neighbour,
-    std::size_t recency_offset_m, const PackedSpan& local_span,
-    const PackedSpan& neighbour_span, const QuantizedPack* local_q,
+    std::size_t recency_offset_m, const PackedContext& local_pack,
+    const PackedContext& neighbour_pack, const QuantizedPack* local_q,
     const QuantizedPack* neighbour_q, const WindowRanks* local_ranks,
     const WindowRanks* neighbour_ranks) {
-  seeker_.plan_into(local, neighbour, recency_offset_m, scratch_, local_ranks,
-                    neighbour_ranks);
+  seeker_.plan_into(local, neighbour, recency_offset_m, scratch_, &local_pack,
+                    &neighbour_pack, local_ranks, neighbour_ranks);
   const SynSeeker::SeekPlan& p = scratch_.plan;
   if (p.reject != nullptr) {
     // The full search would reject identically before any sliding — the
@@ -93,6 +93,8 @@ SynCache::TrackOutcome SynCache::verify_tracked(
   const std::uint64_t pred_a = n_first + p.b_start + lock_offset_m_ - l_first;
 
   // The full search's own pass wiring, kernel and precision, over a band.
+  const PackedSpan local_span = local_pack.span();
+  const PackedSpan neighbour_span = neighbour_pack.span();
   SynSeeker::Candidate on_b;
   SynSeeker::Candidate on_a;
   const std::uint64_t radius = config_.verify_radius_m;
@@ -181,17 +183,14 @@ void SynCache::find_into(const ContextTrajectory& local,
     return;
   }
 
-  const PackedSpan local_span = local_pack->span();
-  const PackedSpan neighbour_span = np->span();
   obs::FlightRecorder& recorder = obs::FlightRecorder::global();
   for (std::size_t k = 0; k < points; ++k) {
     const std::size_t offset = k * seeker_.config().syn_segment_spacing_m;
     TrackOutcome outcome;
     {
       obs::ObsTimer timer(&m.track_us, "syncache.track");
-      outcome = verify_tracked(local, neighbour, offset, local_span,
-                               neighbour_span, lq, nq, local_ranks,
-                               neighbour_ranks);
+      outcome = verify_tracked(local, neighbour, offset, *local_pack, *np,
+                               lq, nq, local_ranks, neighbour_ranks);
     }
     if (outcome.resolved) {
       ++stats_.tracking_hits;

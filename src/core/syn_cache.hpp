@@ -81,16 +81,17 @@ class SynCache {
     std::optional<SynPoint> syn;
   };
 
-  /// `local_q` / `neighbour_q` are quantized mirrors of the spans (null at
-  /// kFloat32): the band re-verification then runs the same quantized
-  /// kernel as the full search, so precision cannot split the two paths.
+  /// Both packs are in sync with their trajectories; `local_q` /
+  /// `neighbour_q` are quantized mirrors of them (null at kFloat32): the
+  /// band re-verification then runs the same quantized kernel as the full
+  /// search, so precision cannot split the two paths.
   /// Non-const: plans through the member scratch_ so warm re-verification
   /// never heap-allocates.
   [[nodiscard]] TrackOutcome verify_tracked(const ContextTrajectory& local,
                                             const ContextTrajectory& neighbour,
                                             std::size_t recency_offset_m,
-                                            const PackedSpan& local_span,
-                                            const PackedSpan& neighbour_span,
+                                            const PackedContext& local_pack,
+                                            const PackedContext& neighbour_pack,
                                             const QuantizedPack* local_q,
                                             const QuantizedPack* neighbour_q,
                                             const WindowRanks* local_ranks,

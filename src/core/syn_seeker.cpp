@@ -77,7 +77,8 @@ SynSeeker::SynSeeker(SynConfig config)
 }
 
 void rank_recent_windows(const ContextTrajectory& t, const SynConfig& config,
-                         WindowRanks& ranks, ChannelSelectScratch& scratch) {
+                         WindowRanks& ranks, ChannelSelectScratch& scratch,
+                         const PackedContext* pack) {
   const std::size_t points = std::max<std::size_t>(1, config.syn_points);
   for (std::size_t k = 0; k < points; ++k) {
     const std::size_t offset = k * config.syn_segment_spacing_m;
@@ -85,13 +86,16 @@ void rank_recent_windows(const ContextTrajectory& t, const SynConfig& config,
       continue;
     }
     ranks.rank(k, t, t.size() - offset - config.window_m, config.window_m,
-               config.top_channels, scratch);
+               config.top_channels, scratch, pack);
   }
+  count_rank_routes(scratch);
 }
 
 void SynSeeker::plan_into(const ContextTrajectory& a,
                           const ContextTrajectory& b,
                           std::size_t recency_offset_m, SeekScratch& scratch,
+                          const PackedContext* pack_a,
+                          const PackedContext* pack_b,
                           const WindowRanks* ranks_a,
                           const WindowRanks* ranks_b) const {
   SeekPlan& p = scratch.plan;
@@ -155,7 +159,7 @@ void SynSeeker::plan_into(const ContextTrajectory& a,
   // Channel selection from the fixed segments (top-k strongest): a held
   // ranking of exactly this window, else ranked here.
   const auto select = [&](const ContextTrajectory& t, std::size_t start,
-                          const WindowRanks* ranks,
+                          const PackedContext* pack, const WindowRanks* ranks,
                           std::vector<std::size_t>& out) {
     const std::vector<std::size_t>* held =
         ranks != nullptr
@@ -165,11 +169,13 @@ void SynSeeker::plan_into(const ContextTrajectory& a,
       out.assign(held->begin(), held->end());
     } else {
       select_top_channels_into(t, start, p.window, config_.top_channels,
-                               scratch.channels, out);
+                               scratch.channels, out, kDefaultMinCoverage,
+                               pack);
     }
   };
-  select(a, p.a_start, ranks_a, p.channels_a);
-  select(b, p.b_start, ranks_b, p.channels_b);
+  select(a, p.a_start, pack_a, ranks_a, p.channels_a);
+  select(b, p.b_start, pack_b, ranks_b, p.channels_b);
+  count_rank_routes(scratch.channels);
   if (p.channels_a.empty() || p.channels_b.empty()) {
     p.reject = "syn.no_channels";
     p.reject_v1 = static_cast<double>(p.window);
@@ -262,7 +268,7 @@ std::optional<SynPoint> SynSeeker::find_one(
   recorder.record(obs::EventType::kSeekStarted, "syn.seek",
                   static_cast<double>(a.size()), static_cast<double>(b.size()),
                   static_cast<double>(recency_offset_m));
-  plan_into(a, b, recency_offset_m, ws, ranks_a, ranks_b);
+  plan_into(a, b, recency_offset_m, ws, pack_a, pack_b, ranks_a, ranks_b);
   const SeekPlan& p = ws.plan;
   if (p.reject != nullptr) {
     metrics.outcomes.with(p.reject).inc();

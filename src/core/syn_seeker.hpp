@@ -80,9 +80,11 @@ struct SynPoint {
 /// before the newest entry (k < syn_points), the window every plan on `t`
 /// uses unless a context is too short or turn-limited. A window that does
 /// not fit is skipped; a slot already holding its window of the same
-/// trajectory state is kept as is.
+/// trajectory state is kept as is. `pack`, when in sync with `t`, supplies
+/// the coverage counts (see select_top_channels_into).
 void rank_recent_windows(const ContextTrajectory& t, const SynConfig& config,
-                         WindowRanks& ranks, ChannelSelectScratch& scratch);
+                         WindowRanks& ranks, ChannelSelectScratch& scratch,
+                         const PackedContext* pack = nullptr);
 
 /// Double-sliding cross-correlation search for SYN points (paper Fig 7):
 /// the most recent window of trajectory A slides over all of B, then the
@@ -166,9 +168,12 @@ class SynSeeker {
   /// vector capacity kept). Each side's channels come from `ranks_a` /
   /// `ranks_b` when it holds exactly the plan's window of that trajectory
   /// state (see rank_recent_windows); otherwise they are ranked in place
-  /// through `scratch.channels`. The plan is the same either way.
+  /// through `scratch.channels`, counting coverage from `pack_a` / `pack_b`
+  /// when in sync. The plan is the same either way.
   void plan_into(const ContextTrajectory& a, const ContextTrajectory& b,
                  std::size_t recency_offset_m, SeekScratch& scratch,
+                 const PackedContext* pack_a = nullptr,
+                 const PackedContext* pack_b = nullptr,
                  const WindowRanks* ranks_a = nullptr,
                  const WindowRanks* ranks_b = nullptr) const;
 

@@ -286,7 +286,7 @@ void MatcherService::prepare_vehicles(util::ThreadPool* pool) {
       VehicleSlot& v = vehicles_[index];
       v.pack.sync(v.traj, v.engine.config().cache.volatile_suffix_m);
       core::rank_recent_windows(v.traj, config_.fleet.rups.syn, v.ranks,
-                                shards_[s].rank_scratch);
+                                shards_[s].rank_scratch, &v.pack);
     }
   };
   if (pool == nullptr || shards_.size() <= 1) {

@@ -26,6 +26,9 @@ namespace rups::util {
 /// std::function; oversized callables fall back to a heap box. When the
 /// ring is full the producer blocks until a worker frees a slot —
 /// backpressure, not growth.
+///
+/// Worker i starts on the i-th CPU of its creator's affinity set and then
+/// gets the whole set back: the pool spreads its start, it never pins.
 class ThreadPool {
  public:
   /// Largest callable stored inline in a ring slot.

@@ -4,7 +4,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
+#include <limits>
 
+#include "core/packed.hpp"
 #include "util/rng.hpp"
 
 namespace rups::core {
@@ -22,9 +26,9 @@ std::vector<std::size_t> oracle_select(const ContextTrajectory& trajectory,
       window_start >= trajectory.size()) {
     return out;
   }
-  const std::size_t end =
-      std::min(window_start + window_m, trajectory.size());
-  const std::size_t len = end - window_start;
+  const std::size_t len =
+      std::min(window_m, trajectory.size() - window_start);
+  const std::size_t end = window_start + len;
   const std::size_t channels = trajectory.channels();
 
   std::vector<ChannelRank> ranks;
@@ -111,6 +115,21 @@ TEST(ChannelSelect, WindowBeyondEndClamped) {
   const auto traj = make_graded(10, 6);
   const auto top = select_top_channels(traj, 5, 100, 2);
   EXPECT_EQ(top.size(), 2u);
+  // A window whose end would wrap past SIZE_MAX is clamped the same way.
+  const auto tail = select_top_channels(traj, 5, traj.size() - 5, 3);
+  ASSERT_EQ(tail.size(), 3u);
+  constexpr std::size_t kHuge = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(select_top_channels(traj, 5, kHuge, 3), tail);
+  EXPECT_EQ(select_top_channels(traj, 5, kHuge - 2, 3), tail);
+  // The coverage route counts only the pack's columns of the clamped
+  // window.
+  PackedContext pack;
+  pack.sync(traj);
+  ChannelSelectScratch scratch;
+  std::vector<std::size_t> all;
+  select_top_channels_into(traj, 5, kHuge, 6, scratch, all,
+                           kDefaultMinCoverage, &pack);
+  EXPECT_EQ(all, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(ChannelSelect, NeverHeardChannelIsNotRankedAtZeroCoverage) {
@@ -154,6 +173,10 @@ ContextTrajectory random_trajectory(util::Rng& rng, std::size_t width,
 }
 
 TEST(ChannelSelect, BlockedRankingEqualsChannelAtATimeOracle) {
+  // Every case is ranked without a pack and with three packs: its own in
+  // sync, another trajectory's of the same shape, and its own left stale by
+  // an edit. Only the first may supply coverage counts; each result must
+  // equal the oracle on the trajectory's current values.
   util::Rng rng(0xC4A77E1);
   ChannelSelectScratch scratch;  // reused across shapes, as sessions do
   std::vector<std::size_t> got;
@@ -163,8 +186,9 @@ TEST(ChannelSelect, BlockedRankingEqualsChannelAtATimeOracle) {
     const auto metres = static_cast<std::size_t>(rng.uniform_int(1, 220));
     const double mask = static_cast<double>(rng.uniform_int(0, 10)) / 10.0;
     const bool ties = rng.bernoulli(0.5);
-    const ContextTrajectory t =
-        random_trajectory(rng, width, metres, mask, ties);
+    ContextTrajectory t = random_trajectory(rng, width, metres, mask, ties);
+    const ContextTrajectory other =
+        random_trajectory(rng, width, metres, 0.5, ties);
     const auto window = static_cast<std::size_t>(rng.uniform_int(1, 200));
     const auto start =
         static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(
@@ -174,14 +198,41 @@ TEST(ChannelSelect, BlockedRankingEqualsChannelAtATimeOracle) {
         0, 1, static_cast<std::size_t>(rng.uniform_int(
                   1, static_cast<std::int64_t>(width))),
         width, width + 7, 45};
-    for (const std::size_t k : ks) {
-      const double coverage = coverages[rng.uniform_int(0, 3)];
-      select_top_channels_into(t, start, window, k, scratch, got, coverage);
-      ASSERT_EQ(got, oracle_select(t, start, window, k, coverage))
-          << "trial " << trial << " width " << width << " metres " << metres
-          << " mask " << mask << " ties " << ties << " start " << start
-          << " window " << window << " k " << k << " coverage " << coverage;
+    double coverage[std::size(ks)];
+    for (double& c : coverage) c = coverages[rng.uniform_int(0, 3)];
+    PackedContext own;
+    own.sync(t);
+    PackedContext foreign;
+    foreign.sync(other);
+
+    const auto expect_oracle = [&](const char* label,
+                                   std::initializer_list<const PackedContext*>
+                                       packs) {
+      for (std::size_t q = 0; q < std::size(ks); ++q) {
+        const std::vector<std::size_t> want =
+            oracle_select(t, start, window, ks[q], coverage[q]);
+        for (const PackedContext* pack : packs) {
+          select_top_channels_into(t, start, window, ks[q], scratch, got,
+                                   coverage[q], pack);
+          ASSERT_EQ(got, want)
+              << label << " pack " << (pack == nullptr ? "none"
+                                       : pack == &own ? "own"
+                                                      : "foreign")
+              << " trial " << trial << " width " << width << " metres "
+              << metres << " mask " << mask << " ties " << ties << " start "
+              << start << " window " << window << " k " << ks[q]
+              << " coverage " << coverage[q];
+        }
+      }
+    };
+    ASSERT_NO_FATAL_FAILURE(
+        expect_oracle("unedited", {nullptr, &own, &foreign}));
+    // Clear every other metre of the window, leaving `own` stale.
+    for (std::size_t i = start; i < std::min(start + window, metres);
+         i += 2) {
+      t.mutable_power(i).reset();
     }
+    ASSERT_NO_FATAL_FAILURE(expect_oracle("edited", {nullptr, &own}));
   }
 }
 

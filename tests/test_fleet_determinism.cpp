@@ -34,14 +34,14 @@ struct VehicleLog {
 };
 
 VehicleLog make_log(std::uint64_t seed, std::size_t vehicle,
-                    std::size_t metres) {
+                    std::size_t metres, std::size_t channels = kChannels) {
   VehicleLog log;
   log.road_start =
       vehicle == 0 ? 0 : static_cast<std::int64_t>(15 + 20 * (vehicle - 1));
   util::Rng rng(seed * 100 + vehicle);
-  log.rssi.assign(metres, std::vector<float>(kChannels));
+  log.rssi.assign(metres, std::vector<float>(channels));
   for (std::size_t i = 0; i < metres; ++i) {
-    for (std::size_t c = 0; c < kChannels; ++c) {
+    for (std::size_t c = 0; c < channels; ++c) {
       log.rssi[i][c] =
           road_rssi(seed, log.road_start + static_cast<std::int64_t>(i), c) +
           static_cast<float>(rng.gaussian(0.0, 0.5));
@@ -53,18 +53,19 @@ VehicleLog make_log(std::uint64_t seed, std::size_t vehicle,
 void append_metres(ContextTrajectory& t, const VehicleLog& log,
                    std::size_t from, std::size_t count) {
   for (std::size_t i = from; i < from + count; ++i) {
-    PowerVector pv(kChannels);
-    for (std::size_t c = 0; c < kChannels; ++c) pv.set(c, log.rssi[i][c]);
+    PowerVector pv(t.channels());
+    for (std::size_t c = 0; c < t.channels(); ++c) pv.set(c, log.rssi[i][c]);
     t.append(GeoSample{}, std::move(pv));
   }
 }
 
-RupsConfig fleet_rups_config() {
+RupsConfig fleet_rups_config(std::size_t channels = kChannels,
+                             std::size_t top_channels = 20) {
   RupsConfig cfg;
-  cfg.channels = kChannels;
+  cfg.channels = channels;
   cfg.context_capacity_m = kCapacity;
   cfg.syn.window_m = 40;
-  cfg.syn.top_channels = 20;
+  cfg.syn.top_channels = top_channels;
   cfg.syn.coherency_threshold = 1.2;
   cfg.syn.syn_points = 2;
   cfg.syn.syn_segment_spacing_m = 25;
@@ -79,15 +80,16 @@ struct RoundLog {
 RoundLog run_fleet(const std::vector<VehicleLog>& logs, std::size_t fleet_n,
                    std::size_t initial_m, std::size_t rounds,
                    std::size_t step_m, bool use_cache,
-                   util::ThreadPool* pool) {
+                   util::ThreadPool* pool,
+                   const RupsConfig& rups = fleet_rups_config()) {
   FleetConfig cfg;
-  cfg.rups = fleet_rups_config();
+  cfg.rups = rups;
   cfg.use_cache = use_cache;
   FleetEngine engine(cfg);
 
   std::vector<ContextTrajectory> contexts;
   for (std::size_t v = 0; v < fleet_n + 1; ++v) {
-    contexts.emplace_back(kChannels, kCapacity);
+    contexts.emplace_back(rups.channels, kCapacity);
     append_metres(contexts.back(), logs[v], 0, initial_m);
   }
   std::vector<const ContextTrajectory*> neighbours;
@@ -115,13 +117,13 @@ RoundLog run_fleet(const std::vector<VehicleLog>& logs, std::size_t fleet_n,
 /// same aggregation), no packs, no cache, no batch.
 RoundLog run_reference(const std::vector<VehicleLog>& logs,
                        std::size_t fleet_n, std::size_t initial_m,
-                       std::size_t rounds, std::size_t step_m) {
-  const RupsConfig rups = fleet_rups_config();
+                       std::size_t rounds, std::size_t step_m,
+                       const RupsConfig& rups = fleet_rups_config()) {
   const SynSeeker seeker(rups.syn);
 
   std::vector<ContextTrajectory> contexts;
   for (std::size_t v = 0; v < fleet_n + 1; ++v) {
-    contexts.emplace_back(kChannels, kCapacity);
+    contexts.emplace_back(rups.channels, kCapacity);
     append_metres(contexts.back(), logs[v], 0, initial_m);
   }
 
@@ -216,6 +218,56 @@ TEST_P(FleetDeterminism, AllModesMatchSerialReferenceExactly) {
   expect_identical(serial_warm, reference, "serial-warm vs reference");
   expect_identical(pooled_cold, reference, "pooled-cold vs reference");
   expect_identical(pooled_warm, reference, "pooled-warm vs reference");
+}
+
+obs::Counter& rank_route(const char* route) {
+  return obs::Registry::global()
+      .counter_family("syn.rank_route", "route")
+      .with(route);
+}
+
+TEST_P(FleetDeterminism, CoverageRankingMatchesUnpackedReference) {
+  // With top_channels >= the 45 channels every fleet ranking takes the
+  // coverage route, counting from its packs (the ego's once per batch,
+  // each neighbour's in the plans); the pack-less reference ranks by
+  // window means. SYN points must agree bit for bit, serial and pooled,
+  // cold and warm.
+  const std::uint64_t seed = GetParam();
+  const std::size_t fleet_n = 4;
+  const std::size_t initial_m = 150;
+  const std::size_t rounds = 6;
+  const std::size_t step_m = 4;
+  const std::size_t channels = 45;
+  std::vector<VehicleLog> logs;
+  for (std::size_t v = 0; v < fleet_n + 1; ++v) {
+    logs.push_back(make_log(seed, v, initial_m + rounds * step_m, channels));
+  }
+  util::ThreadPool pool(2);
+  for (const std::size_t top : {std::size_t{45}, std::size_t{60}}) {
+    const RupsConfig rups = fleet_rups_config(channels, top);
+    const RoundLog reference =
+        run_reference(logs, fleet_n, initial_m, rounds, step_m, rups);
+    const std::uint64_t means = rank_route("means").value();
+    const std::uint64_t coverage = rank_route("coverage").value();
+    std::size_t estimates = 0;
+    for (const auto& round : reference.rounds) {
+      for (const auto& r : round) estimates += r.estimate.has_value() ? 1 : 0;
+    }
+    ASSERT_GT(estimates, 0u) << "top " << top;
+    for (const bool warm : {false, true}) {
+      for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
+                                  &pool}) {
+        expect_identical(
+            run_fleet(logs, fleet_n, initial_m, rounds, step_m, warm, p,
+                      rups),
+            reference,
+            warm ? (p ? "pooled-warm" : "serial-warm")
+                 : (p ? "pooled-cold" : "serial-cold"));
+      }
+    }
+    EXPECT_EQ(rank_route("means").value(), means) << "top " << top;
+    EXPECT_GT(rank_route("coverage").value(), coverage) << "top " << top;
+  }
 }
 
 /// Replay rounds where vehicle v starts with initial[v] metres (vehicle 0
@@ -435,6 +487,23 @@ TEST(FleetEngine, WarmCacheActuallyTracks) {
   // Steady state: after the first (cold) round the tracker should carry
   // most queries.
   EXPECT_GT(stats.tracking_hits, stats.tracking_misses);
+}
+
+TEST(FleetEngine, PaperChannelPlanRanksByMeans) {
+  // The paper's 115 channels at top-45 select by window means, never by
+  // coverage alone.
+  const std::size_t fleet_n = 2;
+  std::vector<VehicleLog> logs;
+  for (std::size_t v = 0; v < fleet_n + 1; ++v) {
+    logs.push_back(make_log(11, v, 150, 115));
+  }
+  RupsConfig rups;  // 115 channels, an 85 m x top-45 window
+  rups.context_capacity_m = kCapacity;
+  const std::uint64_t means = rank_route("means").value();
+  const std::uint64_t coverage = rank_route("coverage").value();
+  (void)run_fleet(logs, fleet_n, 150, 1, 0, true, nullptr, rups);
+  EXPECT_GT(rank_route("means").value(), means);
+  EXPECT_EQ(rank_route("coverage").value(), coverage);
 }
 
 TEST(FleetEngine, RejectsDuplicateIdsAndSizeMismatch) {

@@ -1,9 +1,11 @@
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <array>
 #include <atomic>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -135,6 +137,42 @@ TEST(ThreadPool, ParallelForRunsAllChunksEvenWhenOneThrows) {
 TEST(ThreadPool, SizeDefaultsToHardware) {
   ThreadPool pool;
   EXPECT_GE(pool.size(), 1u);
+}
+
+// Each worker starts on its own CPU but ends up with its creator's whole
+// affinity set, also when the creator is narrowed: the pool never pins.
+TEST(ThreadPool, WorkersKeepTheirCreatorsAffinity) {
+  cpu_set_t all;
+  CPU_ZERO(&all);
+  ASSERT_EQ(sched_getaffinity(0, sizeof all, &all), 0);
+  if (CPU_COUNT(&all) < 2) GTEST_SKIP() << "needs two CPUs";
+  struct Restore {
+    cpu_set_t set;
+    ~Restore() { (void)sched_setaffinity(0, sizeof set, &set); }
+  } restore{all};
+  cpu_set_t two;
+  CPU_ZERO(&two);
+  for (int cpu = 0, n = 0; cpu < CPU_SETSIZE && n < 2; ++cpu) {
+    if (CPU_ISSET(cpu, &all)) {
+      CPU_SET(cpu, &two);
+      ++n;
+    }
+  }
+  for (const cpu_set_t* creator : {&all, &two}) {
+    ASSERT_EQ(sched_setaffinity(0, sizeof *creator, creator), 0);
+    constexpr std::size_t kWorkers = 3;
+    std::array<cpu_set_t, kWorkers> seen{};
+    {
+      ThreadPool pool(kWorkers);
+      // Every task waits for the others, so each runs on its own worker.
+      std::latch all_started(kWorkers);
+      pool.parallel_for(0, kWorkers, [&](std::size_t i) {
+        all_started.arrive_and_wait();
+        (void)sched_getaffinity(0, sizeof seen[i], &seen[i]);
+      });
+    }
+    for (const cpu_set_t& s : seen) EXPECT_TRUE(CPU_EQUAL(&s, creator));
+  }
 }
 
 TEST(ThreadPool, DestructorDrainsCleanly) {
