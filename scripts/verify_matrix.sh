@@ -53,7 +53,10 @@
 #     drains; only the preparation pass before each drain, itself sliced
 #     across the pool with one writer per vehicle, may write either.
 #     test_fleet_determinism's pooled batches have every worker read one
-#     ego pack and one ego ranking.
+#     ego pack and one ego ranking. test_obs has eight live threads take
+#     their counter shard slots from one atomic, and test_syn_seeker holds
+#     the randomized pruned-versus-plain scan comparison
+#     (PrunedScanMatchesFullScan), which also runs in the asan-ubsan lane.
 #  3. werror — configures build-werror/ with -DRUPS_WERROR=ON and builds
 #     every target (library, tests, benches, examples), so any compiler
 #     warning in the default configuration fails the matrix.
@@ -81,7 +84,7 @@ asan_tests=(
 )
 tsan_tests=(
   test_thread_pool test_service test_service_concurrency
-  test_stream_determinism test_fleet_determinism
+  test_stream_determinism test_fleet_determinism test_obs test_syn_seeker
 )
 
 echo "== asan-ubsan: configure + build obs/json/campaign surfaces =="

@@ -146,7 +146,9 @@ double trajectory_correlation(const WindowRef& a, const WindowRef& b,
     const double vx = profile.sxx - profile.sx * profile.sx / profile.n;
     const double vy = profile.syy - profile.sy * profile.sy / profile.n;
     const double cov = profile.sxy - profile.sx * profile.sy / profile.n;
-    if (vx > 0.0 && vy > 0.0) profile_corr = cov / std::sqrt(vx * vy);
+    if (vx > 0.0 && vy > 0.0) {
+      profile_corr = std::clamp(cov / std::sqrt(vx * vy), -1.0, 1.0);
+    }
   }
   return per_channel + profile_corr;
 }

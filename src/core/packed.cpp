@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "core/isa_clones.hpp"
 
@@ -156,6 +157,37 @@ constexpr std::size_t kMaxFixedRows = 64;
   f.ma = sx / f.dn;
 }
 
+/// The bar of a block scored in full.
+constexpr double kNoBar = -std::numeric_limits<double>::infinity();
+
+/// Channels between two pruning checks of a block.
+constexpr std::size_t kPruneEvery = 4;
+
+/// Slack added to every pruning bound so that it covers the score as
+/// computed, rounding included (DESIGN §11 "Exact pruning").
+constexpr double kPruneMargin = 1e-9;
+
+/// True when no lane of a block can reach `bar`: with partial sum S over U
+/// used channels and R channels left, a lane's score is at most
+/// (S + R)/(U + R) + 1, or exactly -2 when U + R < min_channels (DESIGN §11
+/// "Exact pruning"). A bound that is NaN (U + R == 0) never prunes.
+template <int B>
+[[gnu::always_inline]] inline bool block_cannot_reach(
+    const double* corr_sum, const std::size_t* used, std::size_t left,
+    std::size_t min_channels, double bar) {
+  const auto r = static_cast<double>(left);
+  bool below = true;
+  for (int b = 0; b < B; ++b) {
+    const double bound = used[b] + left < min_channels
+                             ? -2.0
+                             : (corr_sum[b] + r) /
+                                       (static_cast<double>(used[b]) + r) +
+                                   1.0 + kPruneMargin;
+    below &= bound < bar;
+  }
+  return below;
+}
+
 /// True when all `n` sliding slots are 1.0. A count with no early exit,
 /// so it compiles to a few vector compares.
 [[gnu::always_inline]] inline bool row_usable(const float* sv, std::size_t n) {
@@ -202,21 +234,34 @@ constexpr std::size_t kMaxFixedRows = 64;
 // products with m == fvi) and a vectorized epilogue over the channel's
 // FixedRow, hoisted on first use. A channel whose fixed row is below
 // min_channel_overlap is skipped there: its lanes would only add +0.
+//
+// Bar: with B > 1 and a finite `bar`, the block checks before every
+// kPruneEvery-th channel whether any lane can still reach `bar`
+// (block_cannot_reach). If none can, it writes -inf to every lane and
+// returns true. The check only reads the sums, so a block that runs to
+// the end is bit-identical to one scored without a bar.
 // ---------------------------------------------------------------------------
 template <int B>
-[[gnu::always_inline]] inline void lag_block_body(
+[[gnu::always_inline]] inline bool lag_block_body(
     const PackedView& fixed, std::size_t fixed_start, const PackedView& sliding,
     std::size_t pos0, std::size_t window,
     const TrajectoryCorrelationConfig& config, FixedRow* rows,
-    std::size_t row_count, double* out) {
+    std::size_t row_count, double bar, double* out) {
   double channel_corr_sum[B] = {};
   std::size_t channels_used[B] = {};
   double pn[B] = {}, psx[B] = {}, psy[B] = {}, psxx[B] = {}, psyy[B] = {},
          psxy[B] = {};
   const float min_overlap = static_cast<float>(config.min_channel_overlap);
+  const bool pruning = B > 1 && bar > kNoBar;
 
   const std::size_t k = std::min(fixed.rows.size(), sliding.rows.size());
   for (std::size_t kk = 0; kk < k; ++kk) {
+    if (pruning && kk != 0 && kk % kPruneEvery == 0 &&
+        block_cannot_reach<B>(channel_corr_sum, channels_used, k - kk,
+                              config.min_channels, bar)) {
+      std::fill(out, out + B, kNoBar);
+      return true;
+    }
     const std::size_t fc = fixed.rows[kk];
     const std::size_t sc = sliding.rows[kk];
     // A channel outside either pack contributes nothing (an all-masked row
@@ -326,25 +371,30 @@ template <int B>
       const double vx = psxx[b] - psx[b] * psx[b] / pn[b];
       const double vy = psyy[b] - psy[b] * psy[b] / pn[b];
       const double cov = psxy[b] - psx[b] * psy[b] / pn[b];
-      if (vx > 0.0 && vy > 0.0) profile_corr = cov / std::sqrt(vx * vy);
+      // Clamped like the channel terms, so no computed score passes the
+      // pruning bound (DESIGN §11 "Exact pruning").
+      if (vx > 0.0 && vy > 0.0) {
+        profile_corr = std::clamp(cov / std::sqrt(vx * vy), -1.0, 1.0);
+      }
     }
     out[b] =
         channel_corr_sum[b] / static_cast<double>(channels_used[b]) +
         profile_corr;
   }
+  return false;
 }
 
 // One clone set per block width (core/isa_clones.hpp); every caller of a
 // given width runs the same resolved clone, so dispatch cannot break
 // bit-identity.
-#define RUPS_DEFINE_LAG_BLOCK(B)                                          \
-  RUPS_ISA_CLONES __attribute__((noinline)) void lag_block_##B(           \
-      const PackedView& fixed, std::size_t fixed_start,                   \
-      const PackedView& sliding, std::size_t pos0, std::size_t window,    \
-      const TrajectoryCorrelationConfig& config, FixedRow* rows,          \
-      std::size_t row_count, double* out) {                               \
-    lag_block_body<B>(fixed, fixed_start, sliding, pos0, window, config,  \
-                      rows, row_count, out);                              \
+#define RUPS_DEFINE_LAG_BLOCK(B)                                           \
+  RUPS_ISA_CLONES __attribute__((noinline)) bool lag_block_##B(            \
+      const PackedView& fixed, std::size_t fixed_start,                    \
+      const PackedView& sliding, std::size_t pos0, std::size_t window,     \
+      const TrajectoryCorrelationConfig& config, FixedRow* rows,           \
+      std::size_t row_count, double bar, double* out) {                    \
+    return lag_block_body<B>(fixed, fixed_start, sliding, pos0, window,    \
+                             config, rows, row_count, bar, out);           \
   }
 
 RUPS_DEFINE_LAG_BLOCK(1)
@@ -372,7 +422,7 @@ void batch_blocks(const PackedView& fixed, std::size_t fixed_start,
     double one[1];
     for (std::size_t q = 0; q < pos_count; ++q) {
       lag_block_1(fixed, fixed_start, sliding, pos_lo + q, window, config,
-                  nullptr, 0, one);
+                  nullptr, 0, kNoBar, one);
       out_scores[q] = one[0];
     }
     return;
@@ -382,13 +432,13 @@ void batch_blocks(const PackedView& fixed, std::size_t fixed_start,
   const auto block = [&](std::size_t pos0, double* out) {
     if constexpr (B == 4) {
       lag_block_4(fixed, fixed_start, sliding, pos0, window, config, rows,
-                  row_count, out);
+                  row_count, kNoBar, out);
     } else if constexpr (B == 8) {
       lag_block_8(fixed, fixed_start, sliding, pos0, window, config, rows,
-                  row_count, out);
+                  row_count, kNoBar, out);
     } else {
       lag_block_16(fixed, fixed_start, sliding, pos0, window, config, rows,
-                   row_count, out);
+                   row_count, kNoBar, out);
     }
   };
   std::size_t q = 0;
@@ -409,7 +459,7 @@ double packed_correlation(const PackedView& fixed, std::size_t fixed_start,
                           const TrajectoryCorrelationConfig& config) {
   double out[1];
   lag_block_1(fixed, fixed_start, sliding, pos, window, config, nullptr, 0,
-              out);
+              kNoBar, out);
   return out[0];
 }
 
@@ -447,6 +497,63 @@ void packed_correlation_batch_lanes(
                        config, out_scores);
       break;
   }
+}
+
+PrunedBest packed_best_pruned(const PackedView& fixed, std::size_t fixed_start,
+                              const PackedView& sliding, std::size_t pos_lo,
+                              std::size_t pos_count, std::size_t window,
+                              const TrajectoryCorrelationConfig& config,
+                              std::size_t seed, double bar) {
+  PrunedBest best;
+  // Lowest position of the highest score, whatever order blocks run in.
+  const auto take = [&](double score, std::size_t pos) {
+    if (!best.valid || score > best.score ||
+        (score == best.score && pos < best.position)) {
+      best.score = score;
+      best.position = pos;
+      best.valid = true;
+    }
+  };
+  if (pos_count == 0) return best;
+  const std::size_t end = pos_lo + pos_count;
+  if (packed_batch_blocks(pos_count, window, sliding.span.metres) ==
+      pos_count) {
+    // Single-position blocks (a lone position or a short span): no bar.
+    double one[1];
+    for (std::size_t pos = pos_lo; pos < end; ++pos) {
+      lag_block_1(fixed, fixed_start, sliding, pos, window, config, nullptr, 0,
+                  kNoBar, one);
+      take(one[0], pos);
+    }
+  } else {
+    // batch_blocks' grid: full blocks from pos_lo, then one block ending
+    // at the range's last position (or starting at metre 0).
+    FixedRow rows[kMaxFixedRows]{};
+    const std::size_t row_count = std::min(fixed.rows.size(), kMaxFixedRows);
+    const std::size_t blocks = (pos_count + kLagBlock - 1) / kLagBlock;
+    const auto run = [&](std::size_t g) {
+      const std::size_t lo = pos_lo + g * kLagBlock;
+      const std::size_t hi = std::min(lo + kLagBlock, end);
+      const std::size_t start =
+          hi - lo == kLagBlock ? lo : end >= kLagBlock ? end - kLagBlock : 0;
+      double lanes[kLagBlock];
+      if (lag_block_16(fixed, fixed_start, sliding, start, window, config,
+                       rows, row_count,
+                       best.valid ? std::max(bar, best.score) : bar, lanes)) {
+        ++best.pruned_blocks;
+        return;
+      }
+      for (std::size_t pos = lo; pos < hi; ++pos) take(lanes[pos - start], pos);
+    };
+    const std::size_t first =
+        (std::clamp(seed, pos_lo, end - 1) - pos_lo) / kLagBlock;
+    run(first);
+    for (std::size_t g = 0; g < blocks; ++g) {
+      if (g != first) run(g);
+    }
+  }
+  if (best.valid && !(best.score > bar)) best.valid = false;
+  return best;
 }
 
 }  // namespace rups::core

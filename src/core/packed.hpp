@@ -210,6 +210,28 @@ void packed_correlation_batch(const PackedView& fixed, std::size_t fixed_start,
                               const TrajectoryCorrelationConfig& config,
                               double* out_scores);
 
+/// Best lane of a packed_best_pruned scan.
+struct PrunedBest {
+  double score = -2.0;
+  std::size_t position = 0;
+  bool valid = false;
+  std::size_t pruned_blocks = 0;  ///< blocks stopped before their last channel
+};
+
+/// Exact pruned search over the positions [pos_lo, pos_lo + pos_count):
+/// the best score and its lowest position, exactly as an ascending
+/// strict-`>` pick over packed_correlation_batch's scores, provided every
+/// score is finite (it is for finite pack values). The blocks are the
+/// batch's own grid (packed_batch_blocks). The block holding `seed`
+/// (clamped into the range) is scored first, then the others in ascending
+/// order. Each one stops, every 4 channels, as soon as no lane can reach
+/// the larger of `bar` and the best score so far (DESIGN §11). A range
+/// whose best does not strictly beat `bar` returns valid = false.
+[[nodiscard]] PrunedBest packed_best_pruned(
+    const PackedView& fixed, std::size_t fixed_start, const PackedView& sliding,
+    std::size_t pos_lo, std::size_t pos_count, std::size_t window,
+    const TrajectoryCorrelationConfig& config, std::size_t seed, double bar);
+
 /// Tuning/bench surface: packed_correlation_batch with an explicit lane
 /// width. lanes must be 1, 4, 8 or 16 (1 = per-position scalar path, the
 /// baseline the bench sweep compares against). All widths produce

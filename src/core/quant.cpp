@@ -686,7 +686,9 @@ void quant_chunk(const QuantView& fixed, std::size_t fixed_start,
       const double vx = acc.psxx[b] - acc.psx[b] * acc.psx[b] / acc.pn[b];
       const double vy = acc.psyy[b] - acc.psy[b] * acc.psy[b] / acc.pn[b];
       const double cov = acc.psxy[b] - acc.psx[b] * acc.psy[b] / acc.pn[b];
-      if (vx > 0.0 && vy > 0.0) profile_corr = cov / std::sqrt(vx * vy);
+      if (vx > 0.0 && vy > 0.0) {
+        profile_corr = std::clamp(cov / std::sqrt(vx * vy), -1.0, 1.0);
+      }
     }
     out[b] =
         acc.channel_corr_sum[b] / static_cast<double>(acc.channels_used[b]) +

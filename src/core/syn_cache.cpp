@@ -128,6 +128,8 @@ void SynCache::update_lock(const ContextTrajectory& local,
     locked_ = true;
     lock_offset_m_ = (local.first_metre() + s.index_a) -
                      (neighbour.first_metre() + s.index_b);
+    // A fallback full search starts where the lock predicts.
+    scratch_.last_offset_m = lock_offset_m_;
   } else if (locked_) {
     locked_ = false;
     ++stats_.invalidations;
@@ -177,6 +179,7 @@ void SynCache::find_into(const ContextTrajectory& local,
     stats_.full_searches += points;
     m.full.inc(points);
     m.resolution.with("full").inc(points);
+    if (!config_.enabled) scratch_.last_offset_m.reset();
     seeker_.find_into(local, neighbour, local_pack, np, lq, nq, scratch_, out,
                       local_ranks, neighbour_ranks);
     if (config_.enabled) update_lock(local, neighbour, out);

@@ -32,7 +32,8 @@ struct SynCacheConfig {
   /// reach; see PackedContext). FleetEngine raises it to
   /// pack_volatile_suffix_m() of its binder config.
   std::size_t volatile_suffix_m = PackedContext::kDefaultVolatileSuffixM;
-  /// When false every query runs the full search (packs are still reused).
+  /// When false every query runs the full search (packs are still reused),
+  /// with no alignment carried between queries, not even as a seed.
   bool enabled = true;
 };
 

@@ -24,6 +24,9 @@ struct SynMetrics {
       obs::Registry::global().counter("syn.windows_scanned");
   obs::Counter& kernel_blocks =
       obs::Registry::global().counter("syn.kernel_blocks");
+  /// Blocks of a pruned scan that stopped before their last channel.
+  obs::Counter& pruned_blocks =
+      obs::Registry::global().counter("syn.pruned_blocks");
   obs::Counter& accepted =
       obs::Registry::global().counter("syn.candidates_accepted");
   obs::Counter& rejected =
@@ -185,12 +188,23 @@ void SynSeeker::plan_into(const ContextTrajectory& a,
 
 SynSeeker::Candidate SynSeeker::best_over_positions(
     const ScanPair& pair, std::size_t window, std::size_t pos_lo,
-    std::size_t pos_hi) const {
+    std::size_t pos_hi, const Pruning* pruning) const {
   Candidate best;
   if (pair.sliding.span.metres < window) return best;
   pos_hi = std::min(pos_hi, pair.sliding.span.metres - window + 1);
   if (pos_lo >= pos_hi) return best;
   const std::size_t count = pos_hi - pos_lo;
+
+  if (pruning != nullptr && pair.precision == KernelPrecision::kFloat32) {
+    const PrunedBest r = packed_best_pruned(
+        pair.fixed, pair.fixed_start, pair.sliding, pos_lo, count, window,
+        config_.correlation, pruning->seed.value_or(pos_lo), pruning->bar);
+    syn_metrics().kernel_blocks.inc(
+        packed_batch_blocks(count, window, pair.sliding.span.metres));
+    syn_metrics().pruned_blocks.inc(r.pruned_blocks);
+    if (r.valid) best = {r.score, r.position, true};
+    return best;
+  }
 
   // One kernel call per chunk, so the kernel hoists its fixed-row terms
   // once per range; the kernel entry scores every partial block (DESIGN
@@ -344,20 +358,35 @@ std::optional<SynPoint> SynSeeker::find_one(
   const ScanPair pass1 = scan_pair(f1, f1_start, s1, qf1, qs1);
   const ScanPair pass2 = scan_pair(f2, f2_start, s2, qf2, qs2);
 
-  // The fixed window slides over every metre of the other context.
-  const auto slide = [&](const ScanPair& pair) {
+  // The fixed window slides over every metre of the other context, as an
+  // exact pruned search (DESIGN §11).
+  const auto slide = [&](const ScanPair& pair, const Pruning& pruning) {
     if (pair.sliding.span.metres < p.window) return Candidate{};
     const std::size_t positions = pair.sliding.span.metres - p.window + 1;
     metrics.windows.inc(positions);
-    return best_over_positions(pair, p.window, 0, positions);
+    return best_over_positions(pair, p.window, 0, positions, &pruning);
   };
+  // Pass 1 first scores where the last accepted offset puts A's window in
+  // B; a prediction below metre 0 seeds the first block.
+  Pruning prune1;
+  if (ws.last_offset_m.has_value()) {
+    const std::uint64_t pred =
+        a.first_metre() + p.a_start - *ws.last_offset_m - b.first_metre();
+    prune1.seed = static_cast<std::int64_t>(pred) < 0 ? 0 : pred;
+  }
   // Both correlation-scan passes share one kernel span: the child of
   // "syn.seek" that shows up in the paper's Fig. 10-12 cost breakdowns.
   obs::ObsTimer kernel_timer(&metrics.kernel_us, "syn.kernel");
   // Pass 1 (Fig 7 left): recent segment of A slides over B.
-  const Candidate on_b = slide(pass1);
-  // Pass 2 (Fig 7 right): recent segment of B slides over A.
-  const Candidate on_a = slide(pass2);
+  const Candidate on_b = slide(pass1, prune1);
+  // Pass 2 (Fig 7 right): recent segment of B slides over A. It wins only
+  // on a strictly greater score, so an accepted pass 1 is its bar; held to
+  // it, pass 2 has no candidate unless it beats pass 1.
+  Pruning prune2;
+  if (on_b.valid && on_b.correlation >= p.threshold) {
+    prune2.bar = on_b.correlation;
+  }
+  const Candidate on_a = slide(pass2, prune2);
   kernel_timer.stop();
 
   for (const Candidate& c : {on_b, on_a}) {
@@ -378,6 +407,8 @@ std::optional<SynPoint> SynSeeker::find_one(
   metrics.outcomes.with("accepted").inc();
   recorder.record(obs::EventType::kSeekAccepted, "syn.seek", best->correlation,
                   static_cast<double>(p.window), p.threshold);
+  ws.last_offset_m =
+      (a.first_metre() + best->index_a) - (b.first_metre() + best->index_b);
   return best;
 }
 

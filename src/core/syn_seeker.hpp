@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -90,8 +92,15 @@ void rank_recent_windows(const ContextTrajectory& t, const SynConfig& config,
 /// the most recent window of trajectory A slides over all of B, then the
 /// most recent window of B slides over all of A; the best position at or
 /// above the coherency threshold wins. Complexity O(m * w * k) per recent
-/// segment, single-threaded: parallelism lives one level up, per neighbour
-/// (FleetEngine) and per shard (MatcherService).
+/// segment in the worst case, single-threaded: parallelism lives one level
+/// up, per neighbour (FleetEngine) and per shard (MatcherService).
+///
+/// At kFloat32 the two passes are an exact pruned search (DESIGN §11): a
+/// 16-lane block stops once none of its lanes can reach the best score so
+/// far. Pass 1 scores first the block where the last SYN point accepted
+/// through the same SeekScratch predicts the match, and pass 2 is held to
+/// pass 1's score when pass 1 was accepted. The SYN points are the
+/// unpruned search's, bit for bit; only the time depends on the hint.
 ///
 /// The one seek core: SynCache's tracking band reuses plan_into(),
 /// scan_pair() and accept() rather than copying them. Callers that query
@@ -128,6 +137,21 @@ class SynSeeker {
   struct SeekScratch {
     SeekPlan plan;
     ChannelSelectScratch channels;
+    /// (a − b) odometer offset, (a.first_metre() + index_a) −
+    /// (b.first_metre() + index_b) wrapped mod 2^64, of the last SYN point
+    /// a seek through this scratch accepted: pass 1's seed. SynCache also
+    /// sets it from its lock, and clears it while disabled. A stale or
+    /// shared hint (another neighbour's) only costs time.
+    std::optional<std::uint64_t> last_offset_m;
+  };
+
+  /// Optional exact pruning of a best_over_positions scan; ignored below
+  /// kFloat32.
+  struct Pruning {
+    /// A result that does not strictly beat this score is dropped.
+    double bar = -std::numeric_limits<double>::infinity();
+    /// Position whose block is scored first (clamped into the range).
+    std::optional<std::size_t> seed;
   };
 
   explicit SynSeeker(SynConfig config = {});
@@ -200,11 +224,12 @@ class SynSeeker {
   /// ascending chunks; ties resolve to the lowest position (bit-identical
   /// to a serial per-position scan at every precision). pos_hi is clamped
   /// to the valid position count. Used by the full search's two passes and
-  /// by SynCache's ±verify_radius tracking band.
-  [[nodiscard]] Candidate best_over_positions(const ScanPair& pair,
-                                              std::size_t window,
-                                              std::size_t pos_lo,
-                                              std::size_t pos_hi) const;
+  /// by SynCache's ±verify_radius tracking band. With `pruning` at
+  /// kFloat32 the scan runs packed_best_pruned: the same candidate when
+  /// it strictly beats pruning->bar, an invalid one otherwise.
+  [[nodiscard]] Candidate best_over_positions(
+      const ScanPair& pair, std::size_t window, std::size_t pos_lo,
+      std::size_t pos_hi, const Pruning* pruning = nullptr) const;
 
   [[nodiscard]] const SynConfig& config() const noexcept { return config_; }
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
-#include <thread>
 
 namespace rups::obs {
 
@@ -49,9 +47,10 @@ std::string label_of(std::uint64_t id) {
 namespace detail {
 
 std::size_t shard_index() noexcept {
+  // A hashed thread id can put several live threads on one shard.
+  static std::atomic<std::size_t> next{0};
   thread_local const std::size_t slot =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) %
-      kCounterShards;
+      next.fetch_add(1, std::memory_order_relaxed) % kCounterShards;
   return slot;
 }
 

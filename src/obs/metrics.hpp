@@ -52,7 +52,9 @@ inline constexpr const char* kLabelsDroppedCounter = "obs.labels.dropped";
 
 namespace detail {
 inline constexpr std::size_t kCounterShards = 8;
-/// Stable per-thread shard slot (hashed thread id, cached thread_local).
+/// Stable per-thread shard slot, handed out round-robin on each thread's
+/// first call: kCounterShards threads that first count one after another
+/// write distinct shards.
 [[nodiscard]] std::size_t shard_index() noexcept;
 }  // namespace detail
 

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -32,6 +35,25 @@ TEST(Counter, ConcurrentIncrementsFromThreadPoolWorkersAreLossless) {
     for (std::size_t i = 0; i < kIncsPerTask; ++i) c.inc();
   });
   EXPECT_EQ(c.value(), kTasks * kIncsPerTask);
+}
+
+TEST(Counter, EightLiveThreadsWriteEightDistinctShards) {
+  // Slots are handed out round-robin on first use, so threads that start
+  // together never share a shard (a hashed thread id could).
+  constexpr std::size_t kThreads = detail::kCounterShards;
+  std::vector<std::size_t> slots(kThreads);
+  std::latch all_live(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      slots[i] = detail::shard_index();
+      EXPECT_EQ(detail::shard_index(), slots[i]);
+      all_live.arrive_and_wait();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  std::sort(slots.begin(), slots.end());
+  for (std::size_t i = 0; i < kThreads; ++i) EXPECT_EQ(slots[i], i);
 }
 
 TEST(Gauge, SetAddAndReset) {

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "obs/metrics.hpp"
 #include "service/matcher_service.hpp"
 #include "support/road_field.hpp"
+#include "util/rng.hpp"
 
 namespace rups::core {
 namespace {
@@ -203,6 +206,17 @@ TEST(SynSeeker, FullyUsableContextsMatchPerPositionScoring) {
   ASSERT_EQ(want.size(), cfg.syn_points);
   expect_same_points(want, seeker.find(a, b, &pa, &pb));
   expect_same_points(want, seeker.find(a, b));
+  // A hint, right or wrong, changes no SYN point.
+  SynSeeker::SeekScratch ws;
+  std::vector<SynPoint> seeded;
+  seeker.find_into(a, b, &pa, &pb, nullptr, nullptr, ws, seeded);
+  expect_same_points(want, seeded);
+  const std::uint64_t hint = ws.last_offset_m.value();
+  for (const std::uint64_t off : {0ULL, 1ULL, 170ULL, ~0ULL}) {
+    ws.last_offset_m = hint + off;
+    seeker.find_into(a, b, &pa, &pb, nullptr, nullptr, ws, seeded);
+    expect_same_points(want, seeded);
+  }
 
   // Both cars drive on 6 m: the cache re-verifies its ±12 m bands.
   SynCache cache(cfg);
@@ -283,6 +297,204 @@ TEST(SynSeeker, ShortBandCountsTheBlocksThatRun) {
     EXPECT_EQ(std::memcmp(&got.correlation, &want.correlation, sizeof(double)),
               0);
   }
+}
+
+/// Integer dBm readings, metre-major (NaN: missing), so every float sum
+/// of a row is exact and equal multisets give equal channel means.
+struct Grid {
+  std::size_t channels = 0;
+  std::vector<float> dbm;
+  float& at(std::size_t i, std::size_t c) { return dbm[i * channels + c]; }
+  [[nodiscard]] ContextTrajectory trajectory() const {
+    const std::size_t len = dbm.size() / channels;
+    ContextTrajectory t(channels, len);
+    for (std::size_t i = 0; i < len; ++i) {
+      PowerVector pv(channels);
+      for (std::size_t c = 0; c < channels; ++c) {
+        const float v = dbm[i * channels + c];
+        if (!std::isnan(v)) pv.set(c, v);
+      }
+      t.append(GeoSample{0.0, static_cast<double>(i)}, std::move(pv));
+    }
+    return t;
+  }
+};
+
+/// Per-channel integer random walks (or, with `walk` false, independent
+/// draws around one level), each reading missing with `mask`.
+Grid random_grid(util::Rng& rng, std::size_t len, std::size_t channels,
+                 double mask, bool walk) {
+  Grid g{channels, std::vector<float>(len * channels)};
+  for (std::size_t c = 0; c < channels; ++c) {
+    const auto base = static_cast<float>(rng.uniform_int(-100, -50));
+    float v = base;
+    for (std::size_t i = 0; i < len; ++i) {
+      const auto step = static_cast<float>(rng.uniform_int(-3, 3));
+      v = walk ? v + step : base + 2.0f * step;
+      g.at(i, c) = rng.uniform() < mask ? NAN : v;
+    }
+  }
+  return g;
+}
+
+TEST(SynSeeker, PrunedScanMatchesFullScan) {
+  // Pruned best_over_positions against the plain scan, bit for bit, over
+  // random masks, 45-of-45 and 45-of-115 plans, seeds anywhere, planted
+  // exact ties, degenerate profiles, all-rejected lanes and pass-2 bars.
+  util::Rng rng(2005);
+  const auto pick = [&rng](std::size_t lo, std::size_t hi) {
+    return static_cast<std::size_t>(rng.uniform_int(
+        static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi)));
+  };
+  const auto shuffle = [&pick](std::vector<std::size_t>& v) {
+    std::iota(v.begin(), v.end(), std::size_t{0});
+    for (std::size_t i = v.size(); i > 1; --i) {
+      std::swap(v[i - 1], v[pick(0, i - 1)]);
+    }
+  };
+  std::uint64_t pruned = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE(trial);
+    const int mode = trial % 4;  // 0 plain, 1 ties, 2 flat profile, 3 -2s
+    const std::size_t channels = trial % 8 < 4 ? 45 : 115;
+    const double mask = rng.uniform(0.0, 0.4);
+    const std::size_t w = pick(20, 100);
+    const std::size_t len_a = w + pick(0, 60);
+    const std::size_t len_b = w + pick(40, 300);
+    // Tie copies (modes 1 and 2) in different blocks, each a seed below.
+    const std::size_t p1 = pick(0, len_b - w - 20);
+    const std::size_t p2 = pick(p1 + 20, len_b - w);
+    // Independent draws keep a tie copy's neighbours far below it.
+    Grid ga = random_grid(rng, len_a, channels, mask, mode != 1);
+    Grid gb = random_grid(rng, len_b, channels, mask, mode != 1);
+    std::vector<std::size_t> rows(channels);
+    shuffle(rows);
+    rows.resize(45);
+    const std::size_t a_start = pick(0, len_a - w);
+    if (mode == 2) {
+      // Every channel carries one waveform: equal channel means, so the
+      // profile term is rounding noise that the clamp must bound.
+      for (Grid* g : {&ga, &gb}) {
+        for (std::size_t i = 0; i < g->dbm.size() / channels; ++i) {
+          for (std::size_t c = 1; c < channels; ++c) g->at(i, c) = g->at(i, 0);
+        }
+      }
+    }
+    if (mode == 1 || mode == 2) {
+      // Plant the fixed window at two positions: rows 0-3 fully usable
+      // and shuffled alike in both copies, the rest exact copies. Equal
+      // means give a profile term of exactly 1, so the rows past the
+      // first check bound the copies tightly.
+      for (std::size_t kk = 0; kk < 4; ++kk) {
+        for (std::size_t i = 0; i < w; ++i) {
+          float& v = ga.at(a_start + i, rows[kk]);
+          if (std::isnan(v)) v = -70.0f;
+        }
+      }
+      std::vector<std::size_t> order(w);
+      shuffle(order);
+      for (const std::size_t p : {p1, p2}) {
+        for (std::size_t i = 0; i < w; ++i) {
+          for (std::size_t c = 0; c < channels; ++c) {
+            gb.at(p + i, c) = ga.at(a_start + i, c);
+          }
+          for (std::size_t kk = 0; kk < 4 && mode == 1; ++kk) {
+            gb.at(p + i, rows[kk]) = ga.at(a_start + order[i], rows[kk]);
+          }
+        }
+      }
+    }
+    SynConfig cfg;
+    cfg.window_m = w;
+    if (mode == 3) cfg.correlation.min_channels = 46;  // every lane -2
+    const SynSeeker seeker(cfg);
+    const auto a = ga.trajectory();
+    const auto b = gb.trajectory();
+    PackedContext pa;
+    PackedContext pb;
+    pa.sync(a);
+    pb.sync(b);
+    const ScanPair pair = seeker.scan_pair({pa.span(), rows}, a_start,
+                                           {pb.span(), rows}, nullptr, nullptr);
+    const std::size_t last = len_b - w + 1;
+    const std::size_t lo = trial % 3 == 0 ? pick(0, last - 1) : 0;
+    const std::size_t hi = trial % 5 == 0 ? last + 7 : last;
+    std::uint64_t before = kernel_blocks();
+    const auto full = seeker.best_over_positions(pair, w, lo, hi);
+    const std::uint64_t full_blocks = kernel_blocks() - before;
+    ASSERT_TRUE(full.valid);
+
+    obs::Counter& pruned_blocks =
+        obs::Registry::global().counter("syn.pruned_blocks");
+    const auto check = [&](const SynSeeker::Pruning& pr) {
+      SCOPED_TRACE(pr.bar);
+      SCOPED_TRACE(pr.seed.value_or(~std::size_t{0}));
+      const std::uint64_t p0 = pruned_blocks.value();
+      before = kernel_blocks();
+      const auto got = seeker.best_over_positions(pair, w, lo, hi, &pr);
+      EXPECT_EQ(kernel_blocks() - before, full_blocks);
+      pruned += pruned_blocks.value() - p0;
+      if (!(full.correlation > pr.bar)) {
+        EXPECT_FALSE(got.valid);
+        return;
+      }
+      ASSERT_TRUE(got.valid);
+      EXPECT_EQ(got.position, full.position);
+      EXPECT_EQ(std::memcmp(&got.correlation, &full.correlation, 8), 0)
+          << got.correlation << " vs " << full.correlation;
+    };
+    const std::size_t inside = pick(lo, last - 1);
+    for (const std::optional<std::size_t> seed :
+         {std::optional<std::size_t>{}, std::optional{inside},
+          std::optional{lo}, std::optional{last - 1}, std::optional{p1},
+          std::optional{p2}, std::optional<std::size_t>{0},
+          std::optional{last + 500}, std::optional{~std::size_t{0}}}) {
+      check({-std::numeric_limits<double>::infinity(), seed});
+    }
+    const double s = full.correlation;
+    for (const double bar : {s, std::nextafter(s, -HUGE_VAL),
+                             std::nextafter(s, HUGE_VAL), s - 0.5}) {
+      check({bar, inside});
+    }
+  }
+  EXPECT_GT(pruned, 0u);
+}
+
+TEST(SynCache, DisabledCacheCarriesNoSeed) {
+  // The neighbour leads by 60 m, so pass 1's match lies past its first
+  // blocks. A seeker that keeps its scratch seeds the second search there
+  // and prunes more; a disabled cache searches cold every time.
+  const SynConfig cfg = small_config();
+  const auto a = drive(8, 0, 200, 30, 0.5, 60);
+  const auto b = drive(8, 60, 200, 30, 0.5, 61);
+  PackedContext pa;
+  pa.sync(a);
+  obs::Counter& pruned = obs::Registry::global().counter("syn.pruned_blocks");
+  const auto twice = [&](const auto& query) {
+    std::uint64_t counts[2];
+    for (std::uint64_t& n : counts) {
+      const std::uint64_t before = pruned.value();
+      query();
+      n = pruned.value() - before;
+    }
+    return std::pair{counts[0], counts[1]};
+  };
+  SynCacheConfig off;
+  off.enabled = false;
+  SynCache cache(cfg, off);
+  std::vector<SynPoint> got;
+  const auto [cold1, cold2] = twice([&] {
+    cache.find_into(a, b, &pa, nullptr, got);
+    ASSERT_FALSE(got.empty());
+  });
+  EXPECT_EQ(cold1, cold2);
+  const SynSeeker seeker(cfg);
+  SynSeeker::SeekScratch ws;
+  const auto [first, seeded] = twice([&] {
+    seeker.find_into(a, b, &pa, nullptr, nullptr, nullptr, ws, got);
+  });
+  EXPECT_EQ(first, cold1);
+  EXPECT_GT(seeded, first);
 }
 
 TEST(SynCache, TopClampedShortBandsTrackLikeAColdSearch) {
