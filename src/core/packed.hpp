@@ -225,8 +225,9 @@ struct PrunedBest {
 /// batch's own grid (packed_batch_blocks). The block holding `seed`
 /// (clamped into the range) is scored first, then the others in ascending
 /// order. Each one stops, every 4 channels, as soon as no lane can reach
-/// the larger of `bar` and the best score so far (DESIGN §11). A range
-/// whose best does not strictly beat `bar` returns valid = false.
+/// the larger of `bar` and the best score so far, capped at 1.5 (DESIGN
+/// §11). A range whose best does not strictly beat `bar` returns
+/// valid = false.
 [[nodiscard]] PrunedBest packed_best_pruned(
     const PackedView& fixed, std::size_t fixed_start, const PackedView& sliding,
     std::size_t pos_lo, std::size_t pos_count, std::size_t window,

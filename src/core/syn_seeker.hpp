@@ -97,10 +97,12 @@ void rank_recent_windows(const ContextTrajectory& t, const SynConfig& config,
 ///
 /// At kFloat32 the two passes are an exact pruned search (DESIGN §11): a
 /// 16-lane block stops once none of its lanes can reach the best score so
-/// far. Pass 1 scores first the block where the last SYN point accepted
-/// through the same SeekScratch predicts the match, and pass 2 is held to
-/// pass 1's score when pass 1 was accepted. The SYN points are the
-/// unpruned search's, bit for bit; only the time depends on the hint.
+/// far, capped at 1.5 so that the cost barely depends on how well the
+/// trajectories match. Pass 1 scores first the block where the last SYN
+/// point accepted through the same SeekScratch predicts the match, and
+/// pass 2 is held to pass 1's score when pass 1 was accepted. The SYN
+/// points are the unpruned search's, bit for bit; only the time depends on
+/// the hint.
 ///
 /// The one seek core: SynCache's tracking band reuses plan_into(),
 /// scan_pair() and accept() rather than copying them. Callers that query
