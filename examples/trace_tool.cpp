@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "core/quant.hpp"
 #include "obs/obs.hpp"
 #include "sim/campaign.hpp"
 #include "sim/convoy_sim.hpp"
@@ -34,14 +33,10 @@ using namespace rups;
 
 namespace {
 
-/// SYN kernel precision for every engine this tool builds (--precision).
-core::KernelPrecision g_precision = core::KernelPrecision::kFloat32;
-
 sim::Scenario make_scenario(std::uint64_t seed) {
   sim::Scenario s =
       sim::Scenario::two_car(seed, road::EnvironmentType::kFourLaneUrban);
   s.route_length_m = 6'000.0;
-  s.rups.syn.precision = g_precision;
   return s;
 }
 
@@ -62,9 +57,7 @@ sim::VehicleTrace record(std::uint64_t seed, double duration_s) {
 }
 
 core::RupsEngine replay(const sim::VehicleTrace& trace) {
-  core::RupsConfig cfg;  // paper defaults, 115 channels
-  cfg.syn.precision = g_precision;
-  core::RupsEngine engine(cfg);
+  core::RupsEngine engine;  // paper defaults, 115 channels
   sim::replay_trace(trace, engine);
   return engine;
 }
@@ -144,10 +137,6 @@ void print_help() {
       "  --serve PORT         serve live /metrics (Prometheus text) and\n"
       "                       /healthz on 127.0.0.1:PORT while running\n"
       "                       (0 picks an ephemeral port)\n"
-      "  --precision P        SYN correlation kernel precision: float32\n"
-      "                       (default, bit-exact reference), int16 or int8\n"
-      "                       (quantized integer kernels, bounded score\n"
-      "                       error — see DESIGN.md section 15)\n"
       "  --help               this text\n");
 }
 
@@ -176,27 +165,6 @@ int main(int argc, char** argv) {
        : arg == "--trace-out"   ? trace_out
        : arg == "--series-out"  ? series_out
                                 : profile_out) = argv[++i];
-    } else if (arg == "--precision") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "error: --precision requires a value "
-                     "(float32|int16|int8)\n");
-        return 2;
-      }
-      const std::string value = argv[++i];
-      if (value == "float32") {
-        g_precision = core::KernelPrecision::kFloat32;
-      } else if (value == "int16") {
-        g_precision = core::KernelPrecision::kInt16;
-      } else if (value == "int8") {
-        g_precision = core::KernelPrecision::kInt8;
-      } else {
-        std::fprintf(stderr,
-                     "error: --precision: unknown precision '%s' "
-                     "(float32|int16|int8)\n",
-                     value.c_str());
-        return 2;
-      }
     } else if (arg == "--serve") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "error: --serve requires a port (0 = any)\n");

@@ -1,26 +1,28 @@
 #!/usr/bin/env bash
-# Bench regression gate: run ten quick, seeded bench passes and diff each
+# Bench regression gate: run nine quick, seeded bench passes and diff each
 # pass's output against its section of BENCH_obs_baseline.json with
 # obs_diff. The baseline lists exactly the rows the gate compares; a row
 # the candidate no longer emits fails its pass.
 #
 # Why each tolerance:
 #  - Counters of fixed-size seeded runs (comm, fleet, kernel sweep shape,
-#    fault delivery, telemetry, profile, quant accuracy, service, stream)
-#    are exact functions of the seeds: 2%, two-sided. Any drift means the
+#    fault delivery, telemetry, profile, service, stream) are exact
+#    functions of the seeds: 2%, two-sided. Any drift means the
 #    byte path, cache, protocol or estimator actually changed.
 #  - Gauges from the same seeded runs (per-profile errors, efficiency,
-#    admission and queue levels): 5%. The allocation-census gauges of the
-#    profile pass: 10%. fleet's hit-rate and neighbour gauges: 25%.
+#    admission and queue levels): 5%. The per-stage allocation-census
+#    gauges of the profile pass (alloc.count{stage}, alloc.bytes{stage}):
+#    10%. fleet's hit-rate and neighbour gauges: 25%.
 #  - Timings depend on the host and its load (small containers show
 #    +-10-25% noise): compute cpu times and the paper-point ns-per-position
-#    gauges of the kernel and quant passes are one-sided at 100%, so only
-#    a >2x slowdown fails. The wall-clock series quantile columns
+#    gauges of the kernel pass are one-sided at 100%, so only a >2x
+#    slowdown fails. The wall-clock series quantile columns
 #    (#p50/#p95/#p99) of the telemetry pass are one-sided at 400%.
-#  - Not in the baseline at all: histograms, speedup gauges (their floors
-#    are kernel_speedup_gate and quantized_speedup_gate), profiler ticks,
-#    and wall-clock-fed health.latency_p99_us, health.alerts and
-#    log.suppressed.
+#  - Not in the baseline at all: histograms, speedup gauges (their floor
+#    is kernel_speedup_gate), profiler ticks, wall-clock-fed
+#    health.latency_p99_us, health.alerts and log.suppressed, and the
+#    per-round allocation totals alloc.round_allocs_* (steady_alloc_gate
+#    ratchets those, one-sided, against BENCH_alloc_baseline.json).
 #
 # To regenerate a section: run its row's command in an empty directory
 # with <build-dir>/bench on PATH, then copy into the section the new value
@@ -59,9 +61,6 @@ telemetry_metrics|--counter-tol 0.02 --gauge-tol 0.05 --series-tol 0.05 \
 --series-timing-tol 4.0"
   "profile|bench_profile --report-only|bench_out/profile_metrics.json|\
 profile_metrics|--counter-tol 0.02 --gauge-tol 0.10"
-  "quant|RUPS_BENCH_SCALE=0.3 bench_syn_kernel --quant-report|\
-bench_out/syn_quant_metrics.json|quant_metrics|\
---counter-tol 0.02 --gauge-tol 1.0 --gauge-one-sided"
   "service|bench_service_scaling --report-only|\
 bench_out/service_scaling_metrics.json|service_metrics|\
 --counter-tol 0.02 --gauge-tol 0.05"

@@ -57,24 +57,10 @@ expect_in_output "help lists --serve" "--serve"
 check "trace_tool unknown flag exits 2" 2 "$trace_tool" demo --frobnicate
 expect_in_output "error names the flag" "--frobnicate"
 
-# --precision: documented, validated, and functional at each width (a tiny
-# quantized campaign must exit clean — same contract as the float default).
-expect_help() { last_output=$("$trace_tool" --help 2>&1); }
-expect_help
-expect_in_output "help lists --precision" "--precision"
-expect_in_output "help lists the int16 precision" "int16"
-check "trace_tool --precision without value exits 2" 2 \
-  "$trace_tool" campaign 1 --precision
+# The kernel has one precision, so --precision is an unknown flag.
+check "trace_tool --precision is not a flag (exit 2)" 2 \
+  "$trace_tool" demo --precision float32
 expect_in_output "error names the flag" "--precision"
-check "trace_tool --precision rejects a bad value (exit 2)" 2 \
-  "$trace_tool" campaign 1 --precision float64
-expect_in_output "error names the bad precision" "float64"
-check "trace_tool campaign --precision int16 exits 0" 0 \
-  "$trace_tool" campaign 2 --precision int16
-check "trace_tool campaign --precision int8 exits 0" 0 \
-  "$trace_tool" campaign 2 --precision int8
-check "trace_tool campaign --precision float32 exits 0" 0 \
-  "$trace_tool" campaign 2 --precision float32
 
 check "trace_tool --metrics-out without value exits 2" 2 \
   "$trace_tool" demo --metrics-out

@@ -9,7 +9,9 @@
 #     the codec fuzz tests (decoder fed random/truncated/bit-flipped
 #     buffers must fail by exception, never by out-of-bounds reads; the
 #     encoder fed NaN/±inf readings, headings and times must never
-#     convert one to an integer, which UBSan reports),
+#     convert one to an integer, which UBSan reports) and the V2V suite
+#     (codec round trips after eviction, WSM fragment reassembly with
+#     missing, duplicate and out-of-order fragments, link timing),
 #     the lag-batched kernel bit-identity tests (overlapped tail blocks,
 #     sub-block remainders and the usable-row loop's read-range check
 #     are exactly the kind of indexing asan vets),
@@ -17,12 +19,6 @@
 #     SubsetPack fallback's index arithmetic, SynCache's lock arithmetic
 #     on any u64 first metre, pack reuse, the engine's query path and its
 #     ingest rejections),
-#     the quantized-kernel differential suite and its pack-builder fuzz
-#     (random/NaN/±inf/out-of-range dBm through one-shot builds and
-#     eviction-heavy sync cycles must clamp or mask, never UB — the
-#     element-staggered even/odd loads of the integer lag passes read
-#     past the window, and every ISA variant the host supports runs
-#     against the generic pass here, which is prime asan territory),
 #     the fault-injection suites (FaultyChannel truncation/bit-flip paths
 #     and the salvage decoder index arithmetic), the ops-plane surfaces
 #     (sampling profiler seqlock reads, Prometheus exporter socket loop,
@@ -72,9 +68,8 @@ cd "$repo_root"
 asan_tests=(
   test_obs test_obs_recorder test_obs_health
   test_obs_family test_obs_series test_obs_spans
-  test_obs_pipeline test_json test_codec_fuzz test_packed_batch
+  test_obs_pipeline test_json test_codec_fuzz test_v2v test_packed_batch
   test_syn_seeker test_packed_windows test_engine
-  test_quant_kernel test_quant_fuzz
   test_wsm_faults test_exchange_degraded
   test_profiler test_alloc test_expo test_ops_shutdown
   test_service test_service_concurrency

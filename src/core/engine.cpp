@@ -134,8 +134,8 @@ std::vector<SynPoint> RupsEngine::find_syn_points(
   // sync extends it incrementally instead of re-extracting per query.
   context_pack_.sync(context_, pack_volatile_suffix_m(config_.binder));
   std::vector<SynPoint> syns;
-  seeker_.find_into(context_, neighbour, &context_pack_, nullptr, nullptr,
-                    nullptr, seek_scratch_, syns);
+  seeker_.find_into(context_, neighbour, &context_pack_, nullptr,
+                    seek_scratch_, syns);
   return syns;
 }
 

@@ -61,7 +61,6 @@ void FleetEngine::forget(std::uint64_t id) { shards_.erase(id); }
 void FleetEngine::clear() {
   shards_.clear();
   ego_pack_.clear();
-  ego_qpack_.clear();
   ego_ranks_ = {};
 }
 
@@ -131,12 +130,6 @@ void FleetEngine::estimate_batch_into(
                         ego_pack);
     ego_ranks = &ego_ranks_;
   }
-  const KernelPrecision prec = config_.rups.syn.precision;
-  const QuantizedPack* ego_q = nullptr;
-  if (prec != KernelPrecision::kFloat32) {
-    ego_qpack_.sync(*ego_pack, prec, config_.cache.volatile_suffix_m);
-    ego_q = &ego_qpack_;
-  }
   for (std::size_t i = 0; i < ids.size(); ++i) {
     auto [it, inserted] = shards_.try_emplace(ids[i]);
     if (inserted) {
@@ -158,7 +151,7 @@ void FleetEngine::estimate_batch_into(
     obs::ObsTimer task_timer(&m.task_us, "fleet.task", batch_span);
     SynCache& shard = *shards_.find(ids[i])->second;
     NeighbourResult& r = results[i];
-    shard.find_into(ego, *neighbours[i], ego_pack, ego_q, r.syn_points,
+    shard.find_into(ego, *neighbours[i], ego_pack, r.syn_points,
                     neighbour_packs.empty() ? nullptr : neighbour_packs[i],
                     ego_ranks,
                     neighbour_ranks.empty() ? nullptr : neighbour_ranks[i]);

@@ -105,10 +105,6 @@ class FleetEngine {
   FleetConfig config_;
   /// Own ego pack, synced only when the caller passes none in sync.
   PackedContext ego_pack_;
-  /// Quantized mirror of the batch's ego pack, synced once per batch and
-  /// shared read-only by every shard — only when rups.syn.precision !=
-  /// kFloat32.
-  QuantizedPack ego_qpack_;
   /// Own ranking of the ego's recent windows, refreshed once per batch
   /// (before any shard runs) when the caller passes none.
   WindowRanks ego_ranks_;

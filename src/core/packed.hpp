@@ -98,10 +98,6 @@ class PackedContext {
            channels_ == t.channels() && metres_ == t.size() &&
            (t.empty() || first_metre_ == t.first_metre());
   }
-  /// identity() and revision() of the trajectory state last synced, so a
-  /// mirror of this pack can tell appends from edits and replacements.
-  [[nodiscard]] std::uint64_t identity() const noexcept { return identity_; }
-  [[nodiscard]] std::uint64_t revision() const noexcept { return revision_; }
 
   void clear() noexcept {
     base_ = metres_ = 0;

@@ -69,8 +69,7 @@ SynCache::SynCache(SynConfig syn, SynCacheConfig config)
 SynCache::TrackOutcome SynCache::verify_tracked(
     const ContextTrajectory& local, const ContextTrajectory& neighbour,
     std::size_t recency_offset_m, const PackedContext& local_pack,
-    const PackedContext& neighbour_pack, const QuantizedPack* local_q,
-    const QuantizedPack* neighbour_q, const WindowRanks* local_ranks,
+    const PackedContext& neighbour_pack, const WindowRanks* local_ranks,
     const WindowRanks* neighbour_ranks) {
   seeker_.plan_into(local, neighbour, recency_offset_m, scratch_, &local_pack,
                     &neighbour_pack, local_ranks, neighbour_ranks);
@@ -92,7 +91,7 @@ SynCache::TrackOutcome SynCache::verify_tracked(
   // Pass 2: where the neighbour fixed window should land locally.
   const std::uint64_t pred_a = n_first + p.b_start + lock_offset_m_ - l_first;
 
-  // The full search's own pass wiring, kernel and precision, over a band.
+  // The full search's own pass wiring and kernel, over a band.
   const PackedSpan local_span = local_pack.span();
   const PackedSpan neighbour_span = neighbour_pack.span();
   SynSeeker::Candidate on_b;
@@ -102,17 +101,14 @@ SynCache::TrackOutcome SynCache::verify_tracked(
           tracking_band(pred_b, neighbour_span.metres, p.window, radius);
       lo < hi) {
     on_b = seeker_.best_over_positions(
-        seeker_.scan_pair({local_span, p.channels_a}, p.a_start,
-                          {neighbour_span, p.channels_a}, local_q,
-                          neighbour_q),
+        {{local_span, p.channels_a}, p.a_start, {neighbour_span, p.channels_a}},
         p.window, lo, hi);
   }
   if (const auto [lo, hi] =
           tracking_band(pred_a, local_span.metres, p.window, radius);
       lo < hi) {
     on_a = seeker_.best_over_positions(
-        seeker_.scan_pair({neighbour_span, p.channels_b}, p.b_start,
-                          {local_span, p.channels_b}, neighbour_q, local_q),
+        {{neighbour_span, p.channels_b}, p.b_start, {local_span, p.channels_b}},
         p.window, lo, hi);
   }
   // The full search's own accept rule; a miss falls back to a full seek.
@@ -140,18 +136,12 @@ void SynCache::update_lock(const ContextTrajectory& local,
 void SynCache::find_into(const ContextTrajectory& local,
                          const ContextTrajectory& neighbour,
                          const PackedContext* local_pack,
-                         const QuantizedPack* local_qpack,
                          std::vector<SynPoint>& out,
                          const PackedContext* neighbour_pack,
                          const WindowRanks* local_ranks,
                          const WindowRanks* neighbour_ranks) {
-  const KernelPrecision prec = seeker_.config().precision;
-  const bool quantized = prec != KernelPrecision::kFloat32;
-  if (local_pack == nullptr || !local_pack->in_sync_with(local) ||
-      (quantized &&
-       (local_qpack == nullptr || !local_qpack->mirrors(*local_pack, prec)))) {
-    throw std::invalid_argument(
-        "SynCache: the ego pack (and its quantized mirror) must be in sync");
+  if (local_pack == nullptr || !local_pack->in_sync_with(local)) {
+    throw std::invalid_argument("SynCache: the ego pack must be in sync");
   }
   out.clear();
   CacheMetrics& m = cache_metrics();
@@ -167,11 +157,6 @@ void SynCache::find_into(const ContextTrajectory& local,
     np = &neighbour_pack_;
   }
 
-  // Quantized mirror of whichever neighbour pack the scans will read.
-  if (quantized) neighbour_q_.sync(*np, prec, config_.volatile_suffix_m);
-  const QuantizedPack* lq = quantized ? local_qpack : nullptr;
-  const QuantizedPack* nq = quantized ? &neighbour_q_ : nullptr;
-
   if (!config_.enabled || !locked_) {
     // Cold (or tracking disabled): the full multi-offset search, through
     // the member scratch.
@@ -180,7 +165,7 @@ void SynCache::find_into(const ContextTrajectory& local,
     m.full.inc(points);
     m.resolution.with("full").inc(points);
     if (!config_.enabled) scratch_.last_offset_m.reset();
-    seeker_.find_into(local, neighbour, local_pack, np, lq, nq, scratch_, out,
+    seeker_.find_into(local, neighbour, local_pack, np, scratch_, out,
                       local_ranks, neighbour_ranks);
     if (config_.enabled) update_lock(local, neighbour, out);
     return;
@@ -193,7 +178,7 @@ void SynCache::find_into(const ContextTrajectory& local,
     {
       obs::ObsTimer timer(&m.track_us, "syncache.track");
       outcome = verify_tracked(local, neighbour, offset, *local_pack, *np,
-                               lq, nq, local_ranks, neighbour_ranks);
+                               local_ranks, neighbour_ranks);
     }
     if (outcome.resolved) {
       ++stats_.tracking_hits;
@@ -215,9 +200,8 @@ void SynCache::find_into(const ContextTrajectory& local,
     ++stats_.full_searches;
     m.full.inc();
     obs::ObsTimer timer(&m.full_us, "syncache.full");
-    const auto syn =
-        seeker_.find_one(local, neighbour, offset, local_pack, np, lq, nq,
-                         &scratch_, local_ranks, neighbour_ranks);
+    const auto syn = seeker_.find_one(local, neighbour, offset, local_pack, np,
+                                      &scratch_, local_ranks, neighbour_ranks);
     if (syn.has_value()) out.push_back(*syn);
   }
   SynSeeker::sort_best_first(out);

@@ -15,6 +15,7 @@
 // threshold — falls back to the full SynSeeker search for that offset.
 // Steady-state per-query cost drops from O(m·w·k) to O(radius·w·k).
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -54,11 +55,11 @@ class SynCache {
 
   /// Drop-in equivalent of SynSeeker(syn).find(local, neighbour), written
   /// into `out` (cleared first, capacity retained). The ego side is the
-  /// caller's: `local_pack` must be in sync with `local` and, below
-  /// kFloat32, `local_qpack` must mirror it (FleetEngine shares one of each
-  /// across all shards); otherwise std::invalid_argument, before any state
-  /// changes. A `neighbour_pack` in sync with `neighbour` wins over the
-  /// cache's own copy (MatcherService packs each vehicle once per drain).
+  /// caller's: `local_pack` must be in sync with `local` (FleetEngine
+  /// shares one across all shards); otherwise std::invalid_argument, before
+  /// any state changes. A `neighbour_pack` in sync with `neighbour` wins
+  /// over the cache's own copy (MatcherService packs each vehicle once per
+  /// drain).
   /// `local_ranks` / `neighbour_ranks` are window rankings prepared once
   /// per round (FleetEngine's ego ranking, MatcherService's per-vehicle
   /// ones); a plan whose window they do not hold ranks in place.
@@ -67,12 +68,20 @@ class SynCache {
   /// once the session is warm.
   void find_into(const ContextTrajectory& local,
                  const ContextTrajectory& neighbour,
-                 const PackedContext* local_pack,
-                 const QuantizedPack* local_qpack,
-                 std::vector<SynPoint>& out,
+                 const PackedContext* local_pack, std::vector<SynPoint>& out,
                  const PackedContext* neighbour_pack = nullptr,
                  const WindowRanks* local_ranks = nullptr,
                  const WindowRanks* neighbour_ranks = nullptr);
+
+  /// The same query through the call shape that still passes a null in a
+  /// fourth slot: perfbench's stream_urban calls it so. It goes when that
+  /// caller is next edited.
+  void find_into(const ContextTrajectory& local,
+                 const ContextTrajectory& neighbour,
+                 const PackedContext* local_pack, std::nullptr_t,
+                 std::vector<SynPoint>& out) {
+    find_into(local, neighbour, local_pack, out);
+  }
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
@@ -82,10 +91,7 @@ class SynCache {
     std::optional<SynPoint> syn;
   };
 
-  /// Both packs are in sync with their trajectories; `local_q` /
-  /// `neighbour_q` are quantized mirrors of them (null at kFloat32): the
-  /// band re-verification then runs the same quantized kernel as the full
-  /// search, so precision cannot split the two paths.
+  /// Both packs are in sync with their trajectories.
   /// Non-const: plans through the member scratch_ so warm re-verification
   /// never heap-allocates.
   [[nodiscard]] TrackOutcome verify_tracked(const ContextTrajectory& local,
@@ -93,8 +99,6 @@ class SynCache {
                                             std::size_t recency_offset_m,
                                             const PackedContext& local_pack,
                                             const PackedContext& neighbour_pack,
-                                            const QuantizedPack* local_q,
-                                            const QuantizedPack* neighbour_q,
                                             const WindowRanks* local_ranks,
                                             const WindowRanks* neighbour_ranks);
 
@@ -106,9 +110,6 @@ class SynCache {
   SynSeeker seeker_;
   /// Own neighbour pack, synced only when the caller passes none in sync.
   PackedContext neighbour_pack_;
-  /// Quantized neighbour mirror, synced only when syn.precision !=
-  /// kFloat32.
-  QuantizedPack neighbour_q_;
   bool locked_ = false;
   /// (local − neighbour) odometer metre of the last accepted SYN point,
   /// wrapped mod 2^64 so any pair of first_metre() values is defined.

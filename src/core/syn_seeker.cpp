@@ -65,10 +65,8 @@ void validate(const SynConfig& config) {
   if (config.coarse_stride_m > 1) {
     throw std::invalid_argument("SynConfig: coarse_stride_m must be 0 or 1");
   }
-  if (config.precision != KernelPrecision::kFloat32 &&
-      config.window_m > kQuantMaxWindowM) {
-    throw std::invalid_argument(
-        "SynConfig: quantized precision needs window_m <= kQuantMaxWindowM");
+  if (config.precision != KernelPrecision::kFloat32) {
+    throw std::invalid_argument("SynConfig: precision must be kFloat32");
   }
 }
 
@@ -195,7 +193,7 @@ SynSeeker::Candidate SynSeeker::best_over_positions(
   if (pos_lo >= pos_hi) return best;
   const std::size_t count = pos_hi - pos_lo;
 
-  if (pruning != nullptr && pair.precision == KernelPrecision::kFloat32) {
+  if (pruning != nullptr) {
     const PrunedBest r = packed_best_pruned(
         pair.fixed, pair.fixed_start, pair.sliding, pos_lo, count, window,
         config_.correlation, pruning->seed.value_or(pos_lo), pruning->bar);
@@ -215,33 +213,18 @@ SynSeeker::Candidate SynSeeker::best_over_positions(
   for (std::size_t done = 0; done < count;) {
     const std::size_t first = pos_lo + done;
     const std::size_t n = std::min(kScanChunk, count - done);
-    scan_correlation_batch(pair, first, n, window, config_.correlation,
-                           scores);
+    packed_correlation_batch(pair.fixed, pair.fixed_start, pair.sliding, first,
+                             n, window, config_.correlation, scores);
     for (std::size_t b = 0; b < n; ++b) {
       if (!best.valid || scores[b] > best.correlation) {
         best = {scores[b], first + b, true};
       }
     }
-    blocks += pair.precision == KernelPrecision::kFloat32
-                  ? packed_batch_blocks(n, window, pair.sliding.span.metres)
-                  : (n + kLagBlock - 1) / kLagBlock;
+    blocks += packed_batch_blocks(n, window, pair.sliding.span.metres);
     done += n;
   }
   syn_metrics().kernel_blocks.inc(blocks);
   return best;
-}
-
-ScanPair SynSeeker::scan_pair(const PackedView& fixed,
-                              std::size_t fixed_start,
-                              const PackedView& sliding,
-                              const QuantizedPack* qfixed,
-                              const QuantizedPack* qsliding) const {
-  ScanPair pair{config_.precision, fixed, fixed_start, sliding, {}, {}};
-  if (config_.precision != KernelPrecision::kFloat32) {
-    pair.qfixed = {qfixed->span(), fixed.rows};
-    pair.qsliding = {qsliding->span(), sliding.rows};
-  }
-  return pair;
 }
 
 std::optional<SynPoint> SynSeeker::accept(const SeekPlan& plan,
@@ -270,8 +253,7 @@ void SynSeeker::sort_best_first(std::vector<SynPoint>& points) {
 std::optional<SynPoint> SynSeeker::find_one(
     const ContextTrajectory& a, const ContextTrajectory& b,
     std::size_t recency_offset_m, const PackedContext* pack_a,
-    const PackedContext* pack_b, const QuantizedPack* qpack_a,
-    const QuantizedPack* qpack_b, SeekScratch* scratch,
+    const PackedContext* pack_b, SeekScratch* scratch,
     const WindowRanks* ranks_a, const WindowRanks* ranks_b) const {
   SeekScratch local_scratch;
   SeekScratch& ws = scratch != nullptr ? *scratch : local_scratch;
@@ -304,59 +286,28 @@ std::optional<SynPoint> SynSeeker::find_one(
   const std::span<const std::size_t> rows_kb =
       identity.first(p.channels_b.size());
 
-  // Quantized operands (below kFloat32 only). A pack-backed side serves
-  // both roles from the caller's mirror when it mirrors the SAME pack
-  // state; otherwise, and for every SubsetPack operand, the scanned span is
-  // quantized one-shot into q_scratch, which outlives the scans.
-  const KernelPrecision prec = config_.precision;
-  const bool quantized = prec != KernelPrecision::kFloat32;
-  QuantizedPack q_scratch[4];
-  std::size_t q_used = 0;
-  const auto mirror_of = [&](const PackedSpan& span, const PackedContext* pack,
-                             const QuantizedPack* mirror)
-      -> const QuantizedPack* {
-    if (!quantized) return nullptr;
-    if (pack != nullptr && mirror != nullptr && mirror->mirrors(*pack, prec)) {
-      return mirror;
-    }
-    QuantizedPack& q = q_scratch[q_used++];
-    q.build(span, prec);
-    return &q;
-  };
-
   SubsetPack fixed_a, slide_b, fixed_b, slide_a;
-  PackedView f1, s1, f2, s2;
-  const QuantizedPack *qf1, *qs1, *qf2, *qs2;
-  std::size_t f1_start = 0;
-  std::size_t f2_start = 0;
+  ScanPair pass1, pass2;
   if (have_a) {
-    f1 = {pack_a->span(), p.channels_a};
-    f1_start = p.a_start;
-    s2 = {pack_a->span(), p.channels_b};
-    qf1 = qs2 = mirror_of(pack_a->span(), pack_a, qpack_a);
+    pass1.fixed = {pack_a->span(), p.channels_a};
+    pass1.fixed_start = p.a_start;
+    pass2.sliding = {pack_a->span(), p.channels_b};
   } else {
     fixed_a = SubsetPack(a, p.channels_a, p.a_start, p.window);
-    f1 = {fixed_a.span(), rows_ka};
-    qf1 = mirror_of(fixed_a.span(), nullptr, nullptr);
+    pass1.fixed = {fixed_a.span(), rows_ka};
     slide_a = SubsetPack(a, p.channels_b, 0, a.size());
-    s2 = {slide_a.span(), rows_kb};
-    qs2 = mirror_of(slide_a.span(), nullptr, nullptr);
+    pass2.sliding = {slide_a.span(), rows_kb};
   }
   if (have_b) {
-    s1 = {pack_b->span(), p.channels_a};
-    f2 = {pack_b->span(), p.channels_b};
-    f2_start = p.b_start;
-    qs1 = qf2 = mirror_of(pack_b->span(), pack_b, qpack_b);
+    pass1.sliding = {pack_b->span(), p.channels_a};
+    pass2.fixed = {pack_b->span(), p.channels_b};
+    pass2.fixed_start = p.b_start;
   } else {
     slide_b = SubsetPack(b, p.channels_a, 0, b.size());
-    s1 = {slide_b.span(), rows_ka};
-    qs1 = mirror_of(slide_b.span(), nullptr, nullptr);
+    pass1.sliding = {slide_b.span(), rows_ka};
     fixed_b = SubsetPack(b, p.channels_b, p.b_start, p.window);
-    f2 = {fixed_b.span(), rows_kb};
-    qf2 = mirror_of(fixed_b.span(), nullptr, nullptr);
+    pass2.fixed = {fixed_b.span(), rows_kb};
   }
-  const ScanPair pass1 = scan_pair(f1, f1_start, s1, qf1, qs1);
-  const ScanPair pass2 = scan_pair(f2, f2_start, s2, qf2, qs2);
 
   // The fixed window slides over every metre of the other context, as an
   // exact pruned search (DESIGN §11).
@@ -415,21 +366,17 @@ std::optional<SynPoint> SynSeeker::find_one(
 std::vector<SynPoint> SynSeeker::find(const ContextTrajectory& a,
                                       const ContextTrajectory& b,
                                       const PackedContext* pack_a,
-                                      const PackedContext* pack_b,
-                                      const QuantizedPack* qpack_a,
-                                      const QuantizedPack* qpack_b) const {
+                                      const PackedContext* pack_b) const {
   SeekScratch scratch;
   std::vector<SynPoint> out;
-  find_into(a, b, pack_a, pack_b, qpack_a, qpack_b, scratch, out);
+  find_into(a, b, pack_a, pack_b, scratch, out);
   return out;
 }
 
 void SynSeeker::find_into(const ContextTrajectory& a,
                           const ContextTrajectory& b,
                           const PackedContext* pack_a,
-                          const PackedContext* pack_b,
-                          const QuantizedPack* qpack_a,
-                          const QuantizedPack* qpack_b, SeekScratch& scratch,
+                          const PackedContext* pack_b, SeekScratch& scratch,
                           std::vector<SynPoint>& out,
                           const WindowRanks* ranks_a,
                           const WindowRanks* ranks_b) const {
@@ -437,8 +384,8 @@ void SynSeeker::find_into(const ContextTrajectory& a,
   for (std::size_t k = 0; k < std::max<std::size_t>(1, config_.syn_points);
        ++k) {
     const std::size_t offset = k * config_.syn_segment_spacing_m;
-    const auto syn = find_one(a, b, offset, pack_a, pack_b, qpack_a, qpack_b,
-                              &scratch, ranks_a, ranks_b);
+    const auto syn =
+        find_one(a, b, offset, pack_a, pack_b, &scratch, ranks_a, ranks_b);
     if (syn.has_value()) out.push_back(*syn);
   }
   sort_best_first(out);

@@ -10,10 +10,14 @@
 #include "core/channel_select.hpp"
 #include "core/correlation.hpp"
 #include "core/packed.hpp"
-#include "core/quant.hpp"
 #include "core/types.hpp"
 
 namespace rups::core {
+
+/// Correlation kernel precision. Every seek runs the float kernel, so
+/// validate() accepts kFloat32 only; the integer enumerators stay only
+/// because perfbench's config echo names them, and go with that echo.
+enum class KernelPrecision : std::uint8_t { kFloat32, kInt16, kInt8 };
 
 /// Parameters of the SYN-point search (paper Secs. IV-D, V-C, VI-B).
 struct SynConfig {
@@ -49,23 +53,24 @@ struct SynConfig {
   /// Threshold multiplier applied at min_window_m (linear in window size up
   /// to 1.0 at window_m). "Combined with a smaller threshold" — Sec. V-C.
   double adaptive_threshold_floor = 0.75;
-  /// Kernel precision for every correlation scan this seeker issues.
-  /// kFloat32 (default) is the strict bit-identical path; kInt16 and kInt8
-  /// are two quantization grids (|q| <= 1023 and <= 127) on the one int16
-  /// GEMM-shaped kernel (bounded score error, DESIGN §15), and need
-  /// window_m <= kQuantMaxWindowM. Accept/reject plumbing (plan,
-  /// thresholds, tie-breaks) is shared, so precision only changes scores,
-  /// never search structure.
+  /// Pinned to kFloat32, like stride_m: validate() rejects the rest.
   KernelPrecision precision = KernelPrecision::kFloat32;
   TrajectoryCorrelationConfig correlation{};
 };
 
 /// Rejects a SynConfig no seek could run with std::invalid_argument:
-/// stride_m != 1, coarse_stride_m > 1, or a quantized precision with
-/// window_m past kQuantMaxWindowM. SynSeeker, FleetEngine and
-/// MatcherService call it at construction so a bad config fails before
-/// any state changes.
+/// stride_m != 1, coarse_stride_m > 1 or a precision other than
+/// kFloat32. SynSeeker, FleetEngine and MatcherService call it at
+/// construction so a bad config fails before any state changes.
 void validate(const SynConfig& config);
+
+/// One fixed/sliding operand pair of a scan: the fixed window starts at
+/// metre `fixed_start` of `fixed` and slides over `sliding`.
+struct ScanPair {
+  PackedView fixed{};
+  std::size_t fixed_start = 0;
+  PackedView sliding{};
+};
 
 /// One matched overlap between two context trajectories. Indices are the
 /// START entries of the matched windows; the SYN location is the window
@@ -95,9 +100,9 @@ void rank_recent_windows(const ContextTrajectory& t, const SynConfig& config,
 /// segment in the worst case, single-threaded: parallelism lives one level
 /// up, per neighbour (FleetEngine) and per shard (MatcherService).
 ///
-/// At kFloat32 the two passes are an exact pruned search (DESIGN §11): a
-/// 16-lane block stops once none of its lanes can reach the best score so
-/// far, capped at 1.5 so that the cost barely depends on how well the
+/// The two passes are an exact pruned search (DESIGN §11): a 16-lane
+/// block stops once none of its lanes can reach the best score so far,
+/// capped at 1.5 so that the cost barely depends on how well the
 /// trajectories match. Pass 1 scores first the block where the last SYN
 /// point accepted through the same SeekScratch predicts the match, and
 /// pass 2 is held to pass 1's score when pass 1 was accepted. The SYN
@@ -105,11 +110,10 @@ void rank_recent_windows(const ContextTrajectory& t, const SynConfig& config,
 /// the hint.
 ///
 /// The one seek core: SynCache's tracking band reuses plan_into(),
-/// scan_pair() and accept() rather than copying them. Callers that query
-/// repeatedly should pass pre-synced PackedContexts (and, below kFloat32,
-/// their quantized mirrors) and, for a trajectory several queries share,
-/// its held window ranking; a null or stale pack, mirror or ranking is
-/// replaced per call by subset packs, a one-shot quantization or an
+/// best_over_positions() and accept() rather than copying them. Callers
+/// that query repeatedly should pass pre-synced PackedContexts and, for a
+/// trajectory several queries share, its held window ranking; a null or
+/// stale pack or ranking is replaced per call by subset packs or an
 /// in-place ranking — correct, just not amortized.
 class SynSeeker {
  public:
@@ -147,8 +151,7 @@ class SynSeeker {
     std::optional<std::uint64_t> last_offset_m;
   };
 
-  /// Optional exact pruning of a best_over_positions scan; ignored below
-  /// kFloat32.
+  /// Optional exact pruning of a best_over_positions scan.
   struct Pruning {
     /// A result that does not strictly beat this score is dropped.
     double bar = -std::numeric_limits<double>::infinity();
@@ -163,9 +166,7 @@ class SynSeeker {
   [[nodiscard]] std::vector<SynPoint> find(
       const ContextTrajectory& a, const ContextTrajectory& b,
       const PackedContext* pack_a = nullptr,
-      const PackedContext* pack_b = nullptr,
-      const QuantizedPack* qpack_a = nullptr,
-      const QuantizedPack* qpack_b = nullptr) const;
+      const PackedContext* pack_b = nullptr) const;
 
   /// find() through the caller's workspace into `out` (cleared first):
   /// find_one() at each offset k * syn_segment_spacing_m, best-first.
@@ -173,7 +174,6 @@ class SynSeeker {
   /// plan_into).
   void find_into(const ContextTrajectory& a, const ContextTrajectory& b,
                  const PackedContext* pack_a, const PackedContext* pack_b,
-                 const QuantizedPack* qpack_a, const QuantizedPack* qpack_b,
                  SeekScratch& scratch, std::vector<SynPoint>& out,
                  const WindowRanks* ranks_a = nullptr,
                  const WindowRanks* ranks_b = nullptr) const;
@@ -184,10 +184,8 @@ class SynSeeker {
   [[nodiscard]] std::optional<SynPoint> find_one(
       const ContextTrajectory& a, const ContextTrajectory& b,
       std::size_t recency_offset_m = 0, const PackedContext* pack_a = nullptr,
-      const PackedContext* pack_b = nullptr,
-      const QuantizedPack* qpack_a = nullptr,
-      const QuantizedPack* qpack_b = nullptr,
-      SeekScratch* scratch = nullptr, const WindowRanks* ranks_a = nullptr,
+      const PackedContext* pack_b = nullptr, SeekScratch* scratch = nullptr,
+      const WindowRanks* ranks_a = nullptr,
       const WindowRanks* ranks_b = nullptr) const;
 
   /// Plan one recency offset into `scratch.plan` (every field reset,
@@ -203,14 +201,6 @@ class SynSeeker {
                  const WindowRanks* ranks_a = nullptr,
                  const WindowRanks* ranks_b = nullptr) const;
 
-  /// One pass's operands at this seeker's precision: the float views, plus
-  /// below kFloat32 the views of their mirrors `qfixed` / `qsliding`.
-  [[nodiscard]] ScanPair scan_pair(const PackedView& fixed,
-                                   std::size_t fixed_start,
-                                   const PackedView& sliding,
-                                   const QuantizedPack* qfixed,
-                                   const QuantizedPack* qsliding) const;
-
   /// The accept rule: the better of pass 1 (`on_b`, A's window placed in
   /// B) and pass 2 (`on_a`) at or above plan.threshold; pass 2 wins only
   /// on strictly greater correlation.
@@ -222,13 +212,12 @@ class SynSeeker {
   static void sort_best_first(std::vector<SynPoint>& points);
 
   /// Best correlation over the slide positions [pos_lo, pos_hi) metres,
-  /// scored through the precision-dispatched kernel (pair.precision) in
-  /// ascending chunks; ties resolve to the lowest position (bit-identical
-  /// to a serial per-position scan at every precision). pos_hi is clamped
-  /// to the valid position count. Used by the full search's two passes and
-  /// by SynCache's ±verify_radius tracking band. With `pruning` at
-  /// kFloat32 the scan runs packed_best_pruned: the same candidate when
-  /// it strictly beats pruning->bar, an invalid one otherwise.
+  /// scored by packed_correlation_batch in ascending chunks; ties resolve
+  /// to the lowest position (bit-identical to a serial per-position scan).
+  /// pos_hi is clamped to the valid position count. Used by the full
+  /// search's two passes and by SynCache's ±verify_radius tracking band.
+  /// With `pruning` the scan runs packed_best_pruned: the same candidate
+  /// when it strictly beats pruning->bar, an invalid one otherwise.
   [[nodiscard]] Candidate best_over_positions(
       const ScanPair& pair, std::size_t window, std::size_t pos_lo,
       std::size_t pos_hi, const Pruning* pruning = nullptr) const;

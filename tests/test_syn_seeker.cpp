@@ -28,17 +28,47 @@ using test::road_rssi;
 using test::small_config;
 
 TEST(SynSeeker, FindsExactOverlapOffset) {
-  const auto a = drive(1, 0, 200, 30, 0.5, 10);
-  const auto b = drive(1, 50, 200, 30, 0.5, 11);
-  const SynSeeker seeker(small_config());
-  const auto syn = seeker.find_one(a, b);
-  ASSERT_TRUE(syn.has_value());
-  // Matched windows must reference the same road metres:
-  // road(a)=index_a, road(b)=50+index_b  =>  index_a - index_b = 50.
-  EXPECT_NEAR(static_cast<double>(syn->index_a) -
-                  static_cast<double>(syn->index_b),
-              50.0, 2.0);
-  EXPECT_GE(syn->correlation, 1.2);
+  // The compact search, and the paper point (m = 1000, w = 100, k = 45,
+  // 10% of readings missing). Pack-backed and SubsetPack fallback seeks
+  // must find the same point, bit for bit.
+  SynConfig paper;
+  paper.window_m = 100;
+  paper.top_channels = 45;
+  const struct {
+    std::uint64_t road;
+    std::int64_t offset;
+    std::size_t len, channels;
+    double sigma, usable;
+    SynConfig cfg;
+  } cases[] = {{1, 50, 200, 30, 0.5, 1.0, small_config()},
+               {99, 137, 1000, 45, 0.4, 0.9, paper}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.len);
+    const auto a = drive(c.road, 0, c.len, c.channels, c.sigma, 10,
+                         {.usable_fraction = c.usable});
+    const auto b = drive(c.road, c.offset, c.len, c.channels, c.sigma, 11,
+                         {.usable_fraction = c.usable});
+    const SynSeeker seeker(c.cfg);
+    const auto syns = seeker.find(a, b);
+    ASSERT_EQ(syns.size(), 1u);
+    const SynPoint& syn = syns.front();
+    // Matched windows must reference the same road metres:
+    // road(a) = index_a, road(b) = offset + index_b.
+    EXPECT_NEAR(static_cast<double>(syn.index_a) -
+                    static_cast<double>(syn.index_b),
+                static_cast<double>(c.offset), 2.0);
+    EXPECT_GE(syn.correlation, 1.2);
+    PackedContext pa;
+    PackedContext pb;
+    pa.sync(a);
+    pb.sync(b);
+    const auto packed = seeker.find(a, b, &pa, &pb);
+    ASSERT_EQ(packed.size(), 1u);
+    EXPECT_EQ(packed.front().index_a, syn.index_a);
+    EXPECT_EQ(packed.front().index_b, syn.index_b);
+    EXPECT_EQ(packed.front().window_m, syn.window_m);
+    EXPECT_EQ(packed.front().correlation, syn.correlation);
+  }
 }
 
 TEST(SynSeeker, ResolvedDistanceMatchesGroundTruth) {
@@ -209,25 +239,25 @@ TEST(SynSeeker, FullyUsableContextsMatchPerPositionScoring) {
   // A hint, right or wrong, changes no SYN point.
   SynSeeker::SeekScratch ws;
   std::vector<SynPoint> seeded;
-  seeker.find_into(a, b, &pa, &pb, nullptr, nullptr, ws, seeded);
+  seeker.find_into(a, b, &pa, &pb, ws, seeded);
   expect_same_points(want, seeded);
   const std::uint64_t hint = ws.last_offset_m.value();
   for (const std::uint64_t off : {0ULL, 1ULL, 170ULL, ~0ULL}) {
     ws.last_offset_m = hint + off;
-    seeker.find_into(a, b, &pa, &pb, nullptr, nullptr, ws, seeded);
+    seeker.find_into(a, b, &pa, &pb, ws, seeded);
     expect_same_points(want, seeded);
   }
 
   // Both cars drive on 6 m: the cache re-verifies its ±12 m bands.
   SynCache cache(cfg);
   std::vector<SynPoint> got;
-  cache.find_into(a, b, &pa, nullptr, got);
+  cache.find_into(a, b, &pa, got);
   expect_same_points(want, got);
   const auto a2 = drive(5, 0, 306, 30, 0.5, 20);
   const auto b2 = drive(5, 70, 306, 30, 0.5, 21);
   PackedContext pa2;
   pa2.sync(a2);
-  cache.find_into(a2, b2, &pa2, nullptr, got);
+  cache.find_into(a2, b2, &pa2, got);
   EXPECT_EQ(cache.stats().tracking_hits, cfg.syn_points);
   expect_same_points(per_position_find(seeker, a2, b2), got);
 }
@@ -248,7 +278,7 @@ TEST(SynCache, TrackingSurvivesAnyFirstMetre) {
     b.rebase(kFar);
     PackedContext pa;
     pa.sync(a);
-    cache.find_into(a, b, &pa, nullptr, got);
+    cache.find_into(a, b, &pa, got);
     ASSERT_FALSE(got.empty());
     expect_same_points(SynSeeker(cfg).find(a, b), got);
   }
@@ -282,9 +312,8 @@ TEST(SynSeeker, ShortBandCountsTheBlocksThatRun) {
     const PackedView fixed{pa.span(), rows};
     const PackedView sliding{pb.span(), rows};
     const std::uint64_t before = kernel_blocks();
-    const auto got = seeker.best_over_positions(
-        seeker.scan_pair(fixed, last, sliding, nullptr, nullptr), w,
-        last - 4, last + 1);
+    const auto got = seeker.best_over_positions({fixed, last, sliding}, w,
+                                                last - 4, last + 1);
     EXPECT_EQ(kernel_blocks() - before, len == 160 ? 1u : 5u);
     SynSeeker::Candidate want;
     for (std::size_t pos = last - 4; pos <= last; ++pos) {
@@ -414,8 +443,7 @@ TEST(SynSeeker, PrunedScanMatchesFullScan) {
     PackedContext pb;
     pa.sync(a);
     pb.sync(b);
-    const ScanPair pair = seeker.scan_pair({pa.span(), rows}, a_start,
-                                           {pb.span(), rows}, nullptr, nullptr);
+    const ScanPair pair{{pa.span(), rows}, a_start, {pb.span(), rows}};
     const std::size_t last = len_b - w + 1;
     const std::size_t lo = trial % 3 == 0 ? pick(0, last - 1) : 0;
     const std::size_t hi = trial % 5 == 0 ? last + 7 : last;
@@ -484,14 +512,14 @@ TEST(SynCache, DisabledCacheCarriesNoSeed) {
   SynCache cache(cfg, off);
   std::vector<SynPoint> got;
   const auto [cold1, cold2] = twice([&] {
-    cache.find_into(a, b, &pa, nullptr, got);
+    cache.find_into(a, b, &pa, got);
     ASSERT_FALSE(got.empty());
   });
   EXPECT_EQ(cold1, cold2);
   const SynSeeker seeker(cfg);
   SynSeeker::SeekScratch ws;
   const auto [first, seeded] = twice([&] {
-    seeker.find_into(a, b, &pa, nullptr, nullptr, nullptr, ws, got);
+    seeker.find_into(a, b, &pa, nullptr, ws, got);
   });
   EXPECT_EQ(first, cold1);
   EXPECT_GT(seeded, first);
@@ -515,7 +543,7 @@ TEST(SynCache, TopClampedShortBandsTrackLikeAColdSearch) {
       PackedContext pa;
       pa.sync(a);
       const std::uint64_t before = kernel_blocks();
-      cache.find_into(a, b, &pa, nullptr, got);
+      cache.find_into(a, b, &pa, got);
       const std::uint64_t blocks = kernel_blocks() - before;
       ASSERT_FALSE(got.empty());
       expect_same_points(SynSeeker(cfg).find(a, b), got);
@@ -530,10 +558,9 @@ TEST(SynCache, TopClampedShortBandsTrackLikeAColdSearch) {
 }
 
 TEST(SynSeeker, UnrunnableConfigsAreRejectedAtConstruction) {
-  // Every seek scans every metre, so stride_m is pinned to 1 and
-  // coarse_stride_m to off (0 or 1). Also a quantized window past the
-  // int32 sum bound, which the kernel would otherwise only refuse in the
-  // middle of a batch.
+  // Every seek scans every metre with the float kernel, so stride_m is
+  // pinned to 1, coarse_stride_m to off (0 or 1) and precision to
+  // kFloat32.
   std::vector<SynConfig> unrunnable;
   for (const std::size_t stride : {0, 2, 4}) {
     unrunnable.push_back(small_config());
@@ -543,10 +570,11 @@ TEST(SynSeeker, UnrunnableConfigsAreRejectedAtConstruction) {
     unrunnable.push_back(small_config());
     unrunnable.back().coarse_stride_m = coarse;
   }
-  SynConfig wide_quantized = small_config();
-  wide_quantized.precision = KernelPrecision::kInt16;
-  wide_quantized.window_m = kQuantMaxWindowM + 53;
-  unrunnable.push_back(wide_quantized);
+  for (const KernelPrecision precision :
+       {KernelPrecision::kInt16, KernelPrecision::kInt8}) {
+    unrunnable.push_back(SynConfig{});
+    unrunnable.back().precision = precision;
+  }
   for (const SynConfig& cfg : unrunnable) {
     EXPECT_THROW(SynSeeker{cfg}, std::invalid_argument);
     // FleetEngine builds its seekers lazily inside a batch, and
@@ -562,8 +590,6 @@ TEST(SynSeeker, UnrunnableConfigsAreRejectedAtConstruction) {
   SynConfig coarse_off = small_config();
   coarse_off.coarse_stride_m = 1;
   EXPECT_NO_THROW(SynSeeker{coarse_off});
-  wide_quantized.precision = KernelPrecision::kFloat32;
-  EXPECT_NO_THROW(SynSeeker{wide_quantized});
 }
 
 /// Trajectory that drives road `road1` for `len1` metres, turns 90
