@@ -1,7 +1,7 @@
 // Kernel-level microbenchmark of the lag-batched correlation kernel
 // (Sec. V-A inner loop): one full sliding scan of a 1000 m context,
-// scored through packed_correlation_batch_lanes at block widths
-// B ∈ {1, 4, 8, 16} (1 = the per-position scalar path), swept over window
+// scored at the kernel's two block widths B ∈ {1, 16} (1 = per-position
+// packed_correlation, 16 = packed_correlation_batch), swept over window
 // length w ∈ {50, 100, 200}, channel count k ∈ {16, 45, 128} and
 // masked-sample fraction ∈ {0, 0.1, 0.3}. The paper point m=1000 / w=100 /
 // k=45 is additionally timed outside google-benchmark into deterministic
@@ -95,6 +95,19 @@ Scan make_scan(std::size_t window, std::size_t channels, int mask_pct,
   return s;
 }
 
+/// One full scan of `s` at block width 1 or 16.
+void score_scan(const Scan& s, std::size_t lanes, double* scores) {
+  if (lanes == core::kLagBlock) {
+    core::packed_correlation_batch(s.fixed(), 0, s.sliding(), 0, s.positions,
+                                   s.window, s.config, scores);
+    return;
+  }
+  for (std::size_t q = 0; q < s.positions; ++q) {
+    scores[q] = core::packed_correlation(s.fixed(), 0, s.sliding(), q,
+                                         s.window, s.config);
+  }
+}
+
 void BM_KernelScan(benchmark::State& state) {
   const auto window = static_cast<std::size_t>(state.range(0));
   const auto channels = static_cast<std::size_t>(state.range(1));
@@ -103,9 +116,7 @@ void BM_KernelScan(benchmark::State& state) {
   const Scan s = make_scan(window, channels, mask_pct);
   std::vector<double> scores(s.positions, 0.0);
   for (auto _ : state) {
-    core::packed_correlation_batch_lanes(lanes, s.fixed(), 0, s.sliding(), 0,
-                                         s.positions, s.window, s.config,
-                                         scores.data());
+    score_scan(s, lanes, scores.data());
     benchmark::DoNotOptimize(scores.data());
     benchmark::ClobberMemory();
   }
@@ -114,7 +125,7 @@ void BM_KernelScan(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelScan)
     ->ArgNames({"w", "k", "B", "maskpct"})
-    ->ArgsProduct({{50, 100, 200}, {16, 45, 128}, {1, 4, 8, 16}, {0, 10, 30}});
+    ->ArgsProduct({{50, 100, 200}, {16, 45, 128}, {1, 16}, {0, 10, 30}});
 
 /// One SynCache tracking band: `len` positions ending at the last position
 /// of a 160 m, 45-channel context, w = 85 (stream_urban's shape). Ranges of
@@ -171,9 +182,7 @@ double measure_ns_per_position(const Scan& s, std::size_t lanes,
   std::vector<double> scores(s.positions, 0.0);
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t r = 0; r < reps; ++r) {
-    core::packed_correlation_batch_lanes(lanes, s.fixed(), 0, s.sliding(), 0,
-                                         s.positions, s.window, s.config,
-                                         scores.data());
+    score_scan(s, lanes, scores.data());
     benchmark::DoNotOptimize(scores.data());
   }
   const double seconds =
@@ -216,7 +225,7 @@ void record_sweep_counters() {
   for (const std::size_t w : {50, 100, 200}) {
     for (const std::size_t k : {16, 45, 128}) {
       (void)k;
-      for (const std::size_t lanes : {1, 4, 8, 16}) {
+      for (const std::size_t lanes : {std::size_t{1}, core::kLagBlock}) {
         for (const int mask : {0, 10, 30}) {
           (void)mask;
           const std::uint64_t pos = kContextMetres - w + 1;

@@ -8,7 +8,7 @@
 #   scripts/check_line_budget.sh <repo-root>
 set -euo pipefail
 
-readonly CEILING=30834
+readonly CEILING=30529
 
 root="${1:?usage: check_line_budget.sh <repo-root>}"
 count=$(find "$root/src" "$root/tests" -type f \

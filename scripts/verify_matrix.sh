@@ -80,6 +80,7 @@ asan_tests=(
 tsan_tests=(
   test_thread_pool test_service test_service_concurrency
   test_stream_determinism test_fleet_determinism test_obs test_syn_seeker
+  test_profiler
 )
 
 echo "== asan-ubsan: configure + build obs/json/campaign surfaces =="

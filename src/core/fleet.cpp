@@ -4,7 +4,6 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "obs/alloc.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
 
@@ -30,11 +29,6 @@ struct FleetMetrics {
       obs::Registry::global().histogram_family("fleet.task_us", "neighbour");
   obs::CounterFamily& outcomes =
       obs::Registry::global().counter_family("fleet.query_outcome", "outcome");
-  /// operator new calls per fleet task on the worker thread — the per-task
-  /// axis of the ROADMAP zero-alloc steady-state target (steady_alloc_gate
-  /// ratchets the campaign-level census; this histogram localises creep).
-  obs::Histogram& task_allocs =
-      obs::Registry::global().histogram("fleet.task_allocs");
 };
 
 FleetMetrics& fleet_metrics() {
@@ -144,10 +138,8 @@ void FleetEngine::estimate_batch_into(
   const obs::SpanContext batch_span = obs::current_span();
 
   results.resize(neighbours.size());
-  const bool count_allocs = obs::alloc_accounting_available();
   const auto query_one = [&](std::size_t i) {
     const auto t0 = std::chrono::steady_clock::now();
-    const obs::AllocTotals allocs_before = obs::thread_alloc_totals();
     obs::ObsTimer task_timer(&m.task_us, "fleet.task", batch_span);
     SynCache& shard = *shards_.find(ids[i])->second;
     NeighbourResult& r = results[i];
@@ -158,10 +150,6 @@ void FleetEngine::estimate_batch_into(
     r.estimate = aggregate_estimates(ego, *neighbours[i], r.syn_points,
                                      config_.rups.aggregation);
     task_timer.stop();
-    if (count_allocs) {
-      m.task_allocs.record(static_cast<double>(
-          (obs::thread_alloc_totals() - allocs_before).count));
-    }
     r.latency_us = std::chrono::duration<double, std::micro>(
                        std::chrono::steady_clock::now() - t0)
                        .count();

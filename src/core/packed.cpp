@@ -405,57 +405,60 @@ template <int B>
   }
 
 RUPS_DEFINE_LAG_BLOCK(1)
-RUPS_DEFINE_LAG_BLOCK(4)
-RUPS_DEFINE_LAG_BLOCK(8)
 RUPS_DEFINE_LAG_BLOCK(16)
 #undef RUPS_DEFINE_LAG_BLOCK
 
-/// Full blocks of B ascending positions, then one partial block (DESIGN
-/// §11): it ends at the range's last position, or starts at metre 0 when
-/// the range ends sooner, and only the requested lanes are copied out.
-/// Every lane equals its single-position score wherever its block starts,
-/// so re-scored and unrequested lanes are harmless. A lone position, or a
-/// short range on a span too short for a full block, runs single-position
-/// blocks instead.
-template <int B>
-void batch_blocks(const PackedView& fixed, std::size_t fixed_start,
-                  const PackedView& sliding, std::size_t pos_lo,
-                  std::size_t pos_count, std::size_t window,
-                  const TrajectoryCorrelationConfig& config,
-                  double* out_scores) {
-  constexpr auto kB = static_cast<std::size_t>(B);
-  if (packed_batch_blocks(pos_count, window, sliding.span.metres, kB) ==
+/// The one block grid of a range (DESIGN §11). A lone position, or a
+/// range on a span too short for a full block, runs one single-position
+/// block per position. Otherwise full kLagBlock blocks run from pos_lo,
+/// then one partial block that ends at the range's last position, or
+/// starts at metre 0 when the range ends sooner. Every lane equals its
+/// single-position score wherever its block starts, so `take(pos, score)`
+/// is handed only the requested lanes. The block holding `seed` (clamped
+/// into the range) runs first, then the others in ascending order; each
+/// full-width block is held to `bar()` as it starts. Returns the blocks
+/// the bar stopped.
+template <class Bar, class Take>
+std::size_t walk_blocks(const PackedView& fixed, std::size_t fixed_start,
+                        const PackedView& sliding, std::size_t pos_lo,
+                        std::size_t pos_count, std::size_t window,
+                        const TrajectoryCorrelationConfig& config,
+                        std::size_t seed, Bar bar, Take take) {
+  const std::size_t end = pos_lo + pos_count;
+  if (packed_batch_blocks(pos_count, window, sliding.span.metres) ==
       pos_count) {
     double one[1];
-    for (std::size_t q = 0; q < pos_count; ++q) {
-      lag_block_1(fixed, fixed_start, sliding, pos_lo + q, window, config,
-                  nullptr, 0, kNoBar, one);
-      out_scores[q] = one[0];
+    for (std::size_t pos = pos_lo; pos < end; ++pos) {
+      lag_block_1(fixed, fixed_start, sliding, pos, window, config, nullptr, 0,
+                  kNoBar, one);
+      take(pos, one[0]);
     }
-    return;
+    return 0;
   }
   FixedRow rows[kMaxFixedRows]{};
   const std::size_t row_count = std::min(fixed.rows.size(), kMaxFixedRows);
-  const auto block = [&](std::size_t pos0, double* out) {
-    if constexpr (B == 4) {
-      lag_block_4(fixed, fixed_start, sliding, pos0, window, config, rows,
-                  row_count, kNoBar, out);
-    } else if constexpr (B == 8) {
-      lag_block_8(fixed, fixed_start, sliding, pos0, window, config, rows,
-                  row_count, kNoBar, out);
-    } else {
-      lag_block_16(fixed, fixed_start, sliding, pos0, window, config, rows,
-                   row_count, kNoBar, out);
+  std::size_t pruned = 0;
+  const auto run = [&](std::size_t g) {
+    const std::size_t lo = pos_lo + g * kLagBlock;
+    const std::size_t hi = std::min(lo + kLagBlock, end);
+    const std::size_t start =
+        hi - lo == kLagBlock ? lo : end >= kLagBlock ? end - kLagBlock : 0;
+    double lanes[kLagBlock];
+    if (lag_block_16(fixed, fixed_start, sliding, start, window, config, rows,
+                     row_count, bar(), lanes)) {
+      ++pruned;
+      return;
     }
+    for (std::size_t pos = lo; pos < hi; ++pos) take(pos, lanes[pos - start]);
   };
-  std::size_t q = 0;
-  for (; q + kB <= pos_count; q += kB) block(pos_lo + q, out_scores + q);
-  if (q == pos_count) return;
-  const std::size_t end = pos_lo + pos_count;
-  const std::size_t start = end >= kB ? end - kB : 0;
-  double tmp[kB];
-  block(start, tmp);
-  for (; q < pos_count; ++q) out_scores[q] = tmp[pos_lo + q - start];
+  const std::size_t first =
+      (std::clamp(seed, pos_lo, end - 1) - pos_lo) / kLagBlock;
+  run(first);
+  const std::size_t blocks = (pos_count + kLagBlock - 1) / kLagBlock;
+  for (std::size_t g = 0; g < blocks; ++g) {
+    if (g != first) run(g);
+  }
+  return pruned;
 }
 
 }  // namespace
@@ -475,94 +478,43 @@ void packed_correlation_batch(const PackedView& fixed, std::size_t fixed_start,
                               std::size_t pos_count, std::size_t window,
                               const TrajectoryCorrelationConfig& config,
                               double* out_scores) {
-  batch_blocks<16>(fixed, fixed_start, sliding, pos_lo, pos_count, window,
-                   config, out_scores);
+  walk_blocks(
+      fixed, fixed_start, sliding, pos_lo, pos_count, window, config, pos_lo,
+      [] { return kNoBar; },
+      [&](std::size_t pos, double score) { out_scores[pos - pos_lo] = score; });
 }
 
-void packed_correlation_batch_lanes(
-    std::size_t lanes, const PackedView& fixed, std::size_t fixed_start,
-    const PackedView& sliding, std::size_t pos_lo, std::size_t pos_count,
-    std::size_t window, const TrajectoryCorrelationConfig& config,
-    double* out_scores) {
-  switch (lanes) {
-    case 1:
-      for (std::size_t q = 0; q < pos_count; ++q) {
-        out_scores[q] = packed_correlation(fixed, fixed_start, sliding,
-                                           pos_lo + q, window, config);
-      }
-      break;
-    case 4:
-      batch_blocks<4>(fixed, fixed_start, sliding, pos_lo, pos_count, window,
-                      config, out_scores);
-      break;
-    case 8:
-      batch_blocks<8>(fixed, fixed_start, sliding, pos_lo, pos_count, window,
-                      config, out_scores);
-      break;
-    default:
-      batch_blocks<16>(fixed, fixed_start, sliding, pos_lo, pos_count, window,
-                       config, out_scores);
-      break;
-  }
-}
-
-PrunedBest packed_best_pruned(const PackedView& fixed, std::size_t fixed_start,
-                              const PackedView& sliding, std::size_t pos_lo,
-                              std::size_t pos_count, std::size_t window,
-                              const TrajectoryCorrelationConfig& config,
-                              std::size_t seed, double bar) {
-  PrunedBest best;
+ScanBest packed_best(const PackedView& fixed, std::size_t fixed_start,
+                     const PackedView& sliding, std::size_t pos_lo,
+                     std::size_t pos_count, std::size_t window,
+                     const TrajectoryCorrelationConfig& config,
+                     const ScanPruning* pruning) {
+  ScanBest best;
+  const double bar = pruning != nullptr ? pruning->bar : kNoBar;
+  // No higher than max(bar, best so far): it only stops lanes that cannot
+  // win.
+  const auto block_bar = [&] {
+    if (pruning == nullptr) return kNoBar;
+    return std::min(kPruneBarCap,
+                    best.valid ? std::max(bar, best.correlation) : bar);
+  };
   // Lowest position of the highest score, whatever order blocks run in.
-  const auto take = [&](double score, std::size_t pos) {
-    if (!best.valid || score > best.score ||
-        (score == best.score && pos < best.position)) {
-      best.score = score;
+  const auto take = [&](std::size_t pos, double score) {
+    if (!best.valid || score > best.correlation ||
+        (score == best.correlation && pos < best.position)) {
+      best.correlation = score;
       best.position = pos;
       best.valid = true;
     }
   };
-  if (pos_count == 0) return best;
-  const std::size_t end = pos_lo + pos_count;
-  if (packed_batch_blocks(pos_count, window, sliding.span.metres) ==
-      pos_count) {
-    // Single-position blocks (a lone position or a short span): no bar.
-    double one[1];
-    for (std::size_t pos = pos_lo; pos < end; ++pos) {
-      lag_block_1(fixed, fixed_start, sliding, pos, window, config, nullptr, 0,
-                  kNoBar, one);
-      take(one[0], pos);
-    }
-  } else {
-    // batch_blocks' grid: full blocks from pos_lo, then one block ending
-    // at the range's last position (or starting at metre 0).
-    FixedRow rows[kMaxFixedRows]{};
-    const std::size_t row_count = std::min(fixed.rows.size(), kMaxFixedRows);
-    const std::size_t blocks = (pos_count + kLagBlock - 1) / kLagBlock;
-    const auto run = [&](std::size_t g) {
-      const std::size_t lo = pos_lo + g * kLagBlock;
-      const std::size_t hi = std::min(lo + kLagBlock, end);
-      const std::size_t start =
-          hi - lo == kLagBlock ? lo : end >= kLagBlock ? end - kLagBlock : 0;
-      double lanes[kLagBlock];
-      // No higher than max(bar, best so far): it only stops lanes that
-      // cannot win.
-      const double block_bar = std::min(
-          kPruneBarCap, best.valid ? std::max(bar, best.score) : bar);
-      if (lag_block_16(fixed, fixed_start, sliding, start, window, config,
-                       rows, row_count, block_bar, lanes)) {
-        ++best.pruned_blocks;
-        return;
-      }
-      for (std::size_t pos = lo; pos < hi; ++pos) take(lanes[pos - start], pos);
-    };
-    const std::size_t first =
-        (std::clamp(seed, pos_lo, end - 1) - pos_lo) / kLagBlock;
-    run(first);
-    for (std::size_t g = 0; g < blocks; ++g) {
-      if (g != first) run(g);
-    }
+  const std::size_t seed =
+      pruning != nullptr ? pruning->seed.value_or(pos_lo) : pos_lo;
+  best.pruned_blocks = walk_blocks(fixed, fixed_start, sliding, pos_lo,
+                                   pos_count, window, config, seed, block_bar,
+                                   take);
+  if (pruning != nullptr && best.valid && !(best.correlation > bar)) {
+    best.valid = false;
   }
-  if (best.valid && !(best.score > bar)) best.valid = false;
   return best;
 }
 

@@ -16,7 +16,7 @@
 // positions, with the fixed-row values loaded once and broadcast while the
 // sliding-side loads are contiguous across the block (SIMD lanes across
 // lags). Every entry point — packed_correlation, packed_correlation_batch,
-// the tuning widths — funnels into the same per-lane accumulation loop,
+// packed_best — funnels into the same per-lane accumulation loop,
 // compiled WITHOUT value-changing FP options (no -ffast-math, and
 // -ffp-contract=off), so each lag's moment sums accumulate over the window
 // metres in source order regardless of batch shape. Bit-identical scores
@@ -25,6 +25,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -151,24 +153,26 @@ struct PackedView {
   std::span<const std::size_t> rows{};
 };
 
-/// Lane width of the production lag-batched kernel: one window traversal
-/// scores this many sliding positions. 16 keeps the per-channel float
-/// accumulator working set (6 sums x 16 lanes) inside the vector register
-/// file on AVX2 and x86-64-v4 targets while still amortizing the fixed-row
-/// loads 16x; callers that chunk scans should align chunk lengths to this
-/// so only the final chunk pays a partial block.
+/// Lane width of the lag-batched kernel: one window traversal scores this
+/// many sliding positions. 16 keeps the per-channel float accumulator
+/// working set (6 sums x 16 lanes) inside the vector register file on AVX2
+/// and x86-64-v4 targets while still amortizing the fixed-row loads 16x.
+/// The kernel is compiled at this width and at 1, the single-position
+/// block (DESIGN §11 "Why B = 16").
 inline constexpr std::size_t kLagBlock = 16;
 
-/// Blocks packed_correlation_batch runs to score `pos_count` positions of
-/// a `window` on a sliding span of `sliding_metres` (the
-/// `syn.kernel_blocks` count): one per `lanes` positions, rounded up,
-/// unless the range is a lone position or the span is too short to hold a
-/// full block, which score one single-position block per position.
+/// Blocks a scan of `pos_count` positions of a `window` on a sliding span
+/// of `sliding_metres` runs (the `syn.kernel_blocks` count): one per
+/// kLagBlock positions, rounded up, unless the range is a lone position or
+/// the span is too short to hold a full block, which score one
+/// single-position block per position.
 [[nodiscard]] constexpr std::size_t packed_batch_blocks(
-    std::size_t pos_count, std::size_t window, std::size_t sliding_metres,
-    std::size_t lanes = kLagBlock) noexcept {
-  if (pos_count == 1 || sliding_metres + 1 < window + lanes) return pos_count;
-  return (pos_count + lanes - 1) / lanes;
+    std::size_t pos_count, std::size_t window,
+    std::size_t sliding_metres) noexcept {
+  if (pos_count == 1 || sliding_metres + 1 < window + kLagBlock) {
+    return pos_count;
+  }
+  return (pos_count + kLagBlock - 1) / kLagBlock;
 }
 
 /// Trajectory correlation (paper eq. (2)) between the fixed window
@@ -176,9 +180,9 @@ inline constexpr std::size_t kLagBlock = 16;
 /// [pos, pos+window) of `sliding`, over fixed.rows/sliding.rows (must have
 /// equal length: entry kk of each names the kk-th checking channel's row).
 /// Identical semantics to trajectory_correlation(); this is the float fast
-/// path the SYN search runs on. Single-position wrapper over the lane
-/// kernel — bit-identical to any packed_correlation_batch() lane scoring
-/// the same position.
+/// path the SYN search runs on. The single-position block — bit-identical
+/// to any packed_correlation_batch() lane scoring the same position, and
+/// the oracle the batch is tested against.
 [[nodiscard]] double packed_correlation(
     const PackedView& fixed, std::size_t fixed_start, const PackedView& sliding,
     std::size_t pos, std::size_t window,
@@ -188,56 +192,53 @@ inline constexpr std::size_t kLagBlock = 16;
 /// positions pos_lo, pos_lo + 1, ... into out_scores[q], each exactly equal
 /// (bit-identical) to the corresponding packed_correlation() call. One
 /// traversal of the checking window scores kLagBlock positions at a time:
-/// fixed-row values are loaded once and broadcast, the B sliding-side loads
-/// per metre are contiguous across the block — SIMD lanes across lags
-/// instead of across metres, which is why no value-changing FP flags are
-/// needed to vectorize. A trailing partial block, and a whole range of 2
-/// to kLagBlock - 1 positions, is scored as one full block that ends at
-/// the last requested position (or starts at 0 when the range ends
-/// sooner), and only the requested lanes are kept (lanes reproduce the
-/// same bits wherever their block starts). A lone position, or a short
-/// range on a span shorter than window + kLagBlock - 1 metres, runs one
-/// single-position block per position (packed_batch_blocks). Caller must
-/// guarantee every scored window fits:
-/// pos_lo + pos_count - 1 + window <= sliding.span.metres.
+/// fixed-row values are loaded once and broadcast, the 16 sliding-side
+/// loads per metre are contiguous across the block — SIMD lanes across
+/// lags instead of across metres, which is why no value-changing FP flags
+/// are needed to vectorize. The blocks are those packed_best() runs
+/// (packed_batch_blocks; DESIGN §11). Caller must guarantee every scored
+/// window fits: pos_lo + pos_count - 1 + window <= sliding.span.metres.
+/// Tests and benches read every lane through it; the SYN search calls
+/// packed_best().
 void packed_correlation_batch(const PackedView& fixed, std::size_t fixed_start,
                               const PackedView& sliding, std::size_t pos_lo,
                               std::size_t pos_count, std::size_t window,
                               const TrajectoryCorrelationConfig& config,
                               double* out_scores);
 
-/// Best lane of a packed_best_pruned scan.
-struct PrunedBest {
-  double score = -2.0;
+/// Best position of a scan.
+struct ScanBest {
+  double correlation = -2.0;
   std::size_t position = 0;
   bool valid = false;
   std::size_t pruned_blocks = 0;  ///< blocks stopped before their last channel
 };
 
-/// Exact pruned search over the positions [pos_lo, pos_lo + pos_count):
-/// the best score and its lowest position, exactly as an ascending
-/// strict-`>` pick over packed_correlation_batch's scores, provided every
-/// score is finite (it is for finite pack values). The blocks are the
-/// batch's own grid (packed_batch_blocks). The block holding `seed`
-/// (clamped into the range) is scored first, then the others in ascending
-/// order. Each one stops, every 4 channels, as soon as no lane can reach
-/// the larger of `bar` and the best score so far, capped at 1.5 (DESIGN
-/// §11). A range whose best does not strictly beat `bar` returns
-/// valid = false.
-[[nodiscard]] PrunedBest packed_best_pruned(
-    const PackedView& fixed, std::size_t fixed_start, const PackedView& sliding,
-    std::size_t pos_lo, std::size_t pos_count, std::size_t window,
-    const TrajectoryCorrelationConfig& config, std::size_t seed, double bar);
+/// Exact pruning of a packed_best() scan.
+struct ScanPruning {
+  /// A result that does not strictly beat this score is dropped.
+  double bar = -std::numeric_limits<double>::infinity();
+  /// Position whose block is scored first (clamped into the range); the
+  /// range's first position when unset.
+  std::optional<std::size_t> seed;
+};
 
-/// Tuning/bench surface: packed_correlation_batch with an explicit lane
-/// width. lanes must be 1, 4, 8 or 16 (1 = per-position scalar path, the
-/// baseline the bench sweep compares against). All widths produce
-/// bit-identical scores — the per-lane accumulation order never depends on
-/// the block shape. Production callers use packed_correlation_batch().
-void packed_correlation_batch_lanes(
-    std::size_t lanes, const PackedView& fixed, std::size_t fixed_start,
-    const PackedView& sliding, std::size_t pos_lo, std::size_t pos_count,
-    std::size_t window, const TrajectoryCorrelationConfig& config,
-    double* out_scores);
+/// The best score over the positions [pos_lo, pos_lo + pos_count) and its
+/// lowest position, exactly as an ascending strict-`>` pick over
+/// packed_correlation_batch's scores; an empty range gives valid = false.
+/// With `pruning` the search is exact provided every score is finite (it
+/// is for finite pack values): the block holding the seed is scored
+/// first, then the others in ascending order, and each one stops, every 4
+/// channels, as soon as no lane can reach the larger of the bar and the
+/// best score so far, capped at 1.5 (DESIGN §11). A range whose best does
+/// not strictly beat the bar then returns valid = false. Caller must
+/// guarantee every scored window fits, as for packed_correlation_batch.
+[[nodiscard]] ScanBest packed_best(const PackedView& fixed,
+                                   std::size_t fixed_start,
+                                   const PackedView& sliding,
+                                   std::size_t pos_lo, std::size_t pos_count,
+                                   std::size_t window,
+                                   const TrajectoryCorrelationConfig& config,
+                                   const ScanPruning* pruning = nullptr);
 
 }  // namespace rups::core

@@ -50,10 +50,6 @@ SynMetrics& syn_metrics() {
   return m;
 }
 
-/// Slide positions per kernel call: a multiple of kLagBlock that covers a
-/// full 1000 m context's range in one call, on the stack.
-constexpr std::size_t kScanChunk = 64 * kLagBlock;
-
 }  // namespace
 
 void validate(const SynConfig& config) {
@@ -187,43 +183,16 @@ void SynSeeker::plan_into(const ContextTrajectory& a,
 SynSeeker::Candidate SynSeeker::best_over_positions(
     const ScanPair& pair, std::size_t window, std::size_t pos_lo,
     std::size_t pos_hi, const Pruning* pruning) const {
-  Candidate best;
-  if (pair.sliding.span.metres < window) return best;
+  if (pair.sliding.span.metres < window) return {};
   pos_hi = std::min(pos_hi, pair.sliding.span.metres - window + 1);
-  if (pos_lo >= pos_hi) return best;
+  if (pos_lo >= pos_hi) return {};
   const std::size_t count = pos_hi - pos_lo;
-
-  if (pruning != nullptr) {
-    const PrunedBest r = packed_best_pruned(
-        pair.fixed, pair.fixed_start, pair.sliding, pos_lo, count, window,
-        config_.correlation, pruning->seed.value_or(pos_lo), pruning->bar);
-    syn_metrics().kernel_blocks.inc(
-        packed_batch_blocks(count, window, pair.sliding.span.metres));
-    syn_metrics().pruned_blocks.inc(r.pruned_blocks);
-    if (r.valid) best = {r.score, r.position, true};
-    return best;
-  }
-
-  // One kernel call per chunk, so the kernel hoists its fixed-row terms
-  // once per range; the kernel entry scores every partial block (DESIGN
-  // §11). Positions arrive in ascending order and an equal score can never
-  // displace `best` (strict >), so ties keep the lowest position.
-  double scores[kScanChunk];
-  std::size_t blocks = 0;
-  for (std::size_t done = 0; done < count;) {
-    const std::size_t first = pos_lo + done;
-    const std::size_t n = std::min(kScanChunk, count - done);
-    packed_correlation_batch(pair.fixed, pair.fixed_start, pair.sliding, first,
-                             n, window, config_.correlation, scores);
-    for (std::size_t b = 0; b < n; ++b) {
-      if (!best.valid || scores[b] > best.correlation) {
-        best = {scores[b], first + b, true};
-      }
-    }
-    blocks += packed_batch_blocks(n, window, pair.sliding.span.metres);
-    done += n;
-  }
-  syn_metrics().kernel_blocks.inc(blocks);
+  const Candidate best =
+      packed_best(pair.fixed, pair.fixed_start, pair.sliding, pos_lo, count,
+                  window, config_.correlation, pruning);
+  syn_metrics().kernel_blocks.inc(
+      packed_batch_blocks(count, window, pair.sliding.span.metres));
+  syn_metrics().pruned_blocks.inc(best.pruned_blocks);
   return best;
 }
 

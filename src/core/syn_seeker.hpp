@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -117,11 +116,10 @@ void rank_recent_windows(const ContextTrajectory& t, const SynConfig& config,
 /// in-place ranking — correct, just not amortized.
 class SynSeeker {
  public:
-  struct Candidate {
-    double correlation = -2.0;
-    std::size_t position = 0;
-    bool valid = false;
-  };
+  /// One pass's best position (packed_best's result).
+  using Candidate = ScanBest;
+  /// Optional exact pruning of a best_over_positions scan.
+  using Pruning = ScanPruning;
 
   /// Window sizing, threshold and channel selection for one recency
   /// offset. `reject != nullptr` means the search cannot run; the label is
@@ -149,14 +147,6 @@ class SynSeeker {
     /// sets it from its lock, and clears it while disabled. A stale or
     /// shared hint (another neighbour's) only costs time.
     std::optional<std::uint64_t> last_offset_m;
-  };
-
-  /// Optional exact pruning of a best_over_positions scan.
-  struct Pruning {
-    /// A result that does not strictly beat this score is dropped.
-    double bar = -std::numeric_limits<double>::infinity();
-    /// Position whose block is scored first (clamped into the range).
-    std::optional<std::size_t> seed;
   };
 
   explicit SynSeeker(SynConfig config = {});
@@ -211,13 +201,13 @@ class SynSeeker {
   /// Best-correlation-first order of a SYN point list.
   static void sort_best_first(std::vector<SynPoint>& points);
 
-  /// Best correlation over the slide positions [pos_lo, pos_hi) metres,
-  /// scored by packed_correlation_batch in ascending chunks; ties resolve
-  /// to the lowest position (bit-identical to a serial per-position scan).
-  /// pos_hi is clamped to the valid position count. Used by the full
-  /// search's two passes and by SynCache's ±verify_radius tracking band.
-  /// With `pruning` the scan runs packed_best_pruned: the same candidate
-  /// when it strictly beats pruning->bar, an invalid one otherwise.
+  /// Best correlation over the slide positions [pos_lo, pos_hi) metres:
+  /// one packed_best() call, so ties resolve to the lowest position
+  /// (bit-identical to a serial per-position scan). pos_hi is clamped to
+  /// the valid position count. Used by the full search's two passes (with
+  /// `pruning`: the same candidate when it strictly beats pruning->bar, an
+  /// invalid one otherwise) and, unpruned, by SynCache's ±verify_radius
+  /// tracking band.
   [[nodiscard]] Candidate best_over_positions(
       const ScanPair& pair, std::size_t window, std::size_t pos_lo,
       std::size_t pos_hi, const Pruning* pruning = nullptr) const;

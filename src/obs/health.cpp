@@ -2,23 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/timer.hpp"
+#include "util/json.hpp"
 
 namespace rups::obs {
 
-namespace {
+using util::json_number;
 
-std::string num(double v) {
-  if (std::isnan(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+namespace {
 
 /// Linear-interpolated order statistic of a rolling window, q in [0, 1].
 double window_quantile(const util::RingBuffer<double>& window, double q) {
@@ -38,17 +33,17 @@ double window_quantile(const util::RingBuffer<double>& window, double q) {
 std::string HealthReport::to_json() const {
   std::string out = "{\n";
   out += "    \"samples\": " + std::to_string(samples) + ",\n";
-  out += "    \"availability\": " + num(availability) + ",\n";
-  out += "    \"error_p95_m\": " + num(error_p95_m) + ",\n";
-  out += "    \"latency_p99_us\": " + num(latency_p99_us) + ",\n";
+  out += "    \"availability\": " + json_number(availability) + ",\n";
+  out += "    \"error_p95_m\": " + json_number(error_p95_m) + ",\n";
+  out += "    \"latency_p99_us\": " + json_number(latency_p99_us) + ",\n";
   out += "    \"miss_streak\": " + std::to_string(miss_streak) + ",\n";
   out += "    \"exchanges\": " + std::to_string(exchanges) + ",\n";
-  out += "    \"delivery_failure_rate\": " + num(delivery_failure_rate) +
-         ",\n";
-  out += "    \"degraded_rate\": " + num(degraded_rate) + ",\n";
+  out += "    \"delivery_failure_rate\": " +
+         json_number(delivery_failure_rate) + ",\n";
+  out += "    \"degraded_rate\": " + json_number(degraded_rate) + ",\n";
   out += "    \"admissions\": " + std::to_string(admissions) + ",\n";
-  out += "    \"admission_reject_rate\": " + num(admission_reject_rate) +
-         ",\n";
+  out += "    \"admission_reject_rate\": " +
+         json_number(admission_reject_rate) + ",\n";
   out += "    \"log_suppressed\": " + std::to_string(log_suppressed) + ",\n";
   out += "    \"recorder_overwritten\": " +
          std::to_string(recorder_overwritten) + ",\n";
@@ -58,9 +53,10 @@ std::string HealthReport::to_json() const {
   for (std::size_t i = 0; i < alerts.size(); ++i) {
     const HealthAlert& a = alerts[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "      {\"rule\": \"" + a.rule + "\", \"value\": " + num(a.value) +
-           ", \"threshold\": " + num(a.threshold) +
-           ", \"ts_us\": " + num(a.ts_us) +
+    out += "      {\"rule\": \"" + a.rule +
+           "\", \"value\": " + json_number(a.value) +
+           ", \"threshold\": " + json_number(a.threshold) +
+           ", \"ts_us\": " + json_number(a.ts_us) +
            ", \"sample_index\": " + std::to_string(a.sample_index) + "}";
   }
   out += alerts.empty() ? "]\n" : "\n    ]\n";
@@ -187,8 +183,8 @@ void HealthMonitor::fire(const char* rule, const char* anomaly_label,
   Registry::global().gauge("health.alerts").set(
       static_cast<double>(alerts_.size()));
 
-  const std::string detail = std::string(rule) + " " + num(value) +
-                             " violates threshold " + num(threshold) +
+  const std::string detail = std::string(rule) + " " + json_number(value) +
+                             " violates threshold " + json_number(threshold) +
                              " at query " + std::to_string(samples_);
   FlightRecorder::global().anomaly(anomaly_label, detail);
   RUPS_LOG(kWarn) << "health alert: " << detail;

@@ -1,6 +1,5 @@
 #include "obs/recorder.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 
@@ -11,16 +10,11 @@
 
 namespace rups::obs {
 
+using util::json_number;
+
 namespace {
 
 std::string escaped(const std::string& s) { return util::json_quote(s); }
-
-std::string num(double v) {
-  if (std::isnan(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 }  // namespace
 
@@ -49,13 +43,13 @@ std::string events_to_json(const std::vector<RecorderEvent>& events) {
     const RecorderEvent& e = events[i];
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"seq\": " + std::to_string(e.seq);
-    out += ", \"ts_us\": " + num(e.ts_us);
+    out += ", \"ts_us\": " + json_number(e.ts_us);
     out += ", \"tid\": " + std::to_string(e.tid);
     out += ", \"type\": \"";
     out += event_type_name(e.type);
     out += "\", \"label\": " + escaped(e.label != nullptr ? e.label : "");
-    out += ", \"v\": [" + num(e.v0) + ", " + num(e.v1) + ", " + num(e.v2) +
-           "]}";
+    out += ", \"v\": [" + json_number(e.v0) + ", " + json_number(e.v1) +
+           ", " + json_number(e.v2) + "]}";
   }
   out += events.empty() ? "]" : "\n  ]";
   return out;
@@ -177,7 +171,7 @@ std::string spans_to_json(const std::vector<SpanRecord>& spans) {
     out += ", \"trace\": " + std::to_string(s.trace_id);
     out += ", \"span\": " + std::to_string(s.span_id);
     out += ", \"parent\": " + std::to_string(s.parent_id);
-    out += ", \"start_us\": " + num(s.start_us) + "}";
+    out += ", \"start_us\": " + json_number(s.start_us) + "}";
   }
   out += spans.empty() ? "]" : "\n  ]";
   return out;
@@ -216,7 +210,7 @@ std::filesystem::path FlightRecorder::anomaly(const char* label,
   out += "  \"kind\": \"rups_diagnostics_bundle\",\n";
   out += "  \"anomaly\": " + escaped(label != nullptr ? label : "") + ",\n";
   out += "  \"detail\": " + escaped(detail) + ",\n";
-  out += "  \"ts_us\": " + num(now_us()) + ",\n";
+  out += "  \"ts_us\": " + json_number(now_us()) + ",\n";
   out += "  \"config\": " + (config.empty() ? std::string("null") : config) +
          ",\n";
   out += "  \"spans\": " + spans + ",\n";

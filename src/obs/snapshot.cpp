@@ -1,11 +1,7 @@
 #include "obs/snapshot.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/csv.hpp"
@@ -15,163 +11,23 @@ namespace rups::obs {
 
 namespace {
 
-/// Print a double so it round-trips exactly through from_json.
-std::string num(double v) {
-  if (std::isnan(v)) return "0";  // snapshots never carry NaN; be safe
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+/// A gauge or histogram value: round-trips exactly through from_json, and
+/// NaN (never in a snapshot) prints as 0.
+std::string num(double v) { return std::isnan(v) ? "0" : util::json_number(v); }
 
 void append_escaped(std::string& out, const std::string& s) {
   out += util::json_quote(s);
 }
 
-/// Minimal recursive-descent parser for the subset of JSON that to_json
-/// emits (objects, arrays, strings, numbers). Good enough for round-trips
-/// and for reading snapshots back in tooling/tests.
-class Parser {
- public:
-  explicit Parser(const std::string& text) : s_(text) {}
+[[noreturn]] void reject(const std::string& what) {
+  throw std::runtime_error("MetricsSnapshot::from_json: " + what);
+}
 
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= s_.size()) fail("unexpected end of input");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    if (pos_ < s_.size() && peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= s_.size()) fail("unterminated escape");
-      char e = s_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = s_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("bad \\u escape digit");
-            }
-          }
-          // UTF-8 encode; surrogate halves kept verbatim (snapshots only
-          // ever emit \u00XX for control characters).
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-    if (pos_ >= s_.size()) fail("unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  double parse_number() {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected number");
-    double v = 0.0;
-    const auto res = std::from_chars(s_.data() + start, s_.data() + pos_, v);
-    if (res.ec != std::errc{}) fail("bad number");
-    return v;
-  }
-
-  std::uint64_t parse_u64() {
-    const double v = parse_number();
-    if (v < 0) fail("expected unsigned value");
-    return static_cast<std::uint64_t>(v);
-  }
-
-  /// Iterate "key": value pairs of an object; `field` dispatches on key.
-  template <typename Fn>
-  void parse_object(Fn&& field) {
-    expect('{');
-    if (consume('}')) return;
-    do {
-      const std::string key = parse_string();
-      expect(':');
-      field(key);
-    } while (consume(','));
-    expect('}');
-  }
-
-  template <typename Fn>
-  void parse_array(Fn&& element) {
-    expect('[');
-    if (consume(']')) return;
-    do {
-      element();
-    } while (consume(','));
-    expect(']');
-  }
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("MetricsSnapshot::from_json: " + what +
-                             " at offset " + std::to_string(pos_));
-  }
-
- private:
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
+std::uint64_t count_of(const util::JsonValue& v) {
+  const double d = v.as_number();
+  if (d < 0) reject("negative count");
+  return static_cast<std::uint64_t>(d);
+}
 
 }  // namespace
 
@@ -249,65 +105,66 @@ std::string MetricsSnapshot::to_json() const {
 }
 
 MetricsSnapshot MetricsSnapshot::from_json(const std::string& text) {
+  const util::JsonValue doc = util::JsonValue::parse(text);
   MetricsSnapshot snap;
-  Parser p(text);
-  p.parse_object([&](const std::string& section) {
+  for (const auto& [section, rows] : doc.as_object()) {
     if (section == "counters") {
-      p.parse_array([&] {
-        CounterSample c;
-        p.parse_object([&](const std::string& key) {
+      for (const util::JsonValue& row : rows.as_array()) {
+        CounterSample& c = snap.counters.emplace_back();
+        for (const auto& [key, v] : row.as_object()) {
           if (key == "name") {
-            c.name = p.parse_string();
+            c.name = v.as_string();
           } else if (key == "value") {
-            c.value = p.parse_u64();
+            c.value = count_of(v);
           } else {
-            p.fail("unknown counter field '" + key + "'");
+            reject("unknown counter field '" + key + "'");
           }
-        });
-        snap.counters.push_back(std::move(c));
-      });
+        }
+      }
     } else if (section == "gauges") {
-      p.parse_array([&] {
-        GaugeSample g;
-        p.parse_object([&](const std::string& key) {
+      for (const util::JsonValue& row : rows.as_array()) {
+        GaugeSample& g = snap.gauges.emplace_back();
+        for (const auto& [key, v] : row.as_object()) {
           if (key == "name") {
-            g.name = p.parse_string();
+            g.name = v.as_string();
           } else if (key == "value") {
-            g.value = p.parse_number();
+            g.value = v.as_number();
           } else {
-            p.fail("unknown gauge field '" + key + "'");
+            reject("unknown gauge field '" + key + "'");
           }
-        });
-        snap.gauges.push_back(std::move(g));
-      });
+        }
+      }
     } else if (section == "histograms") {
-      p.parse_array([&] {
-        HistogramSample h;
-        p.parse_object([&](const std::string& key) {
+      for (const util::JsonValue& row : rows.as_array()) {
+        HistogramSample& h = snap.histograms.emplace_back();
+        for (const auto& [key, v] : row.as_object()) {
           if (key == "name") {
-            h.name = p.parse_string();
+            h.name = v.as_string();
           } else if (key == "count") {
-            h.count = p.parse_u64();
+            h.count = count_of(v);
           } else if (key == "sum") {
-            h.sum = p.parse_number();
+            h.sum = v.as_number();
           } else if (key == "min") {
-            h.min = p.parse_number();
+            h.min = v.as_number();
           } else if (key == "max") {
-            h.max = p.parse_number();
+            h.max = v.as_number();
           } else if (key == "bounds") {
-            p.parse_array([&] { h.bounds.push_back(p.parse_number()); });
+            for (const util::JsonValue& b : v.as_array()) {
+              h.bounds.push_back(b.as_number());
+            }
           } else if (key == "buckets") {
-            p.parse_array([&] { h.buckets.push_back(p.parse_u64()); });
+            for (const util::JsonValue& b : v.as_array()) {
+              h.buckets.push_back(count_of(b));
+            }
           } else {
-            p.fail("unknown histogram field '" + key + "'");
+            reject("unknown histogram field '" + key + "'");
           }
-        });
-        snap.histograms.push_back(std::move(h));
-      });
+        }
+      }
     } else {
-      p.fail("unknown section '" + section + "'");
+      reject("unknown section '" + section + "'");
     }
-  });
+  }
   return snap;
 }
 

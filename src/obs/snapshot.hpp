@@ -61,8 +61,10 @@ struct MetricsSnapshot {
   /// Serialize to a stable, human-diffable JSON document.
   [[nodiscard]] std::string to_json() const;
 
-  /// Parse a document produced by to_json(). Throws std::runtime_error on
-  /// malformed input.
+  /// Parse a document produced by to_json(), read through
+  /// util::JsonValue. Throws std::runtime_error on malformed JSON, an
+  /// unknown section or field, a value of the wrong kind or a negative
+  /// count.
   [[nodiscard]] static MetricsSnapshot from_json(const std::string& text);
 
   /// Flat name,kind,value rows (histograms expand to count/sum/min/max and

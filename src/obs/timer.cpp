@@ -72,13 +72,13 @@ void publish_stack() noexcept {
   PublishedStack& p = published_stack();
   const std::uint32_t v = p.version.load(std::memory_order_relaxed);
   p.version.store(v + 1, std::memory_order_relaxed);  // odd: writing
-  std::atomic_thread_fence(std::memory_order_release);
+  // Release payload stores: a reader whose acquire load sees one of them
+  // also sees the odd version stored before it, and retries.
   const std::size_t n = std::min(t_span_stack.size(), kPublishedDepth);
   for (std::size_t i = 0; i < n; ++i) {
-    p.names[i].store(t_span_stack[i].name, std::memory_order_relaxed);
+    p.names[i].store(t_span_stack[i].name, std::memory_order_release);
   }
-  p.depth.store(static_cast<std::uint32_t>(n), std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
+  p.depth.store(static_cast<std::uint32_t>(n), std::memory_order_release);
   p.version.store(v + 2, std::memory_order_release);
 }
 
@@ -182,12 +182,12 @@ std::vector<SampledStack> sample_span_stacks() {
     for (int attempt = 0; attempt < 8 && !consistent; ++attempt) {
       const std::uint32_t v1 = p->version.load(std::memory_order_acquire);
       if ((v1 & 1u) != 0) continue;  // write in progress
-      depth = std::min(p->depth.load(std::memory_order_relaxed),
+      // Acquire payload loads order the version re-read after them.
+      depth = std::min(p->depth.load(std::memory_order_acquire),
                        static_cast<std::uint32_t>(kPublishedDepth));
       for (std::uint32_t i = 0; i < depth; ++i) {
-        frames[i] = p->names[i].load(std::memory_order_relaxed);
+        frames[i] = p->names[i].load(std::memory_order_acquire);
       }
-      std::atomic_thread_fence(std::memory_order_acquire);
       consistent = p->version.load(std::memory_order_relaxed) == v1;
     }
     if (!consistent || depth == 0) continue;

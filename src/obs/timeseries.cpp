@@ -1,8 +1,6 @@
 #include "obs/timeseries.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 #include "util/csv.hpp"
@@ -10,22 +8,17 @@
 
 namespace rups::obs {
 
+using util::json_number;
+
 namespace {
 
 std::string escaped(const std::string& s) { return util::json_quote(s); }
-
-std::string num(double v) {
-  if (std::isnan(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 std::string num_array(const std::vector<double>& values) {
   std::string out = "[";
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i > 0) out += ", ";
-    out += num(values[i]);
+    out += json_number(values[i]);
   }
   out += "]";
   return out;
@@ -56,7 +49,7 @@ const SeriesColumn* TimeSeriesData::column(const std::string& name,
 std::string TimeSeriesData::to_json() const {
   std::string out = "{\n";
   out += "  \"kind\": \"rups_time_series\",\n";
-  out += "  \"window_s\": " + num(window_s) + ",\n";
+  out += "  \"window_s\": " + json_number(window_s) + ",\n";
   out += "  \"window_begin_s\": " + num_array(window_begin_s) + ",\n";
   out += "  \"window_end_s\": " + num_array(window_end_s) + ",\n";
   out += "  \"columns\": [";

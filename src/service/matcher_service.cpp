@@ -320,7 +320,6 @@ void MatcherService::drain_shard(std::size_t shard_index) {
              tickets_[request.ticket]);
     const double elapsed = obs::now_us() - t0;
 
-    ++sessions_[request.session].queries;
     ++shard.stats.processed;
     if (shard.latencies.size() < shard.latencies.capacity()) {
       shard.latencies.push_back(elapsed);
@@ -474,7 +473,6 @@ void MatcherService::drain_stream_shard(std::size_t shard_index) {
     m_stream_us_.record(obs::now_us() - t0);
 
     sub.last_end = end;
-    ++sessions_[sub.session].queries;
     m_stream_updates_.inc();
     if (sub.result[0].estimate.has_value()) m_stream_estimates_.inc();
   }

@@ -248,7 +248,6 @@ class MatcherService {
   struct PairSession {
     std::uint32_t ego_slot = 0;
     std::uint32_t neighbour_slot = 0;
-    std::uint64_t queries = 0;
   };
 
   struct QueuedRequest {

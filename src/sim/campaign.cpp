@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <string>
 
-#include "obs/alloc.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
@@ -37,9 +36,6 @@ struct CampaignMetrics {
   /// two-car campaign only ever populates neighbour "0").
   obs::GaugeFamily& staleness = obs::Registry::global().gauge_family(
       "estimate.staleness_s", "neighbour");
-  /// operator new calls per campaign query (zero-alloc ratchet axis).
-  obs::Histogram& query_allocs =
-      obs::Registry::global().histogram("campaign.query_allocs");
 };
 
 CampaignMetrics& campaign_metrics() {
@@ -176,16 +172,11 @@ CampaignResult run_campaign(ConvoySimulation& sim,
         }
       }
     }
-    const obs::AllocTotals allocs_before = obs::thread_alloc_totals();
     obs::ObsTimer timer(&metrics.latency_us, "campaign.query");
     result.queries.push_back(config.model_v2v_cost
                                  ? sim.query(1, 0, rig.receiver.received)
                                  : sim.query(1, 0));
     timer.stop();
-    if (obs::alloc_accounting_available()) {
-      metrics.query_allocs.record(static_cast<double>(
-          (obs::thread_alloc_totals() - allocs_before).count));
-    }
     metrics.queries.inc();
     const bool hit = result.queries.back().rups.has_value();
     (hit ? metrics.rups_hits : metrics.rups_misses).inc();

@@ -30,11 +30,6 @@ struct FleetCampaignMetrics {
       obs::Registry::global().gauge("fleetcampaign.last_availability");
   obs::Histogram& round_us =
       obs::Registry::global().histogram("fleetcampaign.round_us");
-  /// operator new calls per round on the driving thread (pool-worker
-  /// allocations land in fleet.task_allocs) — the round-cadence axis of
-  /// the zero-alloc steady-state ratchet.
-  obs::Histogram& round_allocs =
-      obs::Registry::global().histogram("fleetcampaign.round_allocs");
   /// Labeled hit/miss split per round, and per-neighbour sim-time since
   /// the last accepted estimate — the staleness axis the windowed series
   /// and telemetry_report break down per neighbour.
@@ -115,7 +110,6 @@ FleetRound FleetSimulation::query_round(util::ThreadPool* pool) {
   FleetCampaignMetrics& metrics = fleet_campaign_metrics();
   FleetRound round;
   round.time_s = sim_.now();
-  const obs::AllocTotals allocs_before = obs::thread_alloc_totals();
   obs::ObsTimer timer(&metrics.round_us, "fleetcampaign.round");
 
   // V2V: pull each neighbour's context — whole journey once, then only the
@@ -175,10 +169,6 @@ FleetRound FleetSimulation::query_round(util::ThreadPool* pool) {
     round.outcomes.push_back(std::move(outcome));
   }
   timer.stop();
-  if (obs::alloc_accounting_available()) {
-    metrics.round_allocs.record(static_cast<double>(
-        (obs::thread_alloc_totals() - allocs_before).count));
-  }
   return round;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
@@ -33,6 +34,13 @@ std::string json_quote(std::string_view s) {
   }
   out += '"';
   return out;
+}
+
+std::string json_number(double v) {
+  if (std::isnan(v)) return "null";
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
 }
 
 namespace {

@@ -1,11 +1,12 @@
 #pragma once
 
-// Small generic JSON reader (DOM style). obs::MetricsSnapshot::from_json
-// deliberately rejects anything but its own schema; diagnostic tooling
-// (obs_diff, bundle inspection) must instead read whatever JSON a bench,
-// google-benchmark, or a diagnostics bundle emitted. This parser accepts
-// any well-formed document: objects, arrays, strings (with escapes and
-// \uXXXX), numbers, booleans, null.
+// Small generic JSON reader (DOM style) and the writers' shared quoting
+// and number formatting. The parser accepts any well-formed document:
+// objects, arrays, strings (with escapes and \uXXXX), numbers, booleans,
+// null. Diagnostic tooling (obs_diff, bundle inspection) reads whatever a
+// bench, google-benchmark or a diagnostics bundle emitted through it;
+// obs::MetricsSnapshot::from_json reads through it too and then rejects
+// anything outside its own schema.
 
 #include <cstddef>
 #include <map>
@@ -23,6 +24,10 @@ namespace rups::util {
 /// folded profiles, exposition) routes label values through this so
 /// embedded quotes or control characters can never corrupt a document.
 [[nodiscard]] std::string json_quote(std::string_view s);
+
+/// A JSON number that reads back as the same double ("%.17g"); NaN, which
+/// JSON cannot spell, becomes `null`.
+[[nodiscard]] std::string json_number(double v);
 
 class JsonValue {
  public:

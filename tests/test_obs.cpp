@@ -190,9 +190,22 @@ TEST(Snapshot, JsonRoundTripEmpty) {
 }
 
 TEST(Snapshot, FromJsonRejectsGarbage) {
-  EXPECT_THROW(MetricsSnapshot::from_json("not json"), std::runtime_error);
-  EXPECT_THROW(MetricsSnapshot::from_json("{\"counters\": [{]}"),
-               std::runtime_error);
+  for (const char* doc : {
+           "not json",
+           "{\"counters\": [{]}",
+           "[]",
+           "{\"timers\": []}",
+           "{\"counters\": [{\"name\": \"a\", \"unit\": 1}]}",
+           "{\"gauges\": [{\"name\": \"a\", \"value\": \"1\"}]}",
+           "{\"histograms\": [{\"name\": 3}]}",
+           "{\"counters\": {}}",
+           "{\"counters\": [{\"name\": \"a\", \"value\": -1}]}",
+           "{\"histograms\": [{\"count\": -2}]}",
+           "{\"histograms\": [{\"buckets\": [1, -1]}]}",
+       }) {
+    SCOPED_TRACE(doc);
+    EXPECT_THROW((void)MetricsSnapshot::from_json(doc), std::runtime_error);
+  }
 }
 
 TEST(Snapshot, EscapesNamesInJson) {

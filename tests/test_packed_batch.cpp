@@ -10,13 +10,13 @@
 #include "core/types.hpp"
 #include "util/rng.hpp"
 
-// Pins the lag-batched kernel's contract: packed_correlation_batch (and
-// every explicit lane width) scores each position BIT-IDENTICALLY to a
-// per-position packed_correlation call, across randomized window sizes,
-// start positions, row maps (identity, channel-id, out-of-range, k > 128),
-// partial usability masks, and block-boundary/remainder batch shapes. The
-// determinism guarantees of SynSeeker / SynCache / FleetEngine all reduce
-// to this property.
+// Pins the lag-batched kernel's contract: packed_correlation_batch (the
+// 16-lane block) scores each position BIT-IDENTICALLY to a per-position
+// packed_correlation call (the single-position block), across randomized
+// window sizes, start positions, row maps (identity, channel-id,
+// out-of-range, k > 128), partial usability masks, and
+// block-boundary/remainder batch shapes. The determinism guarantees of
+// SynSeeker / SynCache / FleetEngine all reduce to this property.
 
 namespace rups::core {
 namespace {
@@ -59,42 +59,21 @@ void expect_bit_equal(double want, double got, const char* what,
       << what << " lane " << q << ": want " << want << " got " << got;
 }
 
-/// `lanes` == 0 runs the production packed_correlation_batch, otherwise
-/// packed_correlation_batch_lanes at that width.
+/// packed_correlation_batch (B = 16) against the per-position
+/// packed_correlation (B = 1) on one (fixed, sliding) pair.
 void expect_batch_matches_scalar(const PackedView& fixed,
                                  std::size_t fixed_start,
                                  const PackedView& sliding, std::size_t pos_lo,
                                  std::size_t pos_count, std::size_t window,
                                  const TrajectoryCorrelationConfig& config,
-                                 const char* what, std::size_t lanes = 0) {
+                                 const char* what) {
   std::vector<double> got(pos_count, 0.0);
-  if (lanes == 0) {
-    packed_correlation_batch(fixed, fixed_start, sliding, pos_lo, pos_count,
-                             window, config, got.data());
-  } else {
-    packed_correlation_batch_lanes(lanes, fixed, fixed_start, sliding, pos_lo,
-                                   pos_count, window, config, got.data());
-  }
+  packed_correlation_batch(fixed, fixed_start, sliding, pos_lo, pos_count,
+                           window, config, got.data());
   for (std::size_t q = 0; q < pos_count; ++q) {
     const double want = packed_correlation(fixed, fixed_start, sliding,
                                            pos_lo + q, window, config);
     expect_bit_equal(want, got[q], what, q);
-  }
-}
-
-/// Every lane width, including the production batch, against the scalar
-/// per-position kernel on one (fixed, sliding) pair.
-void expect_all_widths_match_scalar(const PackedView& fixed,
-                                    std::size_t fixed_start,
-                                    const PackedView& sliding,
-                                    std::size_t pos_lo, std::size_t pos_count,
-                                    std::size_t window,
-                                    const TrajectoryCorrelationConfig& config,
-                                    const char* what) {
-  for (const std::size_t lanes : {0UL, 1UL, 4UL, 8UL, 16UL}) {
-    SCOPED_TRACE(lanes);
-    expect_batch_matches_scalar(fixed, fixed_start, sliding, pos_lo,
-                                pos_count, window, config, what, lanes);
   }
 }
 
@@ -127,9 +106,9 @@ TEST(PackedBatch, RandomizedWindowsMasksAndRemainders) {
     const auto rows = identity_rows(channels);
     const SubsetPack fixed_pack(fa, rows, 2, window);
     const SubsetPack slide_pack(sb, rows, 0, sliding_metres);
-    expect_all_widths_match_scalar({fixed_pack.span(), rows}, 0,
-                                   {slide_pack.span(), rows}, pos_lo,
-                                   pos_count, window, config, "randomized");
+    expect_batch_matches_scalar({fixed_pack.span(), rows}, 0,
+                                {slide_pack.span(), rows}, pos_lo,
+                                pos_count, window, config, "randomized");
   }
 }
 
@@ -173,36 +152,6 @@ TEST(PackedBatch, WideRowMapBeyond128Channels) {
                               window, config, "k>128");
 }
 
-TEST(PackedBatch, AllLaneWidthsAreBitIdentical) {
-  // The tuning surface: every explicit lane width (1 = per-position scalar
-  // loop) must reproduce the production batch bit-for-bit — the per-lane
-  // accumulation order never depends on the block shape.
-  util::Rng rng(13);
-  const std::size_t channels = 30;
-  const std::size_t window = 70;
-  const std::size_t pos_count = 77;  // multi-block + remainder for all B
-  const auto a = random_context(rng, window + 2, channels, 0.9);
-  const auto b = random_context(rng, pos_count - 1 + window, channels, 0.9);
-  const auto rows = identity_rows(channels);
-  const SubsetPack fixed_pack(a, rows, 0, window);
-  const SubsetPack slide_pack(b, rows, 0, pos_count - 1 + window);
-  const PackedView fixed{fixed_pack.span(), rows};
-  const PackedView sliding{slide_pack.span(), rows};
-  const TrajectoryCorrelationConfig config{};
-
-  std::vector<double> want(pos_count, 0.0);
-  packed_correlation_batch(fixed, 0, sliding, 0, pos_count, window, config,
-                           want.data());
-  for (const std::size_t lanes : {1UL, 4UL, 8UL, 16UL}) {
-    std::vector<double> got(pos_count, 0.0);
-    packed_correlation_batch_lanes(lanes, fixed, 0, sliding, 0, pos_count,
-                                   window, config, got.data());
-    for (std::size_t q = 0; q < pos_count; ++q) {
-      expect_bit_equal(want[q], got[q], "lane width", q);
-    }
-  }
-}
-
 // The usable-row lane loop runs when a block's sliding row is 1.0 across
 // every metre the block reads. Random masks at 0.35-0.9 almost never give
 // a 16-lane block such a row, so these cases build the masks row by row.
@@ -221,9 +170,9 @@ TEST(PackedBatch, FullyUsableContextsAtEveryWidth) {
     const auto rows = identity_rows(channels);
     const SubsetPack fixed_pack(a, rows, 9, window);
     const SubsetPack slide_pack(b, rows, 0, metres);
-    expect_all_widths_match_scalar({fixed_pack.span(), rows}, 0,
-                                   {slide_pack.span(), rows}, 0, pos_count,
-                                   window, config, "fully usable");
+    expect_batch_matches_scalar({fixed_pack.span(), rows}, 0,
+                                {slide_pack.span(), rows}, 0, pos_count,
+                                window, config, "fully usable");
   }
 }
 
@@ -244,9 +193,9 @@ TEST(PackedBatch, FullyUsableChannelIdRowsAndWideRowMaps) {
     rows.push_back(static_cast<std::size_t>(rng.uniform() * 40.0));
   }
   rows.push_back(40 + 2);  // out of range: skipped
-  expect_all_widths_match_scalar({pa.span(), rows}, 50, {pb.span(), rows}, 0,
-                                 200 - window + 1, window, config,
-                                 "channel-id rows");
+  expect_batch_matches_scalar({pa.span(), rows}, 50, {pb.span(), rows}, 0,
+                              200 - window + 1, window, config,
+                              "channel-id rows");
 
   const std::size_t wide = 150;
   const auto wa = random_context(rng, window, wide, 1.0);
@@ -254,10 +203,10 @@ TEST(PackedBatch, FullyUsableChannelIdRowsAndWideRowMaps) {
   const auto wide_rows = identity_rows(wide);
   const SubsetPack fixed_pack(wa, wide_rows, 0, window);
   const SubsetPack slide_pack(wb, wide_rows, 0, 90);
-  expect_all_widths_match_scalar({fixed_pack.span(), wide_rows}, 0,
-                                 {slide_pack.span(), wide_rows}, 0,
-                                 90 - window + 1, window, config,
-                                 "wide row map");
+  expect_batch_matches_scalar({fixed_pack.span(), wide_rows}, 0,
+                              {slide_pack.span(), wide_rows}, 0,
+                              90 - window + 1, window, config,
+                              "wide row map");
 }
 
 TEST(PackedBatch, PerRowMasksMixBothLoops) {
@@ -279,9 +228,9 @@ TEST(PackedBatch, PerRowMasksMixBothLoops) {
   const auto rows = identity_rows(fixed_usable.size());
   const SubsetPack fixed_pack(a, rows, 0, window);
   const SubsetPack slide_pack(b, rows, 0, metres);
-  expect_all_widths_match_scalar({fixed_pack.span(), rows}, 0,
-                                 {slide_pack.span(), rows}, 0, pos_count,
-                                 window, config, "per-row masks");
+  expect_batch_matches_scalar({fixed_pack.span(), rows}, 0,
+                              {slide_pack.span(), rows}, 0, pos_count,
+                              window, config, "per-row masks");
 
   // Fixed rows with exactly min_channel_overlap - 1 and exactly
   // min_channel_overlap usable metres, and a constant (zero-variance) one,
@@ -303,9 +252,9 @@ TEST(PackedBatch, PerRowMasksMixBothLoops) {
   config.min_channels = 1;
   const SubsetPack edge_pack(edge, rows4, 0, window);
   const SubsetPack full_pack(full, rows4, 0, metres);
-  expect_all_widths_match_scalar({edge_pack.span(), rows4}, 0,
-                                 {full_pack.span(), rows4}, 0, pos_count,
-                                 window, config, "overlap edge");
+  expect_batch_matches_scalar({edge_pack.span(), rows4}, 0,
+                              {full_pack.span(), rows4}, 0, pos_count,
+                              window, config, "overlap edge");
 }
 
 TEST(PackedBatch, OneMaskedMetreSplitsNeighbouringBlocks) {
@@ -339,9 +288,9 @@ TEST(PackedBatch, OneMaskedMetreSplitsNeighbouringBlocks) {
       b.append(GeoSample{}, std::move(pv));
     }
     const SubsetPack slide_pack(b, rows, 0, metres);
-    expect_all_widths_match_scalar({fixed_pack.span(), rows}, 0,
-                                   {slide_pack.span(), rows}, 0, pos_count,
-                                   window, config, "one masked metre");
+    expect_batch_matches_scalar({fixed_pack.span(), rows}, 0,
+                                {slide_pack.span(), rows}, 0, pos_count,
+                                window, config, "one masked metre");
   }
 }
 
@@ -456,9 +405,9 @@ TEST(PackedBatch, ShortRangesScoreInsideExactBuffers) {
              {std::size_t{0}, (positions - len) / 2, positions - len}) {
           SCOPED_TRACE(testing::Message() << "metres " << metres << " len "
                                           << len << " pos_lo " << pos_lo);
-          expect_all_widths_match_scalar({fixed.span(), rows}, 0,
-                                         {sliding.span(), rows}, pos_lo, len,
-                                         window, config, "short range");
+          expect_batch_matches_scalar({fixed.span(), rows}, 0,
+                                      {sliding.span(), rows}, pos_lo, len,
+                                      window, config, "short range");
         }
       }
     }
